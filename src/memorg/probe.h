@@ -6,7 +6,10 @@
 // SlotAdvance on slot changes) onto a TraceBus. This is the authoritative
 // "who won the port this cycle" record: it reads the same signals the
 // emitted Verilog exposes, independent of the thread-side bookkeeping.
+// Those nets are resolved to handles once, when the probe is built.
 #pragma once
+
+#include <vector>
 
 #include "rtl/eval.h"
 #include "trace/bus.h"
@@ -22,9 +25,12 @@ struct ProbeConfig {
 
 class ControllerProbe {
  public:
-  explicit ControllerProbe(ProbeConfig config) : config_(config) {}
+  /// Binds the sampled nets of `sim`'s module (throws std::runtime_error if
+  /// one is missing).
+  ControllerProbe(ProbeConfig config, const rtl::ModuleSim& sim);
 
-  /// Call once per cycle after the netlist settled, before the clock edge.
+  /// Call once per cycle after the netlist settled, before the clock edge;
+  /// `sim` simulates the module the probe was built for.
   void sample(const rtl::ModuleSim& sim, std::uint64_t cycle,
               trace::TraceBus& bus);
 
@@ -34,6 +40,15 @@ class ControllerProbe {
 
  private:
   ProbeConfig config_;
+  // A consumer's read is won when `won` is high — and, event-driven, its
+  // request `req` too (else -1).
+  struct ConsumerNets {
+    int won = -1;
+    int req = -1;
+  };
+  std::vector<ConsumerNets> consumers_;
+  std::vector<int> producer_grants_;
+  int slot_ = -1;  // event-driven only
   std::int64_t last_slot_ = -1;
 };
 

@@ -361,6 +361,15 @@ void Service::complete(Shard& shard, std::unique_ptr<Work> work,
       shard.sim_cycles += result.cycles;
     }
     shard.open_sessions = shard.sessions.size();
+    // A closed session's sequence counter goes with it, unless a command
+    // submitted after the Close was already numbered from it.
+    if (result.kind == CommandKind::Close && result.ok) {
+      auto it = shard.next_sequence.find(work->session);
+      if (it != shard.next_sequence.end() &&
+          it->second == work->sequence + 1) {
+        shard.next_sequence.erase(it);
+      }
+    }
     shard.metrics.counter("rt.commands").add();
     shard.metrics.histogram("rt.latency_us", kLatencyBoundsUs)
         .record(latency_us);
@@ -460,6 +469,7 @@ Service::Stats Service::stats() const {
     ss.sim_cycles = shard->sim_cycles;
     ss.max_queue_depth = shard->max_queue_depth;
     ss.sessions = shard->open_sessions;
+    ss.sequence_counters = shard->next_sequence.size();
     if (const trace::Histogram* h =
             shard->metrics.find_histogram("rt.latency_us")) {
       ss.latency_p50_us = h->percentile(50);

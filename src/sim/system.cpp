@@ -40,6 +40,34 @@ std::uint64_t mask_width(std::uint64_t v, int width) {
 // ---------------------------------------------------------------------------
 
 struct SystemSim::Controller {
+  /// Simulates `module`, the organization generated for `bram`, and binds
+  /// its ports and probe once.
+  Controller(int bram, OrgKind org, const memalloc::BramPortPlan& port_plan,
+             std::vector<memorg::DepEntry> deps, const rtl::Module& module)
+      : bram_id(bram),
+        kind(org),
+        plan(&port_plan),
+        entries(std::move(deps)),
+        sim(std::make_unique<rtl::ModuleSim>(module)) {
+    if (kind == OrgKind::EventDriven) {
+      // Mirror the generator's slot enumeration.
+      for (const memorg::DepEntry& e : entries) {
+        slot_table.push_back(SlotRef{e.id, true, e.producer_port});
+        for (int cp : e.consumer_ports) {
+          slot_table.push_back(SlotRef{e.id, false, cp});
+        }
+      }
+    }
+    bind_nets();
+    memorg::ProbeConfig probe_cfg;
+    probe_cfg.controller = bram_id;
+    probe_cfg.event_driven = kind == OrgKind::EventDriven;
+    probe_cfg.num_consumers = plan->consumer_pseudo_ports();
+    probe_cfg.num_producers = plan->producer_pseudo_ports();
+    probe = std::make_unique<memorg::ControllerProbe>(probe_cfg, *sim);
+    sim->reset();
+  }
+
   int bram_id = -1;
   OrgKind kind = OrgKind::Arbitrated;
   const memalloc::BramPortPlan* plan = nullptr;
@@ -81,27 +109,79 @@ struct SystemSim::Controller {
     return -1;
   }
 
-  void begin_cycle() {
-    // Clear all request-style inputs; threads re-assert each cycle.
-    if (kind == OrgKind::Arbitrated) {
-      for (const auto& c : plan->clients) {
-        if (c.port == memalloc::LogicalPort::C) {
-          sim->set_input("c_req" + std::to_string(c.pseudo_port), 0);
-        } else if (c.port == memalloc::LogicalPort::D) {
-          sim->set_input("d_req" + std::to_string(c.pseudo_port), 0);
-        }
-      }
-    } else {
-      for (const auto& c : plan->clients) {
-        if (c.port == memalloc::LogicalPort::C) {
-          sim->set_input("c_req" + std::to_string(c.pseudo_port), 0);
-        } else if (c.port == memalloc::LogicalPort::D) {
-          sim->set_input("p_req" + std::to_string(c.pseudo_port), 0);
-        }
+  // Net handles into the generated module, bound by the constructor. The
+  // producer side is d_* (arbitrated) or p_* (event-driven); `grant` of a
+  // consumer is arbitrated-only and `slot` event-driven-only (else -1).
+  struct ConsumerNets {
+    int req = -1, addr = -1, grant = -1, valid = -1;
+  };
+  struct ProducerNets {
+    int req = -1, addr = -1, wdata = -1, grant = -1;
+  };
+  std::vector<ConsumerNets> consumer_nets;
+  std::vector<ProducerNets> producer_nets;
+  int a_en = -1, a_we = -1, a_addr = -1, a_wdata = -1, a_rdata = -1;
+  int bus_rdata = -1, slot = -1;
+
+  void bind_nets() {
+    const rtl::ModuleSim& m = *sim;
+    const bool arbitrated = kind == OrgKind::Arbitrated;
+    consumer_nets.resize(
+        static_cast<std::size_t>(plan->consumer_pseudo_ports()));
+    for (std::size_t i = 0; i < consumer_nets.size(); ++i) {
+      const std::string idx = std::to_string(i);
+      ConsumerNets& c = consumer_nets[i];
+      c.req = m.find_net("c_req" + idx);
+      c.addr = m.find_net("c_addr" + idx);
+      if (arbitrated) c.grant = m.find_net("c_grant" + idx);
+      c.valid = m.find_net("c_valid" + idx);
+    }
+    const std::string p = arbitrated ? "d_" : "p_";
+    producer_nets.resize(
+        static_cast<std::size_t>(plan->producer_pseudo_ports()));
+    for (std::size_t j = 0; j < producer_nets.size(); ++j) {
+      const std::string idx = std::to_string(j);
+      ProducerNets& d = producer_nets[j];
+      d.req = m.find_net(p + "req" + idx);
+      d.addr = m.find_net(p + "addr" + idx);
+      d.wdata = m.find_net(p + "wdata" + idx);
+      d.grant = m.find_net(p + "grant" + idx);
+    }
+    a_en = m.find_net("a_en");
+    a_we = m.find_net("a_we");
+    a_addr = m.find_net("a_addr");
+    a_wdata = m.find_net("a_wdata");
+    a_rdata = m.find_net("a_rdata");
+    bus_rdata = m.find_net("bus_rdata");
+    if (!arbitrated) slot = m.find_net("slot");
+  }
+
+  [[nodiscard]] const ConsumerNets& consumer(int pseudo_port) const {
+    return consumer_nets[static_cast<std::size_t>(pseudo_port)];
+  }
+  [[nodiscard]] const ProducerNets& producer(int pseudo_port) const {
+    return producer_nets[static_cast<std::size_t>(pseudo_port)];
+  }
+
+  /// Whether a pseudo-port other than `ours` won its grant line this cycle
+  /// — the ArbitrationLoss / DependencyNotProduced split.
+  template <typename Nets>
+  [[nodiscard]] bool other_granted(const std::vector<Nets>& nets,
+                                   int ours) const {
+    for (std::size_t k = 0; k < nets.size(); ++k) {
+      if (static_cast<int>(k) != ours && sim->get(nets[k].grant) != 0) {
+        return true;
       }
     }
-    sim->set_input("a_en", 0);
-    sim->set_input("a_we", 0);
+    return false;
+  }
+
+  void begin_cycle() {
+    // Clear all request-style inputs; threads re-assert each cycle.
+    for (const ConsumerNets& c : consumer_nets) sim->set_input(c.req, 0);
+    for (const ProducerNets& d : producer_nets) sim->set_input(d.req, 0);
+    sim->set_input(a_en, 0);
+    sim->set_input(a_we, 0);
     // Resolve port A ownership among last cycle's waiters.
     if (!a_waiters.empty()) {
       std::sort(a_waiters.begin(), a_waiters.end());
@@ -219,38 +299,16 @@ SystemSim::SystemSim(const hic::Program& program, const hic::Sema& sema,
       throw std::runtime_error("SystemSim: no port plan for bram " +
                                std::to_string(bram.id));
     }
-    auto ctrl = std::make_unique<Controller>();
-    ctrl->bram_id = bram.id;
-    ctrl->kind = options.organization;
-    ctrl->plan = plan;
-    ctrl->entries = memorg::build_dep_entries(bram, *plan);
-    std::string name = "memorg_bram" + std::to_string(bram.id);
-    if (options.organization == OrgKind::Arbitrated) {
-      memorg::ArbitratedConfig cfg = memorg::arbitrated_config_from(bram, *plan);
-      rtl::Module& m = memorg::generate_arbitrated(design_, cfg, name);
-      ctrl->sim = std::make_unique<rtl::ModuleSim>(m);
-    } else {
-      memorg::EventDrivenConfig cfg =
-          memorg::eventdriven_config_from(bram, *plan);
-      rtl::Module& m = memorg::generate_eventdriven(design_, cfg, name);
-      ctrl->sim = std::make_unique<rtl::ModuleSim>(m);
-      // Mirror the generator's slot enumeration.
-      for (const memorg::DepEntry& e : ctrl->entries) {
-        ctrl->slot_table.push_back(
-            Controller::SlotRef{e.id, true, e.producer_port});
-        for (int cp : e.consumer_ports) {
-          ctrl->slot_table.push_back(Controller::SlotRef{e.id, false, cp});
-        }
-      }
-    }
-    memorg::ProbeConfig probe_cfg;
-    probe_cfg.controller = bram.id;
-    probe_cfg.event_driven = options.organization == OrgKind::EventDriven;
-    probe_cfg.num_consumers = plan->consumer_pseudo_ports();
-    probe_cfg.num_producers = plan->producer_pseudo_ports();
-    ctrl->probe = std::make_unique<memorg::ControllerProbe>(probe_cfg);
-    ctrl->sim->reset();
-    controllers_.push_back(std::move(ctrl));
+    const std::string name = "memorg_bram" + std::to_string(bram.id);
+    const rtl::Module& m =
+        options.organization == OrgKind::Arbitrated
+            ? memorg::generate_arbitrated(
+                  design_, memorg::arbitrated_config_from(bram, *plan), name)
+            : memorg::generate_eventdriven(
+                  design_, memorg::eventdriven_config_from(bram, *plan), name);
+    controllers_.push_back(std::make_unique<Controller>(
+        bram.id, options.organization, *plan,
+        memorg::build_dep_entries(bram, *plan), m));
   }
 
   // Synthesize and stage every thread.
@@ -593,38 +651,28 @@ void drive_mem_op(ThreadExecT& t, ThreadExecT::MemOp& mo) {
   switch (mo.stage) {
     case ThreadExecT::MemOp::Stage::PortA:
       if (c.claim_port_a(t.name)) {
-        sim.set_input("a_en", 1);
-        sim.set_input("a_we", mo.is_write ? 1 : 0);
-        sim.set_input("a_addr", mo.addr);
-        if (mo.is_write) sim.set_input("a_wdata", mo.wdata);
+        sim.set_input(c.a_en, 1);
+        sim.set_input(c.a_we, mo.is_write ? 1 : 0);
+        sim.set_input(c.a_addr, mo.addr);
+        if (mo.is_write) sim.set_input(c.a_wdata, mo.wdata);
       }
       break;
-    case ThreadExecT::MemOp::Stage::Request: {
-      if (mo.is_write) {
-        std::string p = std::to_string(mo.pseudo_port);
-        sim.set_input("d_req" + p, 1);
-        sim.set_input("d_addr" + p, mo.addr);
-        sim.set_input("d_wdata" + p, mo.wdata);
-      } else {
-        std::string p = std::to_string(mo.pseudo_port);
-        sim.set_input("c_req" + p, 1);
-        sim.set_input("c_addr" + p, mo.addr);
-      }
-      break;
-    }
+    case ThreadExecT::MemOp::Stage::Request:
     case ThreadExecT::MemOp::Stage::EvWaitSlot: {
       // Slot is a register: reading it before settle is safe.
-      std::uint64_t slot = sim.get("slot");
-      if (static_cast<int>(slot) == mo.target_slot) {
-        std::string p = std::to_string(mo.pseudo_port);
-        if (mo.is_write) {
-          sim.set_input("p_req" + p, 1);
-          sim.set_input("p_addr" + p, mo.addr);
-          sim.set_input("p_wdata" + p, mo.wdata);
-        } else {
-          sim.set_input("c_req" + p, 1);
-          sim.set_input("c_addr" + p, mo.addr);
-        }
+      if (mo.stage == ThreadExecT::MemOp::Stage::EvWaitSlot &&
+          static_cast<int>(sim.get(c.slot)) != mo.target_slot) {
+        break;
+      }
+      if (mo.is_write) {
+        const auto& d = c.producer(mo.pseudo_port);
+        sim.set_input(d.req, 1);
+        sim.set_input(d.addr, mo.addr);
+        sim.set_input(d.wdata, mo.wdata);
+      } else {
+        const auto& r = c.consumer(mo.pseudo_port);
+        sim.set_input(r.req, 1);
+        sim.set_input(r.addr, mo.addr);
       }
       break;
     }
@@ -639,17 +687,6 @@ void drive_mem_op(ThreadExecT& t, ThreadExecT::MemOp& mo) {
 }  // namespace
 
 namespace {
-
-/// Checks whether any pseudo-port other than `ours` won the named grant
-/// line this cycle — the ArbitrationLoss / DependencyNotProduced split.
-bool another_port_granted(const rtl::ModuleSim& sim, const char* prefix,
-                          int ours, int count) {
-  for (int k = 0; k < count; ++k) {
-    if (k == ours) continue;
-    if (sim.get(prefix + std::to_string(k)) != 0) return true;
-  }
-  return false;
-}
 
 // `on_access(t, mo, granted, cause)` is invoked for every cycle the op
 // occupies (or waits for) its port: exactly one of granted/stalled per
@@ -678,32 +715,29 @@ void observe_mem_op(SystemSim::ThreadExec& t, SystemSim::ThreadExec::MemOp& mo,
       break;
     case ThreadExec::MemOp::Stage::PortA_Data:
       // The read issued last cycle; a_rdata now holds the value.
-      mo.result = sim.get("a_rdata");
+      mo.result = sim.get(c.a_rdata);
       mo.stage = ThreadExec::MemOp::Stage::Done;
       break;
     case ThreadExec::MemOp::Stage::Request: {
-      std::string p = std::to_string(mo.pseudo_port);
       if (mo.is_write) {
-        if (sim.get("d_grant" + p) != 0) {
+        if (sim.get(c.producer(mo.pseudo_port).grant) != 0) {
           on_access(t, mo, true, StallCause::None);
           record_produce(t, mo);
           mo.stage = SystemSim::ThreadExec::MemOp::Stage::Done;
         } else {
           on_access(t, mo, false,
-                    another_port_granted(sim, "d_grant", mo.pseudo_port,
-                                         c.plan->producer_pseudo_ports())
+                    c.other_granted(c.producer_nets, mo.pseudo_port)
                         ? StallCause::ArbitrationLoss
                         : StallCause::DependencyNotProduced);
         }
       } else {
-        if (sim.get("c_grant" + p) != 0) {
+        if (sim.get(c.consumer(mo.pseudo_port).grant) != 0) {
           on_access(t, mo, true, StallCause::None);
           mo.round = open_round_of(mo);
           mo.stage = SystemSim::ThreadExec::MemOp::Stage::WaitValid;
         } else {
           on_access(t, mo, false,
-                    another_port_granted(sim, "c_grant", mo.pseudo_port,
-                                         c.plan->consumer_pseudo_ports())
+                    c.other_granted(c.consumer_nets, mo.pseudo_port)
                         ? StallCause::ArbitrationLoss
                         : StallCause::DependencyNotProduced);
         }
@@ -711,14 +745,12 @@ void observe_mem_op(SystemSim::ThreadExec& t, SystemSim::ThreadExec::MemOp& mo,
       break;
     }
     case SystemSim::ThreadExec::MemOp::Stage::EvWaitSlot: {
-      std::uint64_t slot = sim.get("slot");
-      if (static_cast<int>(slot) != mo.target_slot) {
+      if (static_cast<int>(sim.get(c.slot)) != mo.target_slot) {
         on_access(t, mo, false, StallCause::NotOurSlot);
         break;
       }
-      std::string p = std::to_string(mo.pseudo_port);
       if (mo.is_write) {
-        if (sim.get("p_grant" + p) != 0) {
+        if (sim.get(c.producer(mo.pseudo_port).grant) != 0) {
           on_access(t, mo, true, StallCause::None);
           record_produce(t, mo);
           mo.stage = SystemSim::ThreadExec::MemOp::Stage::Done;
@@ -727,7 +759,7 @@ void observe_mem_op(SystemSim::ThreadExec& t, SystemSim::ThreadExec::MemOp& mo,
         }
       } else {
         // Our slot fires this edge iff our request was up.
-        if (sim.get("c_req" + p) != 0) {
+        if (sim.get(c.consumer(mo.pseudo_port).req) != 0) {
           on_access(t, mo, true, StallCause::None);
           mo.round = open_round_of(mo);
           mo.stage = SystemSim::ThreadExec::MemOp::Stage::WaitValid;
@@ -738,9 +770,8 @@ void observe_mem_op(SystemSim::ThreadExec& t, SystemSim::ThreadExec::MemOp& mo,
       break;
     }
     case SystemSim::ThreadExec::MemOp::Stage::WaitValid: {
-      std::string p = std::to_string(mo.pseudo_port);
-      if (sim.get("c_valid" + p) != 0) {
-        mo.result = sim.get("bus_rdata");
+      if (sim.get(c.consumer(mo.pseudo_port).valid) != 0) {
+        mo.result = sim.get(c.bus_rdata);
         record_consume(t, mo);
         mo.stage = SystemSim::ThreadExec::MemOp::Stage::Done;
       } else {

@@ -238,6 +238,37 @@ TEST(Service, SequencesArePerSessionAndGapFree) {
   EXPECT_EQ(rb.sequence, 1u);
 }
 
+TEST(Service, ClosedSessionsLeaveNoSequenceCounters) {
+  // One session per transaction, as an hic-rtd client does: open, produce,
+  // run, close. Every session numbers its commands 0, 1, 2, 3 and an
+  // accepted Close drops the session's counter.
+  ServiceOptions options;
+  options.shards = 2;
+  Service service(load_fig1(), options);
+  constexpr int kSessions = 200;
+  for (int i = 0; i < kSessions; ++i) {
+    const std::uint64_t session = service.open_session();
+    CommandResult p =
+        service.produce(session, words(service, {std::uint64_t(i)})).get();
+    CommandResult r = service.run(session, 1).get();
+    CommandResult c = service.close_session(session).get();
+    ASSERT_TRUE(p.ok && r.ok && c.ok) << p.error << r.error << c.error;
+    EXPECT_EQ(p.sequence, 1u);
+    EXPECT_EQ(r.sequence, 2u);
+    EXPECT_EQ(c.sequence, 3u);
+  }
+  // A session still open keeps its counter.
+  const std::uint64_t open = service.open_session();
+  EXPECT_EQ(service.run(open, 1).get().sequence, 1u);
+  service.drain();
+
+  std::uint64_t counters = 0;
+  for (const auto& s : service.stats().shards) counters += s.sequence_counters;
+  EXPECT_EQ(counters, 1u);
+  EXPECT_EQ(service.stats().sessions_closed,
+            static_cast<std::uint64_t>(kSessions));
+}
+
 TEST(Service, StatsCountCommandsAndSessions) {
   ServiceOptions options;
   options.shards = 2;
