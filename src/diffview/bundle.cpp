@@ -358,14 +358,9 @@ bool load_bundle(const std::string& dir, Bundle* out, std::string* error) {
 }
 
 std::string digest_hex(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV prime
-  }
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(support::fnv1a64(bytes)));
   return std::string(buf);
 }
 

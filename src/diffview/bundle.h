@@ -135,9 +135,8 @@ struct Bundle {
 [[nodiscard]] bool load_bundle(const std::string& dir, Bundle* out,
                                std::string* error = nullptr);
 
-/// fnv1a64 of `bytes` as a 16-digit lowercase hex string — the program
-/// digest stamped into manifests (same function family the hic-rt
-/// artifact framing uses).
+/// support::fnv1a64 of `bytes` as a 16-digit lowercase hex string — the
+/// program digest stamped into manifests.
 [[nodiscard]] std::string digest_hex(std::string_view bytes);
 
 }  // namespace hicsync::diffview

@@ -19,20 +19,7 @@ std::string hex64(std::uint64_t v) {
   return std::string(buf);
 }
 
-const char* org_name(sim::OrgKind k) {
-  return k == sim::OrgKind::Arbitrated ? "arbitrated" : "event-driven";
-}
-
 }  // namespace
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::string sema_digest(const hic::Sema& sema) {
   // Canonical rendering: every declared symbol (qualified name, width,
@@ -56,7 +43,7 @@ std::string sema_digest(const hic::Sema& sema) {
     }
     canon += '\n';
   }
-  return hex64(fnv1a64(canon));
+  return hex64(support::fnv1a64(canon));
 }
 
 std::string emit_artifact(const core::CompileResult& result,
@@ -67,7 +54,7 @@ std::string emit_artifact(const core::CompileResult& result,
   w.key("schema").value("hicbin-v1");
   w.key("source_name").value(opt.source_name);
   w.key("source").value(source);
-  w.key("organization").value(org_name(opt.organization));
+  w.key("organization").value(sim::to_string(opt.organization));
   w.key("use_cam").value(opt.use_cam);
   w.key("chain").value(opt.schedule.chain_states);
   w.key("infer_dependencies").value(opt.infer_dependencies);
@@ -149,7 +136,7 @@ std::string emit_artifact(const core::CompileResult& result,
   std::string out = support::format(
       "%s %d %llu %s\n", kArtifactMagic, kArtifactVersion,
       static_cast<unsigned long long>(payload.size()),
-      hex64(fnv1a64(payload)).c_str());
+      hex64(support::fnv1a64(payload)).c_str());
   out += payload;
   return out;
 }
@@ -296,7 +283,7 @@ bool parse_artifact(std::string_view bytes, Artifact* out,
                               static_cast<unsigned long long>(payload.size() -
                                                               declared)));
   }
-  if (hex64(fnv1a64(payload)) != fields[3]) {
+  if (hex64(support::fnv1a64(payload)) != fields[3]) {
     return corrupt(error, "payload digest mismatch (artifact is corrupt)");
   }
 
@@ -330,9 +317,10 @@ bool parse_artifact(std::string_view bytes, Artifact* out,
       !get_string(root, "sema_digest", "payload", &art.sema_digest, error)) {
     return false;
   }
-  if (art.organization != "arbitrated" && art.organization != "event-driven") {
-    return corrupt(error,
-                   "unknown organization '" + art.organization + "'");
+  sim::OrgKind org = sim::OrgKind::Arbitrated;
+  std::string org_error;
+  if (!sim::parse_org(art.organization, &org, &org_error)) {
+    return corrupt(error, org_error);
   }
 
   const support::JsonValue* map = need(root, "memory_map", "payload", error);

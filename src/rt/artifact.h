@@ -119,10 +119,6 @@ struct Artifact {
   std::vector<ArtifactController> controllers;
 };
 
-/// FNV-1a 64 over `bytes` (the header digest and the sema digest both use
-/// it; exposed so tests can forge/verify frames).
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
-
 /// Canonical digest of a Sema: thread names, symbol declarations (name,
 /// width, element count, memory residency) and bound dependencies in
 /// program order. Two sources with the same digest place and plan

@@ -75,9 +75,12 @@ std::shared_ptr<const LoadedProgram> load_program(const Artifact& artifact,
   // shared_ptr<LoadedProgram> during construction, const on return.
   std::shared_ptr<LoadedProgram> lp(new LoadedProgram());
   lp->artifact_ = artifact;
-  lp->organization_ = artifact.organization == "event-driven"
-                          ? sim::OrgKind::EventDriven
-                          : sim::OrgKind::Arbitrated;
+  std::string org_error;
+  if (!sim::parse_org(artifact.organization, &lp->organization_,
+                      &org_error)) {
+    fail(error, "rt-corrupt", org_error);
+    return nullptr;
+  }
   lp->diags_.set_source_name(artifact.source_name);
 
   // Front end only: parse → (infer) → sema. The embedded source was

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "support/strings.h"
+#include "trace/chrome.h"
 
 namespace hicsync::rt {
 
@@ -340,15 +341,7 @@ std::string compose_chrome_trace(int shards,
         i + 1, i));
   }
   lines.insert(lines.end(), events.begin(), events.end());
-
-  std::string out = "{\"traceEvents\":[\n";
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    out += lines[i];
-    if (i + 1 < lines.size()) out += ",";
-    out += "\n";
-  }
-  out += "],\"displayTimeUnit\":\"ns\"}\n";
-  return out;
+  return trace::chrome_trace_document(lines);
 }
 
 }  // namespace hicsync::rt

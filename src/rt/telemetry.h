@@ -230,7 +230,7 @@ class ShardTelemetry {
 
 /// Composes the full Chrome-trace document from per-shard event lists:
 /// process/thread metadata (process "hic-rt", one named track per shard)
-/// followed by the span events, in the ChromeTraceSink envelope.
+/// followed by the span events, in trace::chrome_trace_document's envelope.
 [[nodiscard]] std::string compose_chrome_trace(
     int shards, const std::vector<std::string>& events);
 

@@ -5,6 +5,7 @@
 
 #include "memalloc/sizing.h"
 #include "rt/artifact.h"
+#include "support/strings.h"
 
 namespace hicsync::rt {
 
@@ -60,7 +61,8 @@ std::vector<std::string> extern_calls(const hic::Program& program) {
 void seed_externs(sim::SystemSim& sim, const hic::Program& program,
                   std::uint64_t seed) {
   for (const std::string& name : extern_calls(program)) {
-    std::uint64_t base = fnv1a64(name) ^ (seed * 0x9e3779b97f4a7c15ull);
+    std::uint64_t base =
+        support::fnv1a64(name) ^ (seed * 0x9e3779b97f4a7c15ull);
     sim.externs().register_fn(
         name, [base](const std::vector<std::uint64_t>& args) {
           std::uint64_t h = base;

@@ -18,6 +18,17 @@ const char* to_string(OrgKind k) {
   return "unknown";
 }
 
+bool parse_org(std::string_view name, OrgKind* out, std::string* error) {
+  for (OrgKind k : {OrgKind::Arbitrated, OrgKind::EventDriven}) {
+    if (name == to_string(k)) {
+      *out = k;
+      return true;
+    }
+  }
+  *error = "unknown organization '" + std::string(name) + "'";
+  return false;
+}
+
 std::uint64_t DepRound::completion_latency() const {
   std::uint64_t last = produce_grant_cycle;
   for (const auto& [thread, cycle] : consume_cycles) {

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hic/sema.h"
@@ -34,6 +35,11 @@ namespace hicsync::sim {
 enum class OrgKind { Arbitrated, EventDriven };
 
 [[nodiscard]] const char* to_string(OrgKind k);
+
+/// The inverse of to_string: "arbitrated" or "event-driven". Anything else
+/// leaves *out alone and sets *error to "unknown organization '<name>'".
+[[nodiscard]] bool parse_org(std::string_view name, OrgKind* out,
+                             std::string* error);
 
 struct SystemOptions {
   OrgKind organization = OrgKind::Arbitrated;

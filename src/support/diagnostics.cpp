@@ -1,8 +1,9 @@
 #include "support/diagnostics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <tuple>
+
+#include "support/json.h"
 
 namespace hicsync::support {
 
@@ -20,36 +21,6 @@ int severity_rank(Severity s) {
       return 2;
   }
   return 3;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -151,15 +122,15 @@ std::string DiagnosticEngine::json() const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\"check\": \"";
-    json_escape_into(out, d->check_id);
+    out += json_escape(d->check_id);
     out += "\", \"severity\": \"";
     out += to_string(d->severity);
     out += "\", \"file\": \"";
-    json_escape_into(out, d->file);
+    out += json_escape(d->file);
     out += "\", \"line\": " + std::to_string(d->loc.line);
     out += ", \"column\": " + std::to_string(d->loc.column);
     out += ", \"message\": \"";
-    json_escape_into(out, d->message);
+    out += json_escape(d->message);
     out += "\"}";
   }
   out += first ? "]\n" : "\n  ]\n";

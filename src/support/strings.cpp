@@ -73,6 +73,15 @@ std::string indent(std::string_view s, int n) {
   return out;
 }
 
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 14695981039346656037ull;  // offset basis
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;  // prime
+  }
+  return h;
+}
+
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

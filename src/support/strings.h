@@ -1,6 +1,7 @@
 // Small string utilities used across the toolchain.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +23,10 @@ namespace hicsync::support {
 
 /// Indent every line of `s` by `n` spaces.
 [[nodiscard]] std::string indent(std::string_view s, int n);
+
+/// FNV-1a 64 over `bytes`: the artifact frame and Sema digests, the run
+/// bundle source digest and the model checker's state hash.
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
 
 /// printf-style formatting into a std::string.
 [[nodiscard]] std::string format(const char* fmt, ...)

@@ -22,16 +22,14 @@
 //   6  a bound was exceeded (reported with a bound-* check ID)
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bound/bound.h"
 #include "core/compiler.h"
 #include "support/json.h"
+#include "support/strings.h"
+#include "tools/cli.h"
 
 using namespace hicsync;
 
@@ -46,11 +44,6 @@ constexpr const char* kUsageBody =
     // here and in README.md.
     "exit codes: 0 bounds hold, 1 compile error, 2 usage, 6 bound exceeded\n";
 
-void usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [options] <file.hic | ->\n%s", argv0,
-               kUsageBody);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -61,71 +54,42 @@ int main(int argc, char** argv) {
   bool infer = false;
   bool json_out = false;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(2);
+  cli::Cursor cli(argc, argv, 1,
+                  support::format("usage: %s [options] <file.hic | ->\n%s",
+                                  argv[0], kUsageBody),
+                  2);
+  while (cli.next()) {
+    std::string value;
+    if (cli.value("--org", &value)) {
+      std::string error;
+      if (!sim::parse_org(value, &orgs.emplace_back(), &error)) {
+        return cli.error(error);
       }
-      return argv[++i];
-    };
-    if (arg == "--org") {
-      std::string org = next();
-      if (org == "arbitrated") {
-        orgs.push_back(sim::OrgKind::Arbitrated);
-      } else if (org == "event-driven") {
-        orgs.push_back(sim::OrgKind::EventDriven);
-      } else {
-        std::fprintf(stderr, "unknown organization '%s'\n", org.c_str());
-        return 2;
-      }
-    } else if (arg == "--explain") {
+    } else if (cli.flag("--explain")) {
       bopts.explain = true;
-    } else if (arg == "--infer") {
+    } else if (cli.flag("--infer")) {
       infer = true;
-    } else if (arg == "--json") {
+    } else if (cli.flag("--json")) {
       json_out = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
+    } else if (cli.help()) {
+      cli.usage();
       return 0;
-    } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
+    } else if (cli.is_option()) {
+      return cli.unknown_option();
     } else if (input.empty()) {
-      input = arg;
+      input = cli.arg();
     } else {
-      usage(argv[0]);
-      return 2;
+      return cli.usage_error();
     }
   }
-  if (input.empty()) {
-    usage(argv[0]);
-    return 2;
-  }
+  if (input.empty()) return cli.usage_error();
   if (orgs.empty()) {
     orgs = {sim::OrgKind::Arbitrated, sim::OrgKind::EventDriven};
   }
 
-  std::string source;
-  std::string source_name;
-  if (input == "-") {
-    std::ostringstream ss;
-    ss << std::cin.rdbuf();
-    source = ss.str();
-    source_name = "<stdin>";
-  } else {
-    std::ifstream in(input);
-    if (!in) {
-      std::fprintf(stderr, "cannot open '%s'\n", input.c_str());
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    source = ss.str();
-    source_name = input;
-  }
+  const std::optional<cli::Source> source = cli::read_source(input);
+  if (!source) return 2;
+  const std::string& source_name = source->name;
 
   // One front-end + allocation pass feeds every organization; lint-only
   // mode stops the flow after port planning — the clients need no RTL, so
@@ -136,7 +100,7 @@ int main(int argc, char** argv) {
   copts.lint.enabled = true;
   copts.lint.only = true;
   core::Compiler compiler(copts);
-  auto compiled = compiler.compile(source);
+  auto compiled = compiler.compile(source->text);
   if (!compiled->ok()) {
     std::fprintf(stderr, "%s", compiled->diags().str().c_str());
     return 1;

@@ -26,13 +26,12 @@
 //   3  usage error or unreadable bundle
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "diffview/delta.h"
+#include "support/strings.h"
+#include "tools/cli.h"
 
 using namespace hicsync;
 
@@ -49,25 +48,6 @@ constexpr const char* kUsageBody =
     // usage_docs_in_sync test can grep the whole table verbatim.
     "exit codes: 0 equal, 1 metric deltas only, 2 trace divergence, 3 usage or unreadable bundle\n";
 
-void usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [options] <bundleA> <bundleB>\n%s", argv0,
-               kUsageBody);
-}
-
-bool write_output(const std::string& out_path, const std::string& body) {
-  if (out_path.empty()) {
-    std::printf("%s", body.c_str());
-    return true;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write '%s'\n", out_path.c_str());
-    return false;
-  }
-  out << body;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -76,46 +56,33 @@ int main(int argc, char** argv) {
   std::string out_path;
   diffview::DeltaOptions options;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(3);
-      }
-      return argv[++i];
-    };
-    if (arg == "--emit" || arg.rfind("--emit=", 0) == 0) {
-      emit = arg == "--emit" ? next() : arg.substr(std::strlen("--emit="));
+  cli::Cursor cli(argc, argv, 1,
+                  support::format("usage: %s [options] <bundleA> <bundleB>\n%s",
+                                  argv[0], kUsageBody),
+                  3);
+  while (cli.next()) {
+    if (cli.value("--emit", &emit)) {
       if (emit != "text" && emit != "md" && emit != "json") {
-        std::fprintf(stderr, "unknown --emit format '%s'\n", emit.c_str());
-        return 3;
+        return cli.error("unknown --emit format '" + emit + "'");
       }
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--context") {
-      options.align.context = std::atoi(next());
-    } else if (arg.rfind("--context=", 0) == 0) {
-      options.align.context =
-          std::atoi(arg.substr(std::strlen("--context=")).c_str());
-    } else if (arg == "--compare-blocking") {
+    } else if (cli.value("--out", &out_path)) {
+    } else if (cli.count("--context", &options.align.context)) {
+    } else if (cli.flag("--compare-blocking")) {
       options.align.compare_blocking = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
+    } else if (cli.help()) {
+      cli.usage();
       return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage(argv[0]);
-      return 3;
+    } else if (cli.is_option() || cli.arg() == "-") {
+      // No stdin operand: "-" is an unknown option here.
+      return cli.unknown_option();
     } else {
-      inputs.push_back(arg);
+      inputs.push_back(cli.arg());
     }
   }
 
   if (inputs.size() != 2) {
     std::fprintf(stderr, "expected exactly two bundle directories\n");
-    usage(argv[0]);
-    return 3;
+    return cli.usage_error();
   }
 
   diffview::Bundle a;
@@ -134,6 +101,6 @@ int main(int argc, char** argv) {
   const std::string body = emit == "md"     ? report.markdown()
                            : emit == "json" ? report.json() + "\n"
                                             : report.text();
-  if (!write_output(out_path, body)) return 3;
+  if (!cli::write_file(out_path, body, cli::Write::Quiet)) return 3;
   return report.exit_code();
 }

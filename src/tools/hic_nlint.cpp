@@ -27,10 +27,6 @@
 //   7  a structural violation (nlint-* finding at error severity)
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,6 +34,8 @@
 #include "nlint/nlint.h"
 #include "nlint/seeded.h"
 #include "support/json.h"
+#include "support/strings.h"
+#include "tools/cli.h"
 
 using namespace hicsync;
 
@@ -53,13 +51,6 @@ constexpr const char* kUsageBody =
     // One source line: the usage_docs_in_sync ctest greps this exact table
     // here and in README.md.
     "exit codes: 0 clean, 1 compile error, 2 usage, 3 unproved claims, 7 structural violation\n";
-
-void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [options] <file.hic | ->\n"
-               "       %s --seed-bug <name>\n%s",
-               argv0, argv0, kUsageBody);
-}
 
 void list_checks() {
   std::fprintf(stderr, "known netlist checks:\n");
@@ -93,62 +84,50 @@ int main(int argc, char** argv) {
   nopts.enabled = true;
   bool json_out = false;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(2);
+  cli::Cursor cli(argc, argv, 1,
+                  support::format("usage: %s [options] <file.hic | ->\n"
+                                  "       %s --seed-bug <name>\n%s",
+                                  argv[0], argv[0], kUsageBody),
+                  2);
+  while (cli.next()) {
+    std::string value;
+    if (cli.value("--org", &value)) {
+      std::string error;
+      if (!sim::parse_org(value, &orgs.emplace_back(), &error)) {
+        return cli.error(error);
       }
-      return argv[++i];
-    };
-    if (arg == "--org") {
-      std::string org = next();
-      if (org == "arbitrated") {
-        orgs.push_back(sim::OrgKind::Arbitrated);
-      } else if (org == "event-driven") {
-        orgs.push_back(sim::OrgKind::EventDriven);
-      } else {
-        std::fprintf(stderr, "unknown organization '%s'\n", org.c_str());
-        return 2;
-      }
-    } else if (arg == "--check") {
-      std::string id = next();
-      if (nlint::find_check(id) == nullptr) {
-        std::fprintf(stderr, "unknown netlist check '%s'\n", id.c_str());
+    } else if (cli.value("--check", &value)) {
+      if (nlint::find_check(value) == nullptr) {
+        std::fprintf(stderr, "unknown netlist check '%s'\n", value.c_str());
         list_checks();
         return 2;
       }
-      nopts.checks.push_back(id);
-    } else if (arg == "--explain") {
+      nopts.checks.push_back(value);
+    } else if (cli.flag("--explain")) {
       nopts.explain = true;
-    } else if (arg == "--json") {
+    } else if (cli.flag("--json")) {
       json_out = true;
-    } else if (arg == "--seed-bug") {
-      seed_bug = next();
+    } else if (cli.value("--seed-bug", &seed_bug)) {
       if (nlint::find_seeded_bug(seed_bug) == nullptr) {
         std::fprintf(stderr, "unknown seeded bug '%s'\n", seed_bug.c_str());
         list_seed_bugs();
         return 2;
       }
-    } else if (arg == "--list-checks") {
+    } else if (cli.flag("--list-checks")) {
       list_checks();
       return 0;
-    } else if (arg == "--list-seed-bugs") {
+    } else if (cli.flag("--list-seed-bugs")) {
       list_seed_bugs();
       return 0;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
+    } else if (cli.help()) {
+      cli.usage();
       return 0;
-    } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
+    } else if (cli.is_option()) {
+      return cli.unknown_option();
     } else if (input.empty()) {
-      input = arg;
+      input = cli.arg();
     } else {
-      usage(argv[0]);
-      return 2;
+      return cli.usage_error();
     }
   }
 
@@ -169,32 +148,14 @@ int main(int argc, char** argv) {
     return exit_code(result);
   }
 
-  if (input.empty()) {
-    usage(argv[0]);
-    return 2;
-  }
+  if (input.empty()) return cli.usage_error();
   if (orgs.empty()) {
     orgs = {sim::OrgKind::Arbitrated, sim::OrgKind::EventDriven};
   }
 
-  std::string source;
-  std::string source_name;
-  if (input == "-") {
-    std::ostringstream ss;
-    ss << std::cin.rdbuf();
-    source = ss.str();
-    source_name = "<stdin>";
-  } else {
-    std::ifstream in(input);
-    if (!in) {
-      std::fprintf(stderr, "cannot open '%s'\n", input.c_str());
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    source = ss.str();
-    source_name = input;
-  }
+  const std::optional<cli::Source> source = cli::read_source(input);
+  if (!source) return 2;
+  const std::string& source_name = source->name;
 
   // The generated netlists differ per organization, so each analyzed org
   // is its own compile (generation is the cheap part; the front end
@@ -209,14 +170,13 @@ int main(int argc, char** argv) {
     copts.organization = org;
     copts.nlint = nopts;
     core::Compiler compiler(copts);
-    auto compiled = compiler.compile(source);
+    auto compiled = compiler.compile(source->text);
     if (!compiled->ok()) {
       if (json_out) std::printf("]}\n");
       std::fprintf(stderr, "%s", compiled->diags().str().c_str());
       return 1;
     }
-    const char* org_name =
-        org == sim::OrgKind::Arbitrated ? "arbitrated" : "event-driven";
+    const char* org_name = sim::to_string(org);
     const nlint::NlintResult& nr = compiled->nlint_result();
     if (json_out) {
       std::printf("%s{\"org\":\"%s\",\"nlint\":%s}", first ? "" : ",",

@@ -33,10 +33,7 @@
 //   5  --check-drift found committed tables diverging from regenerated
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 
 #include "diffview/delta.h"
@@ -45,6 +42,7 @@
 #include "perf/history.h"
 #include "perf/report.h"
 #include "support/strings.h"
+#include "tools/cli.h"
 
 using namespace hicsync;
 
@@ -58,25 +56,6 @@ constexpr const char* kUsageBody =
     "  --threshold <key>=<pct> | --threshold <pct>\n"
     "  --diff <bundleA> <bundleB>\n"
     "exit codes: 0 ok, 1 check failed, 2 usage, 3 missing data, 5 drift\n";
-
-void usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [options]\n%s", argv0, kUsageBody);
-}
-
-bool write_output(const std::string& out_path, const std::string& body) {
-  if (out_path.empty()) {
-    std::printf("%s", body.c_str());
-    return true;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write '%s'\n", out_path.c_str());
-    return false;
-  }
-  out << body;
-  std::printf("wrote %s\n", out_path.c_str());
-  return true;
-}
 
 }  // namespace
 
@@ -95,70 +74,49 @@ int main(int argc, char** argv) {
   bool emit_explicit = false;
   perf::CompareOptions compare_options;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--bench-dir") {
-      bench_dir = next();
-    } else if (arg == "--history") {
-      history_dir = next();
-    } else if (arg == "--ingest") {
+  cli::Cursor cli(argc, argv, 1,
+                  support::format("usage: %s [options]\n%s", argv[0],
+                                  kUsageBody),
+                  2);
+  while (cli.next()) {
+    std::string spec;
+    if (cli.value("--bench-dir", &bench_dir)) {
+    } else if (cli.value("--history", &history_dir)) {
+    } else if (cli.flag("--ingest")) {
       ingest = true;
-    } else if (arg == "--run-id") {
-      run_id = next();
-    } else if (arg == "--timestamp") {
-      timestamp = next();
-    } else if (arg == "--emit" || arg.rfind("--emit=", 0) == 0) {
-      emit = arg == "--emit" ? next() : arg.substr(std::strlen("--emit="));
+    } else if (cli.value("--run-id", &run_id)) {
+    } else if (cli.value("--timestamp", &timestamp)) {
+    } else if (cli.value("--emit", &emit)) {
       emit_explicit = true;
       if (emit != "dashboard-md" && emit != "experiments-md" &&
           emit != "html") {
-        std::fprintf(stderr, "unknown --emit format '%s'\n", emit.c_str());
-        return 2;
+        return cli.error("unknown --emit format '" + emit + "'");
       }
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--check") {
+    } else if (cli.value("--out", &out_path)) {
+    } else if (cli.flag("--check")) {
       check = true;
-    } else if (arg == "--check-drift") {
-      drift_file = next();
-    } else if (arg == "--diff") {
-      diff_a = next();
-      diff_b = next();
-    } else if (arg == "--threshold") {
-      std::string spec = next();
-      std::size_t eq = spec.find('=');
-      char* end = nullptr;
-      if (eq == std::string::npos) {
-        compare_options.default_threshold_pct =
-            std::strtod(spec.c_str(), &end);
-        if (end == nullptr || *end != '\0') {
-          std::fprintf(stderr, "bad --threshold '%s'\n", spec.c_str());
-          return 2;
-        }
-      } else {
-        const std::string key = spec.substr(0, eq);
-        const std::string pct = spec.substr(eq + 1);
-        double value = std::strtod(pct.c_str(), &end);
-        if (key.empty() || end == nullptr || *end != '\0') {
-          std::fprintf(stderr, "bad --threshold '%s'\n", spec.c_str());
-          return 2;
-        }
-        compare_options.threshold_pct[key] = value;
+    } else if (cli.value("--check-drift", &drift_file)) {
+    } else if (cli.value("--diff", &diff_a)) {
+      diff_b = cli.take();
+    } else if (cli.value("--threshold", &spec)) {
+      // "<pct>" sets the default threshold, "<key>=<pct>" one metric's.
+      const std::size_t eq = spec.find('=');
+      const bool keyed = eq != std::string::npos;
+      double pct = 0.0;
+      if (eq == 0 ||
+          !cli::parse_real(keyed ? spec.substr(eq + 1) : spec, &pct)) {
+        return cli.error("bad --threshold '" + spec + "'");
       }
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
+      if (keyed) {
+        compare_options.threshold_pct[spec.substr(0, eq)] = pct;
+      } else {
+        compare_options.default_threshold_pct = pct;
+      }
+    } else if (cli.help()) {
+      cli.usage();
       return 0;
     } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
+      return cli.unknown_option();
     }
   }
 
@@ -188,16 +146,11 @@ int main(int argc, char** argv) {
   int exit_code = 0;
 
   if (!drift_file.empty()) {
-    std::ifstream in(drift_file);
-    if (!in) {
-      std::fprintf(stderr, "cannot open '%s'\n", drift_file.c_str());
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
+    const std::optional<cli::Source> committed = cli::read_source(drift_file);
+    if (!committed) return 2;
     const std::string generated = perf::emit_experiments_md(inputs);
     std::vector<std::string> missing =
-        perf::check_drift(ss.str(), generated);
+        perf::check_drift(committed->text, generated);
     if (inputs.latest.empty()) {
       std::fprintf(stderr, "--check-drift: no bench history to regenerate "
                            "from\n");
@@ -290,7 +243,7 @@ int main(int argc, char** argv) {
       }
       body += "\n" + diffview::diff_bundles(a, b).markdown();
     }
-    if (!write_output(out_path, body)) return 2;
+    if (!cli::write_file(out_path, body)) return 2;
   }
   return exit_code;
 }

@@ -64,6 +64,7 @@
 #include "rt/wire.h"
 #include "support/json.h"
 #include "support/strings.h"
+#include "tools/cli.h"
 
 using namespace hicsync;
 
@@ -173,6 +174,22 @@ int client_exit_code(const std::string& error) {
   return 1;
 }
 
+/// 0 when --socket was given, else the usage error for the mode.
+int missing_socket(const Args& args) {
+  if (!args.socket_path.empty()) return 0;
+  std::fprintf(stderr, "%s needs --socket\n", args.mode.c_str());
+  usage();
+  return 2;
+}
+
+/// Connects to --socket; prints the rt-socket-error line on failure.
+bool connect(const Args& args, rt::RemoteClient* client) {
+  std::string error;
+  if (client->connect(args.socket_path, &error)) return true;
+  std::fprintf(stderr, "%s\n", error.c_str());
+  return false;
+}
+
 std::shared_ptr<const rt::LoadedProgram> load_or_die(const Args& args,
                                                      rt::ProgramStore& store) {
   if (args.artifact.empty()) {
@@ -191,11 +208,7 @@ std::shared_ptr<const rt::LoadedProgram> load_or_die(const Args& args,
 }
 
 int cmd_serve(const Args& args) {
-  if (args.socket_path.empty()) {
-    std::fprintf(stderr, "serve needs --socket\n");
-    usage();
-    return 2;
-  }
+  if (int rc = missing_socket(args)) return rc;
   rt::ProgramStore store;
   auto program = load_or_die(args, store);
   rt::Service service(program, service_options(args));
@@ -287,17 +300,10 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_submit(const Args& args) {
-  if (args.socket_path.empty()) {
-    std::fprintf(stderr, "submit needs --socket\n");
-    usage();
-    return 2;
-  }
+  if (int rc = missing_socket(args)) return rc;
   rt::RemoteClient client;
   std::string error;
-  if (!client.connect(args.socket_path, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 4;
-  }
+  if (!connect(args, &client)) return 4;
   if (!args.tag.empty()) client.set_tag(args.tag);
 
   std::uint64_t session = args.session;
@@ -348,17 +354,10 @@ int cmd_submit(const Args& args) {
 }
 
 int cmd_stats(const Args& args) {
-  if (args.socket_path.empty()) {
-    std::fprintf(stderr, "stats needs --socket\n");
-    usage();
-    return 2;
-  }
+  if (int rc = missing_socket(args)) return rc;
   rt::RemoteClient client;
   std::string error;
-  if (!client.connect(args.socket_path, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 4;
-  }
+  if (!connect(args, &client)) return 4;
   std::string describe;
   std::string json;
   if (!client.describe(&describe, &error) || !client.stats(&json, &error)) {
@@ -421,17 +420,10 @@ bool render_watch_frame(const std::string& telemetry_json, int poll) {
 }
 
 int cmd_watch(const Args& args) {
-  if (args.socket_path.empty()) {
-    std::fprintf(stderr, "watch needs --socket\n");
-    usage();
-    return 2;
-  }
+  if (int rc = missing_socket(args)) return rc;
   rt::RemoteClient client;
   std::string error;
-  if (!client.connect(args.socket_path, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 4;
-  }
+  if (!connect(args, &client)) return 4;
   for (int poll = 0; args.count <= 0 || poll < args.count; ++poll) {
     if (poll > 0) {
       std::this_thread::sleep_for(
@@ -469,75 +461,49 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--artifact") {
-      args.artifact = next();
-    } else if (arg == "--socket") {
-      args.socket_path = next();
-    } else if (arg == "--shards") {
-      args.shards = std::atoi(next());
-    } else if (arg == "--sessions") {
-      args.sessions = std::atoi(next());
-    } else if (arg == "--passes") {
-      args.passes = std::atoi(next());
-    } else if (arg == "--produces") {
-      args.produces = std::atoi(next());
-    } else if (arg == "--max-cycles") {
-      args.max_cycles = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--metrics") {
+  cli::Cursor cli(argc, argv, 2, kUsage, 2);
+  while (cli.next()) {
+    std::string value;
+    if (cli.value("--artifact", &args.artifact)) {
+    } else if (cli.value("--socket", &args.socket_path)) {
+    } else if (cli.count("--shards", &args.shards)) {
+    } else if (cli.count("--sessions", &args.sessions)) {
+    } else if (cli.count("--passes", &args.passes)) {
+    } else if (cli.count("--produces", &args.produces)) {
+    } else if (cli.count("--max-cycles", &args.max_cycles)) {
+    } else if (cli.flag("--metrics")) {
       args.metrics = true;
-    } else if (arg == "--telemetry") {
+    } else if (cli.flag("--telemetry")) {
       args.telemetry = true;
-    } else if (arg == "--slow-us") {
-      args.slow_us = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--slow-log") {
-      args.slow_log = next();
-    } else if (arg == "--telemetry-ring") {
-      args.telemetry_ring = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--trace-out") {
-      args.trace_out = next();
-    } else if (arg == "--interval-ms") {
-      args.interval_ms = std::atoi(next());
-    } else if (arg == "--count") {
-      args.count = std::atoi(next());
-    } else if (arg == "--json") {
+    } else if (cli.count("--slow-us", &args.slow_us)) {
+    } else if (cli.value("--slow-log", &args.slow_log)) {
+    } else if (cli.count("--telemetry-ring", &args.telemetry_ring)) {
+    } else if (cli.value("--trace-out", &args.trace_out)) {
+    } else if (cli.count("--interval-ms", &args.interval_ms)) {
+    } else if (cli.count("--count", &args.count)) {
+    } else if (cli.flag("--json")) {
       args.json = true;
-    } else if (arg == "--tag") {
-      args.tag = next();
-    } else if (arg == "--open") {
+    } else if (cli.value("--tag", &args.tag)) {
+    } else if (cli.flag("--open")) {
       args.do_open = true;
-    } else if (arg == "--session") {
-      args.session = static_cast<std::uint64_t>(std::atoll(next()));
+    } else if (cli.count("--session", &args.session)) {
       args.have_session = true;
-    } else if (arg == "--produce") {
+    } else if (cli.value("--produce", &value)) {
       args.do_produce = true;
-      if (!parse_words(next(), &args.produce_words)) {
-        std::fprintf(stderr, "bad --produce word list\n");
-        return 2;
+      if (!parse_words(value, &args.produce_words)) {
+        return cli.error("bad --produce word list");
       }
-    } else if (arg == "--run") {
+    } else if (cli.count("--run", &args.run_passes)) {
       args.do_run = true;
-      args.run_passes = std::atoi(next());
-    } else if (arg == "--consume") {
+    } else if (cli.value("--consume", &value)) {
       args.do_consume = true;
-      std::string csv = next();
-      if (csv != "all") {
-        args.consume_names = support::split(csv, ',');
+      if (value != "all") {
+        args.consume_names = support::split(value, ',');
       }
-    } else if (arg == "--close") {
+    } else if (cli.flag("--close")) {
       args.do_close = true;
     } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage();
-      return 2;
+      return cli.unknown_option();
     }
   }
 

@@ -96,19 +96,18 @@
 //      ID)
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 
 #include "core/compiler.h"
 #include "core/tbgen.h"
 #include "core/tracerun.h"
+#include "cover/model.h"
 #include "diffview/bundle.h"
 #include "perf/profile.h"
 #include "rt/artifact.h"
+#include "support/strings.h"
+#include "tools/cli.h"
 #include "trace/options.h"
 
 using namespace hicsync;
@@ -144,11 +143,6 @@ constexpr const char* kUsageBody =
     // usage_docs_in_sync test can grep the whole table verbatim.
     "exit codes: 0 ok, 1 compile error, 2 usage, 3 sim timeout, 4 lint errors, 5 verify refuted, 6 bound exceeded, 7 nlint findings\n";
 
-void usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [options] <file.hic | ->\n%s", argv0,
-               kUsageBody);
-}
-
 void list_checks() {
   std::fprintf(stderr, "known lint checks:\n");
   for (const auto& info :
@@ -179,180 +173,110 @@ int main(int argc, char** argv) {
   std::string cover_out;
   perf::PassTimer profiler;
 
-  auto known_check = [](const std::string& id) {
-    return analysis::lint::LintRegistry::builtin().find(id) != nullptr;
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(2);
+  cli::Cursor cli(argc, argv, 1,
+                  support::format("usage: %s [options] <file.hic | ->\n%s",
+                                  argv[0], kUsageBody),
+                  2);
+  while (cli.next()) {
+    const std::string& arg = cli.arg();
+    std::string value;
+    std::optional<std::string> path;
+    if (cli.value("--org", &value)) {
+      std::string error;
+      if (!sim::parse_org(value, &options.organization, &error)) {
+        return cli.error(error);
       }
-      return argv[++i];
-    };
-    if (arg == "--org") {
-      std::string org = next();
-      if (org == "arbitrated") {
-        options.organization = sim::OrgKind::Arbitrated;
-      } else if (org == "event-driven") {
-        options.organization = sim::OrgKind::EventDriven;
-      } else {
-        std::fprintf(stderr, "unknown organization '%s'\n", org.c_str());
-        return 2;
-      }
-    } else if (arg == "--emit-verilog") {
-      verilog_out = next();
-    } else if (arg == "--emit-testbench") {
-      testbench_out = next();
-    } else if (arg == "--emit-artifact") {
-      artifact_out = next();
-    } else if (arg == "--report") {
+    } else if (cli.value("--emit-verilog", &verilog_out)) {
+    } else if (cli.value("--emit-testbench", &testbench_out)) {
+    } else if (cli.value("--emit-artifact", &artifact_out)) {
+    } else if (cli.flag("--report")) {
       report = true;
       report_explicit = true;
-    } else if (arg == "--no-report") {
+    } else if (cli.flag("--no-report")) {
       report = false;
       report_explicit = true;
-    } else if (arg == "--simulate") {
-      simulate_passes = std::atoi(next());
-    } else if (arg == "--trace" || arg.rfind("--trace=", 0) == 0) {
-      std::string spec = arg == "--trace"
-                             ? next()
-                             : arg.substr(std::strlen("--trace="));
+    } else if (cli.count("--simulate", &simulate_passes)) {
+    } else if (cli.value("--trace", &value)) {
       std::string error;
-      if (!trace::parse_trace_spec(spec, trace_opts, &error)) {
-        std::fprintf(stderr, "bad --trace spec '%s': %s\n", spec.c_str(),
-                     error.c_str());
-        return 2;
+      if (!trace::parse_trace_spec(value, trace_opts, &error)) {
+        return cli.error("bad --trace spec '" + value + "': " + error);
       }
-    } else if (arg == "--profile") {
+    } else if (cli.optional("--profile", &path)) {
       profile = true;
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      profile = true;
-      profile_out = arg.substr(std::strlen("--profile="));
-      if (profile_out.empty()) {
-        std::fprintf(stderr, "--profile= needs an output path\n");
-        return 2;
+      if (path && path->empty()) {
+        return cli.error("--profile= needs an output path");
       }
-    } else if (arg == "--cover") {
+      if (path) profile_out = *path;
+    } else if (cli.optional("--cover", &path)) {
       cover = true;
-    } else if (arg.rfind("--cover=", 0) == 0) {
-      cover = true;
-      cover_out = arg.substr(std::strlen("--cover="));
-      if (cover_out.empty()) {
-        std::fprintf(stderr, "--cover= needs an output path\n");
-        return 2;
+      if (path && path->empty()) {
+        return cli.error("--cover= needs an output path");
       }
-    } else if (arg == "--chain") {
+      if (path) cover_out = *path;
+    } else if (cli.flag("--chain")) {
       options.schedule.chain_states = true;
-    } else if (arg == "--no-cam") {
+    } else if (cli.flag("--no-cam")) {
       options.use_cam = false;
-    } else if (arg == "--infer") {
+    } else if (cli.flag("--infer")) {
       options.infer_dependencies = true;
-    } else if (arg == "--dump-fsm") {
+    } else if (cli.flag("--dump-fsm")) {
       dump_fsm = true;
-    } else if (arg == "--target-mhz") {
-      options.target_clock_mhz = std::atof(next());
-    } else if (arg == "--max-cycles") {
-      max_cycles = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--verify") {
+    } else if (cli.real("--target-mhz", &options.target_clock_mhz)) {
+    } else if (cli.count("--max-cycles", &max_cycles)) {
+    } else if (cli.flag("--verify")) {
       options.verify.enabled = true;
-    } else if (arg == "--verify-max-states") {
+    } else if (cli.count("--verify-max-states", &options.verify.max_states)) {
       options.verify.enabled = true;
-      options.verify.max_states =
-          static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--bound") {
+    } else if (cli.flag("--bound")) {
       options.bound.enabled = true;
-    } else if (arg == "--no-bound-sizing") {
+    } else if (cli.flag("--no-bound-sizing")) {
       options.bound.enabled = true;
       options.bound.apply_sizing = false;
-    } else if (arg == "--nlint") {
+    } else if (cli.flag("--nlint")) {
       options.nlint.enabled = true;
-    } else if (arg == "--lint") {
+    } else if (cli.flag("--lint")) {
       options.lint.enabled = true;
-    } else if (arg == "--lint-only") {
+    } else if (cli.flag("--lint-only")) {
       options.lint.enabled = true;
       options.lint.only = true;
-    } else if (arg == "--Werror") {
+    } else if (cli.flag("--Werror")) {
       options.lint.enabled = true;
       options.lint.werror = true;
-    } else if (arg.rfind("-Wno-", 0) == 0) {
-      std::string id = arg.substr(5);
-      if (!known_check(id)) {
-        std::fprintf(stderr, "unknown lint check '%s'\n", id.c_str());
-        list_checks();
-        return 2;
-      }
-      options.lint.enabled = true;
-      options.lint.disabled.push_back(id);
     } else if (arg.rfind("-W", 0) == 0 && arg.size() > 2 && arg[2] != '-') {
-      std::string id = arg.substr(2);
-      if (!known_check(id)) {
+      // -Wno-<check> disables a check, -W<check> promotes it to an error.
+      const bool disable = arg.rfind("-Wno-", 0) == 0;
+      std::string id = arg.substr(disable ? 5 : 2);
+      if (analysis::lint::LintRegistry::builtin().find(id) == nullptr) {
         std::fprintf(stderr, "unknown lint check '%s'\n", id.c_str());
         list_checks();
         return 2;
       }
       options.lint.enabled = true;
-      options.lint.as_error.push_back(id);
-    } else if (arg == "--diag-format") {
-      std::string fmt = next();
-      if (fmt == "json") {
-        json_diags = true;
-      } else if (fmt == "text") {
-        json_diags = false;
-      } else {
-        std::fprintf(stderr, "unknown diagnostic format '%s'\n", fmt.c_str());
-        return 2;
+      (disable ? options.lint.disabled : options.lint.as_error).push_back(id);
+    } else if (cli.value("--diag-format", &value)) {
+      if (value != "json" && value != "text") {
+        return cli.error("unknown diagnostic format '" + value + "'");
       }
-    } else if (arg.rfind("--diag-format=", 0) == 0) {
-      std::string fmt = arg.substr(std::strlen("--diag-format="));
-      if (fmt == "json") {
-        json_diags = true;
-      } else if (fmt == "text") {
-        json_diags = false;
-      } else {
-        std::fprintf(stderr, "unknown diagnostic format '%s'\n", fmt.c_str());
-        return 2;
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
+      json_diags = value == "json";
+    } else if (cli.help()) {
+      cli.usage();
       return 0;
-    } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
+    } else if (cli.is_option()) {
+      return cli.unknown_option();
     } else if (input.empty()) {
       input = arg;
     } else {
-      usage(argv[0]);
-      return 2;
+      return cli.usage_error();
     }
   }
-  if (input.empty()) {
-    usage(argv[0]);
-    return 2;
-  }
+  if (input.empty()) return cli.usage_error();
   // Lint-only runs are report-less by default: the findings are the output.
   if (options.lint.only && !report_explicit) report = false;
 
-  std::string source;
-  if (input == "-") {
-    std::ostringstream ss;
-    ss << std::cin.rdbuf();
-    source = ss.str();
-    options.source_name = "<stdin>";
-  } else {
-    std::ifstream in(input);
-    if (!in) {
-      std::fprintf(stderr, "cannot open '%s'\n", input.c_str());
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    source = ss.str();
-    options.source_name = input;
-  }
+  const std::optional<cli::Source> loaded = cli::read_source(input);
+  if (!loaded) return 2;
+  const std::string& source = loaded->text;
+  options.source_name = loaded->name;
 
   if (profile) options.profiler = &profiler;
   core::Compiler compiler(options);
@@ -371,16 +295,9 @@ int main(int argc, char** argv) {
   // compiles and --lint-only runs that will exit 4 below; a profile of the
   // front end alone is still a profile.
   if (profile) {
-    if (profile_out.empty()) {
-      std::printf("%s", profiler.text().c_str());
-    } else {
-      std::ofstream out(profile_out);
-      if (!out) {
-        std::fprintf(stderr, "cannot write '%s'\n", profile_out.c_str());
-        return 2;
-      }
-      out << profiler.json();
-      std::printf("wrote %s\n", profile_out.c_str());
+    if (!cli::write_file(profile_out, profile_out.empty() ? profiler.text()
+                                                          : profiler.json())) {
+      return 2;
     }
   }
 
@@ -416,33 +333,20 @@ int main(int argc, char** argv) {
   if (result->nlint_error_count() > 0) return 7;
   if (options.lint.only) return 0;
 
-  if (!verilog_out.empty()) {
-    std::ofstream out(verilog_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write '%s'\n", verilog_out.c_str());
-      return 2;
-    }
-    out << result->verilog();
-    std::printf("wrote %s\n", verilog_out.c_str());
+  if (!verilog_out.empty() &&
+      !cli::write_file(verilog_out, result->verilog())) {
+    return 2;
   }
-
-  if (!artifact_out.empty()) {
-    std::ofstream out(artifact_out, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "cannot write '%s'\n", artifact_out.c_str());
-      return 2;
-    }
-    out << rt::emit_artifact(*result, source);
-    std::printf("wrote %s\n", artifact_out.c_str());
+  if (!artifact_out.empty() &&
+      !cli::write_file(artifact_out, rt::emit_artifact(*result, source))) {
+    return 2;
   }
-
   if (!testbench_out.empty()) {
-    std::ofstream out(testbench_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write '%s'\n", testbench_out.c_str());
+    if (!cli::write_file(testbench_out,
+                         core::generate_controller_testbench(*result),
+                         cli::Write::Quiet)) {
       return 2;
     }
-    out << core::generate_controller_testbench(*result);
     std::printf("wrote %s (DUT + self-checking testbench)\n",
                 testbench_out.c_str());
   }
@@ -472,9 +376,7 @@ int main(int argc, char** argv) {
     const std::string base =
         slash == std::string::npos ? stem : stem.substr(slash + 1);
     const std::string run_id =
-        base + "@" +
-        (options.organization == sim::OrgKind::Arbitrated ? "arbitrated"
-                                                          : "eventdriven");
+        base + "@" + cover::org_prefix(options.organization);
     if (cover) {
       run_options.cover_run_id = run_id;
     }
@@ -487,35 +389,22 @@ int main(int argc, char** argv) {
 
     // Write trace artifacts even on timeout — a truncated waveform is
     // exactly what you want when debugging a deadlock.
-    auto write_artifact = [](const std::string& path,
-                             const std::string& body) {
-      std::ofstream out(path);
-      if (!out) {
-        std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
-        return false;
-      }
-      out << body;
-      std::printf("wrote %s\n", path.c_str());
-      return true;
-    };
     if (trace_opts.vcd) {
       std::string path =
           trace_opts.vcd_out.empty() ? stem + ".vcd" : trace_opts.vcd_out;
-      if (!write_artifact(path, run.vcd)) return 2;
+      if (!cli::write_file(path, run.vcd)) return 2;
     }
     if (trace_opts.chrome) {
       std::string path = trace_opts.chrome_out.empty()
                              ? stem + ".trace.json"
                              : trace_opts.chrome_out;
-      if (!write_artifact(path, run.chrome_json)) return 2;
+      if (!cli::write_file(path, run.chrome_json)) return 2;
     }
-    if (trace_opts.metrics) {
-      if (trace_opts.metrics_out.empty()) {
-        std::printf("%s", run.metrics_text.c_str());
-      } else if (!write_artifact(trace_opts.metrics_out,
-                                 run.metrics_json)) {
-        return 2;
-      }
+    if (trace_opts.metrics &&
+        !cli::write_file(trace_opts.metrics_out,
+                         trace_opts.metrics_out.empty() ? run.metrics_text
+                                                        : run.metrics_json)) {
+      return 2;
     }
     if (trace_opts.bundle) {
       std::string dir = trace_opts.bundle_out.empty() ? stem + ".bundle"
@@ -535,12 +424,10 @@ int main(int argc, char** argv) {
         std::printf("%s", run.cover_text.c_str());
       } else {
         // Append-only DB: one JSONL record per run, merged by hic-cover.
-        std::ofstream out(cover_out, std::ios::app);
-        if (!out) {
-          std::fprintf(stderr, "cannot write '%s'\n", cover_out.c_str());
+        if (!cli::write_file(cover_out, run.cover_record + "\n",
+                             cli::Write::Append)) {
           return 2;
         }
-        out << run.cover_record << "\n";
         std::printf("appended coverage record to %s\n", cover_out.c_str());
       }
     }

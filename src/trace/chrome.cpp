@@ -4,6 +4,17 @@
 
 namespace hicsync::trace {
 
+std::string chrome_trace_document(const std::vector<std::string>& events) {
+  std::string out = "{\"traceEvents\":[\n";
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    out += events[i];
+    if (i + 1 < events.size()) out += ",";
+    out += "\n";
+  }
+  out += "],\"displayTimeUnit\":\"ns\"}\n";
+  return out;
+}
+
 namespace {
 
 std::string port_track_name(const Event& e) {
@@ -182,13 +193,7 @@ void ChromeTraceSink::finish(std::uint64_t final_cycle) {
   }
   lines.insert(lines.end(), events_.begin(), events_.end());
 
-  out_ = "{\"traceEvents\":[\n";
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    out_ += lines[i];
-    if (i + 1 < lines.size()) out_ += ",";
-    out_ += "\n";
-  }
-  out_ += "],\"displayTimeUnit\":\"ns\"}\n";
+  out_ = chrome_trace_document(lines);
 }
 
 }  // namespace hicsync::trace

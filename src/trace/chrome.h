@@ -16,6 +16,12 @@
 
 namespace hicsync::trace {
 
+/// The Trace Event Format envelope shared by every Chrome-trace writer:
+/// `{"traceEvents":[` then the serialized events one per line, comma
+/// separated, then `],"displayTimeUnit":"ns"}`.
+[[nodiscard]] std::string chrome_trace_document(
+    const std::vector<std::string>& events);
+
 class ChromeTraceSink : public TraceSink {
  public:
   void on_event(const Event& e) override;

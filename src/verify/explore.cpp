@@ -12,13 +12,10 @@ namespace {
 
 struct StateHash {
   std::size_t operator()(const State& s) const {
-    // FNV-1a over the canonical packed encoding.
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::uint16_t v : s) {
-      h ^= static_cast<std::uint64_t>(v);
-      h *= 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h);
+    // FNV-1a over the bytes of the canonical packed encoding.
+    return static_cast<std::size_t>(support::fnv1a64(std::string_view(
+        reinterpret_cast<const char*>(s.data()),
+        s.size() * sizeof(State::value_type))));
   }
 };
 

@@ -92,6 +92,22 @@ INSTANTIATE_TEST_SUITE_P(Orgs, Figure1BothOrgs,
                                       : "EventDriven";
                          });
 
+TEST(SystemSim, ParseOrgInvertsToString) {
+  for (OrgKind k : {OrgKind::Arbitrated, OrgKind::EventDriven}) {
+    OrgKind parsed = k == OrgKind::Arbitrated ? OrgKind::EventDriven
+                                              : OrgKind::Arbitrated;
+    std::string error;
+    EXPECT_TRUE(parse_org(to_string(k), &parsed, &error));
+    EXPECT_EQ(parsed, k);
+  }
+  // cover's "eventdriven" prefix is not an organization name.
+  OrgKind kept = OrgKind::EventDriven;
+  std::string error;
+  EXPECT_FALSE(parse_org("eventdriven", &kept, &error));
+  EXPECT_EQ(kept, OrgKind::EventDriven);
+  EXPECT_EQ(error, "unknown organization 'eventdriven'");
+}
+
 TEST(SystemSim, ConsumerBlocksUntilGateReleasesProducer) {
   World w = make_world(kFigure1, OrgKind::Arbitrated);
   // Hold the producer back for 30 cycles.

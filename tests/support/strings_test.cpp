@@ -49,6 +49,14 @@ TEST(Strings, JoinEmpty) { EXPECT_EQ(join({}, ","), ""); }
 
 TEST(Strings, JoinSingle) { EXPECT_EQ(join({"only"}, ","), "only"); }
 
+TEST(Strings, Fnv1a64KnownAnswers) {
+  // FNV-1a 64 reference vectors; the artifact and bundle digests must
+  // never drift.
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
+}
+
 TEST(Strings, IsIdentifierAccepts) {
   EXPECT_TRUE(is_identifier("x"));
   EXPECT_TRUE(is_identifier("_foo"));
