@@ -1,167 +1,146 @@
 #include "fpga/techmap.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <array>
+#include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 
 #include "memalloc/bram.h"
+#include "rtl/eval.h"
 #include "support/strings.h"
 
 namespace hicsync::fpga {
 namespace {
 
-enum class NodeKind { Const, PI, Gate, Carry };
+enum class NodeKind : std::uint8_t { Const, PI, Gate, Carry };
+
+/// A reduce-tree group has at most 4 inputs; mux and carry nodes have 3.
+constexpr int kMaxFanins = 4;
 
 struct Node {
   NodeKind kind = NodeKind::Gate;
-  std::vector<int> fanins;
+  std::uint8_t fanin_count = 0;
+  std::array<int, kMaxFanins> fanins{};
   int fanout = 0;
-  int chain_pos = 0;  // position along a carry chain (Carry only)
+};
+
+/// Distinct node ids in insertion order, at most N of them.
+template <int N>
+struct IdSet {
+  std::array<int, N> ids{};
+  int size = 0;
+
+  void add(int id) {
+    if (std::find(ids.begin(), ids.begin() + size, id) ==
+        ids.begin() + size) {
+      ids[static_cast<std::size_t>(size++)] = id;
+    }
+  }
+};
+
+/// Per-node covering state. A LUT4 cone has at most 4 leaves.
+struct Cover {
+  IdSet<4> leaves;
+  int level = 0;
+  int chain = 0;  // carry bits crossed on the deepest path into the node
+  bool absorbed = false;
 };
 
 /// Bit-blasting context for one module.
 class Blaster {
  public:
-  explicit Blaster(const rtl::Module& m) : m_(m) {
-    const0_ = add_node(NodeKind::Const);
-    const1_ = add_node(NodeKind::Const);
+  explicit Blaster(const rtl::Module& m)
+      : m_(m), net_begin_(m.nets().size(), -1) {
+    const0_ = add_node(NodeKind::Const, {});
+    const1_ = add_node(NodeKind::Const, {});
   }
 
   void run() {
-    // Topologically order continuous assigns (same approach as ModuleSim).
-    const auto& assigns = m_.assigns();
-    std::map<int, int> driver_of;
-    for (std::size_t i = 0; i < assigns.size(); ++i) {
-      driver_of[assigns[i].target] = static_cast<int>(i);
-    }
-    std::vector<int> indegree(assigns.size(), 0);
-    std::vector<std::vector<int>> dependents(assigns.size());
-    for (std::size_t i = 0; i < assigns.size(); ++i) {
-      std::set<int> refs;
-      collect_refs(*assigns[i].value, refs);
-      for (int r : refs) {
-        auto it = driver_of.find(r);
-        if (it != driver_of.end()) {
-          dependents[static_cast<std::size_t>(it->second)].push_back(
-              static_cast<int>(i));
-          ++indegree[i];
-        }
-      }
-    }
-    std::vector<int> ready;
-    for (std::size_t i = 0; i < assigns.size(); ++i) {
-      if (indegree[i] == 0) ready.push_back(static_cast<int>(i));
-    }
-    std::vector<int> order;
-    while (!ready.empty()) {
-      int i = ready.back();
-      ready.pop_back();
-      order.push_back(i);
-      for (int d : dependents[static_cast<std::size_t>(i)]) {
-        if (--indegree[static_cast<std::size_t>(d)] == 0) ready.push_back(d);
-      }
-    }
-    if (order.size() != assigns.size()) {
-      throw std::runtime_error("techmap: combinational cycle in " +
-                               m_.name());
-    }
-    for (int i : order) {
-      const rtl::ContAssign& a = assigns[static_cast<std::size_t>(i)];
-      std::vector<int> bits = blast(*a.value);
-      bits.resize(static_cast<std::size_t>(m_.net(a.target).width), const0_);
-      net_bits_[a.target] = std::move(bits);
+    for (int i : rtl::topological_order(m_)) {
+      const rtl::ContAssign& a = m_.assigns()[static_cast<std::size_t>(i)];
+      bits_.clear();
+      blast_to(*a.value, m_.net(a.target).width);
+      net_begin_[static_cast<std::size_t>(a.target)] =
+          static_cast<int>(pool_.size());
+      pool_.insert(pool_.end(), bits_.begin(), bits_.end());
     }
     // Roots: register D inputs and enables, memory port expressions.
     for (const rtl::SeqAssign& s : m_.seqs()) {
-      add_roots(blast(*s.value));
-      if (s.enable != nullptr) add_roots(blast(*s.enable));
+      add_root(s.value.get());
+      add_root(s.enable.get());
     }
     for (const rtl::Memory& mem : m_.memories()) {
       for (const rtl::MemoryPort& p : mem.ports) {
-        add_roots(blast(*p.addr));
-        if (p.write_enable != nullptr) add_roots(blast(*p.write_enable));
-        if (p.write_data != nullptr) add_roots(blast(*p.write_data));
+        add_root(p.addr.get());
+        add_root(p.write_enable.get());
+        add_root(p.write_data.get());
       }
     }
     // Output port cones are roots too.
     for (const rtl::Port& p : m_.ports()) {
-      if (p.dir == rtl::PortDir::Output) add_roots(bits_of_net(p.net));
+      if (p.dir != rtl::PortDir::Output) continue;
+      bits_.clear();
+      append_net(p.net);
+      add_fanouts();
     }
   }
 
   /// Greedy LUT4 covering + level computation.
   MapResult cover(const Virtex2ProDevice& device) const {
     MapResult r;
-    std::vector<char> absorbed(nodes_.size(), 0);
-    std::vector<std::vector<int>> leaves(nodes_.size());
-    std::vector<int> level(nodes_.size(), 0);
-    std::vector<int> chain_into(nodes_.size(), 0);  // carry bits on path
+    std::vector<Cover> cov(nodes_.size());
 
     for (std::size_t id = 0; id < nodes_.size(); ++id) {
       const Node& n = nodes_[id];
       if (n.kind == NodeKind::Const || n.kind == NodeKind::PI) continue;
+      Cover& c = cov[id];
       if (n.kind == NodeKind::Carry) {
-        int lv = 0;
-        int chain = 0;
-        for (int f : n.fanins) {
-          auto fi = static_cast<std::size_t>(f);
+        for (int k = 0; k < n.fanin_count; ++k) {
+          const auto fi = static_cast<std::size_t>(n.fanins[k]);
           if (nodes_[fi].kind == NodeKind::Carry) {
             // Along the chain: no extra LUT level, carry bit accumulates.
-            lv = std::max(lv, level[fi]);
-            chain = std::max(chain, chain_into[fi] + 1);
+            c.level = std::max(c.level, cov[fi].level);
+            c.chain = std::max(c.chain, cov[fi].chain + 1);
           } else {
-            lv = std::max(lv, level[fi] + 1);
-            chain = std::max(chain, 1);
+            c.level = std::max(c.level, cov[fi].level + 1);
+            c.chain = std::max(c.chain, 1);
           }
         }
-        level[id] = lv;
-        chain_into[id] = chain;
         continue;
       }
-      // Gate: grow a cone.
-      std::vector<int> cone;
-      for (int f : n.fanins) {
-        if (std::find(cone.begin(), cone.end(), f) == cone.end()) {
-          cone.push_back(f);
-        }
-      }
+      // Gate: grow a cone by absorbing fanout-1 gate leaves while the
+      // merged leaf set still fits one LUT4.
+      IdSet<4>& cone = c.leaves;
+      for (int k = 0; k < n.fanin_count; ++k) cone.add(n.fanins[k]);
       bool grew = true;
-      while (grew && cone.size() <= 4) {
+      while (grew) {
         grew = false;
-        for (std::size_t li = 0; li < cone.size(); ++li) {
-          int cand = cone[li];
-          auto ci = static_cast<std::size_t>(cand);
+        for (int li = 0; li < cone.size; ++li) {
+          const auto ci = static_cast<std::size_t>(cone.ids[li]);
           if (nodes_[ci].kind != NodeKind::Gate) continue;
           if (nodes_[ci].fanout != 1) continue;
-          // Tentative merge.
-          std::vector<int> merged;
-          for (std::size_t k = 0; k < cone.size(); ++k) {
-            if (k != li) merged.push_back(cone[k]);
+          // Tentative merge: the other leaves, then the candidate's.
+          IdSet<7> merged;
+          for (int k = 0; k < cone.size; ++k) {
+            if (k != li) merged.ids[merged.size++] = cone.ids[k];
           }
-          for (int f : leaves[ci]) {
-            if (std::find(merged.begin(), merged.end(), f) == merged.end()) {
-              merged.push_back(f);
-            }
-          }
-          if (merged.size() <= 4) {
-            cone = std::move(merged);
-            absorbed[ci] = 1;
+          const IdSet<4>& inner = cov[ci].leaves;
+          for (int k = 0; k < inner.size; ++k) merged.add(inner.ids[k]);
+          if (merged.size <= 4) {
+            std::copy_n(merged.ids.begin(), merged.size, cone.ids.begin());
+            cone.size = merged.size;
+            cov[ci].absorbed = true;
             grew = true;
             break;
           }
         }
       }
-      leaves[id].assign(cone.begin(), cone.end());
-      int lv = 0;
-      int chain = 0;
-      for (int f : cone) {
-        auto fi = static_cast<std::size_t>(f);
-        lv = std::max(lv, level[fi] + 1);
-        chain = std::max(chain, chain_into[fi]);
+      for (int k = 0; k < cone.size; ++k) {
+        const Cover& leaf = cov[static_cast<std::size_t>(cone.ids[k])];
+        c.level = std::max(c.level, leaf.level + 1);
+        c.chain = std::max(c.chain, leaf.chain);
       }
-      level[id] = lv;
-      chain_into[id] = chain;
     }
 
     for (std::size_t id = 0; id < nodes_.size(); ++id) {
@@ -169,11 +148,11 @@ class Blaster {
       if (n.kind == NodeKind::Carry) {
         ++r.luts;
         ++r.carry_luts;
-      } else if (n.kind == NodeKind::Gate && !absorbed[id]) {
+      } else if (n.kind == NodeKind::Gate && !cov[id].absorbed) {
         ++r.luts;
       }
-      r.logic_levels = std::max(r.logic_levels, level[id]);
-      r.max_carry_bits = std::max(r.max_carry_bits, chain_into[id]);
+      r.logic_levels = std::max(r.logic_levels, cov[id].level);
+      r.max_carry_bits = std::max(r.max_carry_bits, cov[id].chain);
     }
 
     r.ffs = m_.flipflop_bits();
@@ -190,188 +169,181 @@ class Blaster {
   }
 
  private:
-  static void collect_refs(const rtl::RtlExpr& e, std::set<int>& refs) {
-    if (e.op == rtl::RtlOp::Ref) refs.insert(e.net);
-    for (const auto& a : e.args) collect_refs(*a, refs);
-  }
-
-  int add_node(NodeKind kind, std::vector<int> fanins = {}) {
-    for (int f : fanins) ++nodes_[static_cast<std::size_t>(f)].fanout;
+  int add_node(NodeKind kind, const int* fanins, int count) {
     Node n;
     n.kind = kind;
-    n.fanins = std::move(fanins);
-    nodes_.push_back(std::move(n));
+    n.fanin_count = static_cast<std::uint8_t>(count);
+    for (int k = 0; k < count; ++k) {
+      ++nodes_[static_cast<std::size_t>(fanins[k])].fanout;
+      n.fanins[static_cast<std::size_t>(k)] = fanins[k];
+    }
+    nodes_.push_back(n);
     return static_cast<int>(nodes_.size()) - 1;
   }
 
-  void add_roots(const std::vector<int>& bits) {
-    for (int b : bits) ++nodes_[static_cast<std::size_t>(b)].fanout;
+  int add_node(NodeKind kind, std::initializer_list<int> fanins) {
+    return add_node(kind, fanins.begin(), static_cast<int>(fanins.size()));
   }
 
-  const std::vector<int>& bits_of_net(int net) {
-    auto it = net_bits_.find(net);
-    if (it != net_bits_.end()) return it->second;
-    // Not driven combinationally: a primary input, a register output, or a
-    // memory read register — PIs for mapping purposes.
-    std::vector<int> bits;
-    int w = m_.net(net).width;
-    for (int i = 0; i < w; ++i) bits.push_back(add_node(NodeKind::PI));
-    return net_bits_.emplace(net, std::move(bits)).first->second;
+  int gate(std::initializer_list<int> fanins) {
+    return add_node(NodeKind::Gate, fanins);
   }
 
-  std::vector<int> extend(std::vector<int> bits, int width) const {
-    bits.resize(static_cast<std::size_t>(width), const0_);
-    return bits;
+  /// A carry-chain bit; `prev` is the previous bit, or -1 for the first.
+  int carry(int a, int b, int prev) {
+    return prev < 0 ? add_node(NodeKind::Carry, {a, b})
+                    : add_node(NodeKind::Carry, {a, b, prev});
   }
 
-  std::vector<int> blast(const rtl::RtlExpr& e) {
+  bool is_const(int bit) const { return bit == const0_ || bit == const1_; }
+
+  /// Bit `i` of an operand of `width` bits at `begin`, zero-extended.
+  int operand_bit(std::size_t begin, int width, int i) const {
+    return i < width ? bits_[begin + static_cast<std::size_t>(i)] : const0_;
+  }
+
+  void add_fanouts() {
+    for (int b : bits_) ++nodes_[static_cast<std::size_t>(b)].fanout;
+  }
+
+  void add_root(const rtl::RtlExpr* e) {
+    if (e == nullptr) return;
+    bits_.clear();
+    blast(*e);
+    add_fanouts();
+  }
+
+  /// Appends the bits of `net`. A net no continuous assign drives is a
+  /// primary input, a register output or a memory read register: it gets
+  /// fresh PI nodes on first use.
+  void append_net(int net) {
+    const auto n = static_cast<std::size_t>(net);
+    const int width = m_.net(net).width;
+    if (net_begin_[n] < 0) {
+      net_begin_[n] = static_cast<int>(pool_.size());
+      for (int i = 0; i < width; ++i) {
+        pool_.push_back(add_node(NodeKind::PI, {}));
+      }
+    }
+    const auto first = pool_.begin() + net_begin_[n];
+    bits_.insert(bits_.end(), first, first + width);
+  }
+
+  /// blast(e), zero-extended or truncated to `width` bits.
+  void blast_to(const rtl::RtlExpr& e, int width) {
+    const std::size_t begin = bits_.size();
+    blast(e);
+    bits_.resize(begin + static_cast<std::size_t>(width), const0_);
+  }
+
+  /// Appends the bits of `e` (LSB first) to bits_ and returns their count.
+  /// Operands are blasted above the result's position and folded down in
+  /// place, so one buffer serves the whole expression tree.
+  int blast(const rtl::RtlExpr& e) {
     using rtl::RtlOp;
+    const std::size_t p = bits_.size();
+    const auto at = [p](int i) { return p + static_cast<std::size_t>(i); };
+    const int w = e.width;
     switch (e.op) {
-      case RtlOp::Const: {
-        std::vector<int> bits;
-        for (int i = 0; i < e.width; ++i) {
-          bits.push_back(((e.value >> i) & 1) != 0 ? const1_ : const0_);
+      case RtlOp::Const:
+        for (int i = 0; i < w; ++i) {
+          bits_.push_back(((e.value >> i) & 1) != 0 ? const1_ : const0_);
         }
-        return bits;
-      }
+        break;
       case RtlOp::Ref:
-        return bits_of_net(e.net);
+        append_net(e.net);
+        break;
       case RtlOp::Slice: {
-        std::vector<int> base = blast(*e.args[0]);
-        std::vector<int> bits;
-        for (int i = e.lo; i <= e.hi; ++i) {
-          bits.push_back(i < static_cast<int>(base.size())
-                             ? base[static_cast<std::size_t>(i)]
-                             : const0_);
+        const int base = blast(*e.args[0]);
+        const int out = std::max(e.hi - e.lo + 1, 0);
+        bits_.resize(at(std::max(base, out)), const0_);
+        // Bit k comes from base bit lo + k >= k: reads stay ahead of writes.
+        for (int k = 0; k < out; ++k) {
+          bits_[at(k)] = operand_bit(p, base, e.lo + k);
         }
-        return bits;
+        bits_.resize(at(out));
+        break;
       }
-      case RtlOp::Concat: {
+      case RtlOp::Concat:
         // args[0] holds the MSBs.
-        std::vector<int> bits;
         for (auto it = e.args.rbegin(); it != e.args.rend(); ++it) {
-          std::vector<int> part = blast(**it);
-          bits.insert(bits.end(), part.begin(), part.end());
+          blast(**it);
         }
-        return bits;
-      }
-      case RtlOp::Not: {
-        std::vector<int> a = extend(blast(*e.args[0]), e.width);
-        std::vector<int> bits;
-        for (int b : a) {
-          if (b == const0_) {
-            bits.push_back(const1_);
-          } else if (b == const1_) {
-            bits.push_back(const0_);
-          } else {
-            bits.push_back(add_node(NodeKind::Gate, {b}));
-          }
+        break;
+      case RtlOp::Not:
+        blast_to(*e.args[0], w);
+        for (int i = 0; i < w; ++i) {
+          int& b = bits_[at(i)];
+          b = b == const0_ ? const1_ : b == const1_ ? const0_ : gate({b});
         }
-        return bits;
-      }
+        break;
       case RtlOp::And:
       case RtlOp::Or:
       case RtlOp::Xor: {
-        std::vector<int> a = extend(blast(*e.args[0]), e.width);
-        std::vector<int> b = extend(blast(*e.args[1]), e.width);
-        std::vector<int> bits;
-        for (int i = 0; i < e.width; ++i) {
-          auto ai = a[static_cast<std::size_t>(i)];
-          auto bi = b[static_cast<std::size_t>(i)];
-          // Constant folding keeps controller constants free.
-          if (e.op == RtlOp::And && (ai == const0_ || bi == const0_)) {
-            bits.push_back(const0_);
-          } else if (e.op == RtlOp::And && ai == const1_) {
-            bits.push_back(bi);
-          } else if (e.op == RtlOp::And && bi == const1_) {
-            bits.push_back(ai);
-          } else if (e.op == RtlOp::Or && (ai == const1_ || bi == const1_)) {
-            bits.push_back(const1_);
-          } else if (e.op == RtlOp::Or && ai == const0_) {
-            bits.push_back(bi);
-          } else if (e.op == RtlOp::Or && bi == const0_) {
-            bits.push_back(ai);
-          } else {
-            bits.push_back(add_node(NodeKind::Gate, {ai, bi}));
-          }
+        blast_to(*e.args[0], w);
+        blast_to(*e.args[1], w);
+        for (int i = 0; i < w; ++i) {
+          bits_[at(i)] = bitwise(e.op, bits_[at(i)], bits_[at(w + i)]);
         }
-        return bits;
+        bits_.resize(at(w));
+        break;
       }
       case RtlOp::Add:
       case RtlOp::Sub: {
-        std::vector<int> a = extend(blast(*e.args[0]), e.width);
-        std::vector<int> b = extend(blast(*e.args[1]), e.width);
+        blast_to(*e.args[0], w);
+        blast_to(*e.args[1], w);
         // Carry chain: one Carry node per bit, chained.
-        std::vector<int> bits;
         int prev = -1;
-        for (int i = 0; i < e.width; ++i) {
-          std::vector<int> fanins{a[static_cast<std::size_t>(i)],
-                                  b[static_cast<std::size_t>(i)]};
-          if (prev >= 0) fanins.push_back(prev);
-          int node = add_node(NodeKind::Carry, std::move(fanins));
-          bits.push_back(node);
-          prev = node;
+        for (int i = 0; i < w; ++i) {
+          prev = carry(bits_[at(i)], bits_[at(w + i)], prev);
+          bits_[at(i)] = prev;
         }
-        return bits;
+        bits_.resize(at(w));
+        break;
       }
       case RtlOp::Lt:
       case RtlOp::Le: {
-        std::vector<int> a = blast(*e.args[0]);
-        std::vector<int> b = blast(*e.args[1]);
-        int w = std::max(a.size(), b.size());
-        a = extend(std::move(a), static_cast<int>(w));
-        b = extend(std::move(b), static_cast<int>(w));
+        const int wa = blast(*e.args[0]);
+        const int wb = blast(*e.args[1]);
         int prev = -1;
-        for (std::size_t i = 0; i < static_cast<std::size_t>(w); ++i) {
-          std::vector<int> fanins{a[i], b[i]};
-          if (prev >= 0) fanins.push_back(prev);
-          prev = add_node(NodeKind::Carry, std::move(fanins));
+        for (int i = 0; i < std::max(wa, wb); ++i) {
+          prev = carry(operand_bit(p, wa, i), operand_bit(at(wa), wb, i),
+                       prev);
         }
-        return {prev < 0 ? const0_ : prev};
+        bits_.resize(p);
+        bits_.push_back(prev < 0 ? const0_ : prev);
+        break;
       }
       case RtlOp::Eq:
       case RtlOp::Ne: {
-        std::vector<int> a = blast(*e.args[0]);
-        std::vector<int> b = blast(*e.args[1]);
-        int w = static_cast<int>(std::max(a.size(), b.size()));
-        a = extend(std::move(a), w);
-        b = extend(std::move(b), w);
-        std::vector<int> xs;
-        for (int i = 0; i < w; ++i) {
-          auto ai = a[static_cast<std::size_t>(i)];
-          auto bi = b[static_cast<std::size_t>(i)];
-          const bool a_const = ai == const0_ || ai == const1_;
-          const bool b_const = bi == const0_ || bi == const1_;
-          if (a_const && b_const) {
-            xs.push_back(ai == bi ? const1_ : const0_);
-          } else if (ai == bi) {
-            xs.push_back(const1_);
-          } else if (b_const) {
-            // Bit equals a constant: pass-through or inversion; the INV is
-            // absorbed into the reduce tree by the coverer.
-            xs.push_back(bi == const1_ ? ai
-                                       : add_node(NodeKind::Gate, {ai}));
-          } else if (a_const) {
-            xs.push_back(ai == const1_ ? bi
-                                       : add_node(NodeKind::Gate, {bi}));
-          } else {
-            xs.push_back(add_node(NodeKind::Gate, {ai, bi}));  // XNOR
-          }
+        const int wa = blast(*e.args[0]);
+        const int wb = blast(*e.args[1]);
+        const int n = std::max(wa, wb);
+        // Per-bit equalities over the operands' positions: bit i reads a[i]
+        // and b[i] before it writes position i, which no later bit reads.
+        for (int i = 0; i < n; ++i) {
+          bits_[at(i)] =
+              bit_equal(operand_bit(p, wa, i), operand_bit(at(wa), wb, i));
         }
         // AND-reduce the per-bit equalities (constant-true bits drop out).
-        std::vector<int> live;
-        for (int x : xs) {
-          if (x == const1_) continue;
-          if (x == const0_) return {e.op == RtlOp::Eq ? const0_ : const1_};
-          live.push_back(x);
+        // A constant-false bit decides the result; the gates made for the
+        // other bits stay in the DAG and are counted.
+        int live = 0;
+        int result = -1;
+        for (int i = 0; i < n && result < 0; ++i) {
+          const int x = bits_[at(i)];
+          if (x == const0_) result = const0_;
+          if (x != const0_ && x != const1_) bits_[at(live++)] = x;
         }
-        int result = reduce_tree(live, const1_);
+        if (result < 0) result = reduce_tree(p, live, const1_);
         if (e.op == RtlOp::Ne) {
-          result = (result == const0_)   ? const1_
-                   : (result == const1_) ? const0_
-                       : add_node(NodeKind::Gate, {result});
+          result = result == const0_   ? const1_
+                   : result == const1_ ? const0_
+                                       : gate({result});
         }
-        return {result};
+        bits_.resize(p);
+        bits_.push_back(result);
+        break;
       }
       case RtlOp::Shl:
       case RtlOp::Shr: {
@@ -379,84 +351,122 @@ class Blaster {
           throw std::runtime_error(
               "techmap: only constant shift amounts are supported");
         }
-        std::vector<int> a = extend(blast(*e.args[0]), e.width);
-        int sh = static_cast<int>(e.args[1]->value);
-        std::vector<int> bits(static_cast<std::size_t>(e.width), const0_);
-        for (int i = 0; i < e.width; ++i) {
-          int src = e.op == RtlOp::Shl ? i - sh : i + sh;
-          if (src >= 0 && src < e.width) {
-            bits[static_cast<std::size_t>(i)] =
-                a[static_cast<std::size_t>(src)];
-          }
+        blast_to(*e.args[0], w);
+        const int sh = static_cast<int>(e.args[1]->value);
+        // Result bit i is operand bit i + offset. Walk away from the
+        // source side so every read precedes the write that clobbers it.
+        const std::int64_t offset = e.op == RtlOp::Shl
+                                        ? -static_cast<std::int64_t>(sh)
+                                        : static_cast<std::int64_t>(sh);
+        const auto shift_bit = [&](int i) {
+          const std::int64_t src = i + offset;
+          bits_[at(i)] = src >= 0 && src < w
+                             ? bits_[at(static_cast<int>(src))]
+                             : const0_;
+        };
+        if (offset >= 0) {
+          for (int i = 0; i < w; ++i) shift_bit(i);
+        } else {
+          for (int i = w - 1; i >= 0; --i) shift_bit(i);
         }
-        return bits;
+        break;
       }
       case RtlOp::Mux: {
-        std::vector<int> sel = blast(*e.args[0]);
-        std::vector<int> t = extend(blast(*e.args[1]), e.width);
-        std::vector<int> f = extend(blast(*e.args[2]), e.width);
-        int s = sel.empty() ? const0_ : sel[0];
-        std::vector<int> bits;
-        for (int i = 0; i < e.width; ++i) {
-          auto ti = t[static_cast<std::size_t>(i)];
-          auto fi = f[static_cast<std::size_t>(i)];
-          if (s == const1_) {
-            bits.push_back(ti);
-          } else if (s == const0_) {
-            bits.push_back(fi);
-          } else if (ti == fi) {
-            bits.push_back(ti);
-          } else if (ti == const1_ && fi == const0_) {
-            bits.push_back(s);  // sel ? 1 : 0 == sel
-          } else {
-            bits.push_back(add_node(NodeKind::Gate, {s, ti, fi}));
-          }
+        const int ws = blast(*e.args[0]);
+        const std::size_t t = at(ws);
+        blast_to(*e.args[1], w);
+        blast_to(*e.args[2], w);
+        const int s = ws == 0 ? const0_ : bits_[p];
+        // Result bit i lands at or below the arms' bit i, already read.
+        for (int i = 0; i < w; ++i) {
+          const auto ii = static_cast<std::size_t>(i);
+          bits_[at(i)] = mux_bit(s, bits_[t + ii],
+                                 bits_[t + static_cast<std::size_t>(w) + ii]);
         }
-        return bits;
+        bits_.resize(at(w));
+        break;
       }
       case RtlOp::ReduceOr:
       case RtlOp::ReduceAnd: {
-        std::vector<int> a = blast(*e.args[0]);
-        std::vector<int> live;
+        const int n = blast(*e.args[0]);
         const bool is_or = e.op == RtlOp::ReduceOr;
-        for (int x : a) {
-          if (x == (is_or ? const0_ : const1_)) continue;
-          if (x == (is_or ? const1_ : const0_)) {
-            return {is_or ? const1_ : const0_};
-          }
-          live.push_back(x);
+        const int identity = is_or ? const0_ : const1_;
+        const int absorbing = is_or ? const1_ : const0_;
+        int live = 0;
+        int result = -1;
+        for (int i = 0; i < n && result < 0; ++i) {
+          const int x = bits_[at(i)];
+          if (x == absorbing) result = absorbing;
+          if (x != identity && x != absorbing) bits_[at(live++)] = x;
         }
-        return {reduce_tree(live, is_or ? const0_ : const1_)};
+        if (result < 0) result = reduce_tree(p, live, identity);
+        bits_.resize(p);
+        bits_.push_back(result);
+        break;
       }
+      default:
+        throw std::runtime_error("techmap: unhandled expression op");
     }
-    throw std::runtime_error("techmap: unhandled expression op");
+    return static_cast<int>(bits_.size() - p);
   }
 
-  /// Balanced reduction tree over 1-bit nodes; identity when empty.
-  int reduce_tree(std::vector<int> xs, int identity) {
-    if (xs.empty()) return identity;
-    while (xs.size() > 1) {
-      std::vector<int> next;
-      // Up to 4 inputs fold into one LUT level.
-      for (std::size_t i = 0; i < xs.size(); i += 4) {
-        std::vector<int> group(
-            xs.begin() + static_cast<std::ptrdiff_t>(i),
-            xs.begin() + static_cast<std::ptrdiff_t>(
-                             std::min(i + 4, xs.size())));
-        if (group.size() == 1) {
-          next.push_back(group[0]);
-        } else {
-          next.push_back(add_node(NodeKind::Gate, std::move(group)));
-        }
-      }
-      xs = std::move(next);
+  /// One bit of an And/Or/Xor; constant folding keeps controller
+  /// constants free.
+  int bitwise(rtl::RtlOp op, int a, int b) {
+    if (op == rtl::RtlOp::And) {
+      if (a == const0_ || b == const0_) return const0_;
+      if (a == const1_) return b;
+      if (b == const1_) return a;
+    } else if (op == rtl::RtlOp::Or) {
+      if (a == const1_ || b == const1_) return const1_;
+      if (a == const0_) return b;
+      if (b == const0_) return a;
     }
-    return xs[0];
+    return gate({a, b});
+  }
+
+  /// One bit of sel ? t : f.
+  int mux_bit(int sel, int t, int f) {
+    if (sel == const1_ || t == f) return t;
+    if (sel == const0_) return f;
+    if (t == const1_ && f == const0_) return sel;
+    return gate({sel, t, f});
+  }
+
+  /// a[i] == b[i] as a node: constant, pass-through, an inverter (absorbed
+  /// into the reduce tree by the coverer) or an XNOR.
+  int bit_equal(int a, int b) {
+    if (is_const(a) && is_const(b)) return a == b ? const1_ : const0_;
+    if (a == b) return const1_;
+    if (is_const(b)) return b == const1_ ? a : gate({a});
+    if (is_const(a)) return a == const1_ ? b : gate({b});
+    return gate({a, b});
+  }
+
+  /// Balanced reduction tree over the `n` 1-bit nodes at bits_[p...];
+  /// identity when empty. Each level folds up to 4 inputs into one LUT and
+  /// writes its outputs over the front of the range.
+  int reduce_tree(std::size_t p, int n, int identity) {
+    if (n == 0) return identity;
+    while (n > 1) {
+      int next = 0;
+      for (int i = 0; i < n; i += kMaxFanins) {
+        const int group = std::min(kMaxFanins, n - i);
+        const std::size_t g = p + static_cast<std::size_t>(i);
+        bits_[p + static_cast<std::size_t>(next++)] =
+            group == 1 ? bits_[g]
+                       : add_node(NodeKind::Gate, &bits_[g], group);
+      }
+      n = next;
+    }
+    return bits_[p];
   }
 
   const rtl::Module& m_;
   std::vector<Node> nodes_;
-  std::map<int, std::vector<int>> net_bits_;
+  std::vector<int> bits_;       // blast buffer
+  std::vector<int> pool_;       // every net's bits, LSB first
+  std::vector<int> net_begin_;  // net id -> offset in pool_, -1 = none yet
   int const0_ = -1;
   int const1_ = -1;
 };

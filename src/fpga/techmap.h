@@ -6,6 +6,19 @@
 // heuristic, and packed into Virtex-II Pro slices (2 LUTs + 2 FFs each).
 // Adders/subtractors/magnitude comparators map onto dedicated carry chains
 // (one LUT per bit, no level growth along the chain), as ISE does.
+//
+// Data layout: continuous assigns are blasted in rtl::topological_order,
+// the simulator's order. Gate nodes keep their fanins inline (at most 4: a
+// reduce-tree group; mux and carry nodes have 3). Every net's bits live in
+// one pool indexed through a per-net offset, and each expression is blasted
+// into one reusable bit buffer, its operands folded in place. Cover grows
+// each cone in fixed arrays (≤4 leaves; a tentative merge ≤7).
+//
+// LUT counts and logic levels depend on the order of leaves inside each
+// cone, so gate creation order is part of the model, quirks included: an
+// Eq/Ne creates every per-bit XNOR before it meets a constant-false bit,
+// and those dangling gates are counted. tests/fpga/golden/ pins MapResult
+// for the example, fan-out and random module corpora.
 #pragma once
 
 #include <string>

@@ -39,6 +39,13 @@
 
 namespace hicsync::rtl {
 
+/// Indices into module.assigns() in evaluation order: each assign after the
+/// assigns driving the nets it reads (the last assign to a net drives it).
+/// Ties resolve the same way on every call, so the simulator and the
+/// technology mapper walk one order. Throws std::runtime_error on a
+/// combinational cycle.
+[[nodiscard]] std::vector<int> topological_order(const Module& module);
+
 struct SimOptions {
   /// When set, construction scans every expression site (continuous assign
   /// values, sequential next-state/enable expressions, memory port address/

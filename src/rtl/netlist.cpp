@@ -230,10 +230,14 @@ int Module::rst() {
 
 int Module::flipflop_bits() const {
   // One FF per bit of every sequentially-assigned net (dedup on target).
-  std::set<int> targets;
-  for (const SeqAssign& s : seqs_) targets.insert(s.target);
+  std::vector<bool> counted(nets_.size(), false);
   int bits = 0;
-  for (int t : targets) bits += nets_[static_cast<std::size_t>(t)].width;
+  for (const SeqAssign& s : seqs_) {
+    const auto t = static_cast<std::size_t>(s.target);
+    if (counted[t]) continue;
+    counted[t] = true;
+    bits += nets_[t].width;
+  }
   return bits;
 }
 

@@ -49,11 +49,11 @@
 //   3  artifact rejected (rt-bad-magic/rt-version-skew/rt-truncated/...)
 //   4  socket error (cannot bind/connect/speak the protocol)
 
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -120,11 +120,19 @@ struct Args {
   bool do_close = false;
 };
 
+/// Comma-separated words in C notation: decimal, 0x hex or 0 octal. Each
+/// word starts with a digit, since strtoull would also skip whitespace and
+/// take a sign ("-1" would wrap to 2^64-1), and must fit in 64 bits.
 bool parse_words(const std::string& csv, std::vector<std::uint64_t>* out) {
   for (const std::string& part : support::split(csv, ',')) {
+    if (part.empty() ||
+        std::isdigit(static_cast<unsigned char>(part[0])) == 0) {
+      return false;
+    }
     char* end = nullptr;
-    unsigned long long v = std::strtoull(part.c_str(), &end, 0);
-    if (end == nullptr || *end != '\0' || part.empty()) return false;
+    errno = 0;
+    const unsigned long long v = std::strtoull(part.c_str(), &end, 0);
+    if (*end != '\0' || errno == ERANGE) return false;
     out->push_back(static_cast<std::uint64_t>(v));
   }
   return true;
@@ -148,15 +156,10 @@ int dump_telemetry(const Args& args, rt::Service& service) {
   if (!service.telemetry_enabled()) return 0;
   std::printf("%s", service.telemetry_text().c_str());
   if (args.trace_out.empty()) return 0;
-  std::FILE* f = std::fopen(args.trace_out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s: %s\n", args.trace_out.c_str(),
-                 std::strerror(errno));
+  if (!cli::write_file(args.trace_out, service.telemetry_chrome_json(),
+                       cli::Write::Quiet)) {
     return 1;
   }
-  std::string doc = service.telemetry_chrome_json();
-  std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fclose(f);
   std::printf("telemetry: chrome trace written to %s\n",
               args.trace_out.c_str());
   return 0;

@@ -207,5 +207,71 @@ TEST(TechMap, DeeperConesIncreaseLevels) {
   EXPECT_EQ(r.luts, 6);
 }
 
+TEST(TechMap, CombinationalCycleRejected) {
+  rtl::Module m("t");
+  int a = m.add_input("a", 1);
+  int x = m.add_wire("x", 1);
+  int y = m.add_output("y", 1);
+  m.assign(x, rtl::ebin(rtl::RtlOp::And, rtl::eref(a, 1), rtl::eref(y, 1)));
+  m.assign(y, rtl::enot(rtl::eref(x, 1)));
+  EXPECT_THROW((void)TechMapper().map(m), std::runtime_error);
+}
+
+TEST(TechMap, NeOfIdenticalOperandsIsFree) {
+  rtl::Module m("t");
+  int a = m.add_input("a", 8);
+  int y = m.add_output("y", 1);
+  m.assign(y, rtl::ebin(rtl::RtlOp::Ne, rtl::eref(a, 8), rtl::eref(a, 8)));
+  MapResult r = TechMapper().map(m);
+  EXPECT_EQ(r.luts, 0);
+  EXPECT_EQ(r.logic_levels, 0);
+}
+
+TEST(TechMap, EqWithConstantMismatchKeepsItsDanglingGates) {
+  // {a[3:2], 1'b0, a[1:0]} == 5'b00100: bit 2 compares a constant 0 with a
+  // constant 1, so the result is constant 0. The inverters made for the
+  // other four bits, before and after that bit, stay in the netlist and are
+  // counted.
+  rtl::Module m("t");
+  int a = m.add_input("a", 4);
+  int y = m.add_output("y", 1);
+  std::vector<rtl::RtlExprPtr> parts;
+  parts.push_back(rtl::eslice(rtl::eref(a, 4), 3, 2));
+  parts.push_back(rtl::econst(0, 1));
+  parts.push_back(rtl::eslice(rtl::eref(a, 4), 1, 0));
+  m.assign(y, rtl::ebin(rtl::RtlOp::Eq, rtl::econcat(std::move(parts)),
+                        rtl::econst(0x04, 5)));
+  MapResult r = TechMapper().map(m);
+  EXPECT_EQ(r.luts, 4);
+  EXPECT_EQ(r.logic_levels, 1);
+}
+
+TEST(TechMap, LtOfUnequalWidthsIsOneChainOfTheWiderWidth) {
+  rtl::Module m("t");
+  int a = m.add_input("a", 8);
+  int b = m.add_input("b", 3);
+  int y = m.add_output("y", 1);
+  m.assign(y, rtl::ebin(rtl::RtlOp::Lt, rtl::eref(a, 8), rtl::eref(b, 3)));
+  MapResult r = TechMapper().map(m);
+  EXPECT_EQ(r.luts, 8);
+  EXPECT_EQ(r.carry_luts, 8);
+  EXPECT_EQ(r.logic_levels, 1);
+  EXPECT_EQ(r.max_carry_bits, 8);
+}
+
+TEST(TechMap, SlicePastTheOperandReadsConstantZero) {
+  rtl::Module m("t");
+  int a = m.add_input("a", 4);
+  int y = m.add_output("y", 1);
+  int z = m.add_output("z", 1);
+  // a[7:4] is all constant 0: its OR-reduction costs nothing.
+  m.assign(y, rtl::ereduce_or(rtl::eslice(rtl::eref(a, 4), 7, 4)));
+  // a[5:2] is {0, 0, a[3], a[2]}: one 2-input LUT.
+  m.assign(z, rtl::ereduce_or(rtl::eslice(rtl::eref(a, 4), 5, 2)));
+  MapResult r = TechMapper().map(m);
+  EXPECT_EQ(r.luts, 1);
+  EXPECT_EQ(r.logic_levels, 1);
+}
+
 }  // namespace
 }  // namespace hicsync::fpga
