@@ -12,6 +12,7 @@
 #include "core/compiler.h"
 #include "fpga/techmap.h"
 #include "hic/parser.h"
+#include "memorg/arbitrated.h"
 #include "netapp/scenarios.h"
 #include "perf/profile.h"
 #include "rtl/verilog.h"

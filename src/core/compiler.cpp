@@ -6,9 +6,7 @@
 #include "analysis/depgraph.h"
 #include "hic/infer.h"
 #include "hic/parser.h"
-#include "memalloc/sizing.h"
-#include "memorg/arbitrated.h"
-#include "memorg/eventdriven.h"
+#include "memorg/controller.h"
 #include "rtl/verilog.h"
 #include "support/strings.h"
 
@@ -84,8 +82,8 @@ bool CompileResult::meets_target() const {
 
 std::unique_ptr<sim::SystemSim> CompileResult::make_simulator(
     sim::SystemOptions sim_options) const {
-  return std::make_unique<sim::SystemSim>(program_, *sema_, map_, plans_,
-                                          sim_options);
+  return std::make_unique<sim::SystemSim>(program_, *sema_, fsms_,
+                                          controllers_, sim_options);
 }
 
 std::unique_ptr<sim::SystemSim> CompileResult::make_simulator() const {
@@ -158,11 +156,8 @@ std::unique_ptr<CompileResult> Compiler::compile(
   // Behavioural synthesis + scheduling.
   {
     perf::ScopedPhase phase(prof, "synth");
-    for (const hic::ThreadDecl& t : r.program_.threads) {
-      synth::ThreadFsm fsm = synth::ThreadFsm::synthesize(t, *r.sema_);
-      synth::schedule(fsm, options_.schedule);
-      r.fsms_.push_back(std::move(fsm));
-    }
+    r.fsms_ = synth::synthesize_program(r.program_, *r.sema_,
+                                        options_.schedule);
   }
   if (prof != nullptr) {
     std::uint64_t states = 0;
@@ -244,46 +239,35 @@ std::unique_ptr<CompileResult> Compiler::compile(
 
     // hic-bound sizing feedback: drop provably dead dependency-list
     // entries (and pseudo-ports left with no deps) before generating.
-    const memalloc::BramInstance* gen_bram = &bram;
-    const memalloc::BramPortPlan* gen_plan = plan;
-    memalloc::PrunedBram pruned;
+    const memalloc::DepListHint* hint = nullptr;
     if (options_.bound.apply_sizing && !r.bound_results_.empty()) {
-      for (const memalloc::DepListHint& hint :
+      for (const memalloc::DepListHint& h :
            r.bound_results_.back().sizing_hints) {
-        if (hint.bram_id != bram.id || hint.dead_deps.empty()) continue;
-        pruned = memalloc::apply_dep_list_hint(bram, *plan, hint);
-        gen_bram = &pruned.bram;
-        gen_plan = &pruned.plan;
+        if (h.bram_id == bram.id && !h.dead_deps.empty()) hint = &h;
       }
     }
 
-    BramReport report;
-    report.bram_id = bram.id;
-    report.consumers = gen_plan->consumer_pseudo_ports();
-    report.producers = gen_plan->producer_pseudo_ports();
-    report.dependencies = static_cast<int>(gen_bram->dependencies.size());
-    report.pruned_deps = pruned.removed_deps;
-    report.pruned_ports =
-        pruned.removed_consumer_ports + pruned.removed_producer_ports;
-    report.module_name = "memorg_bram" + std::to_string(bram.id);
-    rtl::Module* m = nullptr;
     {
       perf::ScopedPhase phase(prof, "memorg");
-      if (options_.organization == sim::OrgKind::Arbitrated) {
-        memorg::ArbitratedConfig cfg =
-            memorg::arbitrated_config_from(*gen_bram, *gen_plan);
-        cfg.use_cam = options_.use_cam;
-        m = &memorg::generate_arbitrated(r.design_, cfg, report.module_name);
-      } else {
-        memorg::EventDrivenConfig cfg =
-            memorg::eventdriven_config_from(*gen_bram, *gen_plan);
-        report.slots = std::max(1, memorg::total_slots(cfg));
-        m = &memorg::generate_eventdriven(r.design_, cfg, report.module_name);
-      }
+      r.controllers_.push_back(memorg::build_controller(
+          r.design_, bram, *plan, {options_.organization, options_.use_cam},
+          hint));
     }
+    const memorg::GeneratedController& ctrl = r.controllers_.back();
+    BramReport report;
+    report.bram_id = bram.id;
+    report.module_name = ctrl.module->name();
+    report.consumers = ctrl.plan.consumer_pseudo_ports();
+    report.producers = ctrl.plan.producer_pseudo_ports();
+    report.dependencies = static_cast<int>(ctrl.entries.size());
+    if (options_.organization == sim::OrgKind::EventDriven) {
+      report.slots = std::max(1, memorg::total_slots(ctrl.entries));
+    }
+    report.pruned_deps = ctrl.pruned_deps;
+    report.pruned_ports = ctrl.pruned_ports;
     {
       perf::ScopedPhase phase(prof, "techmap");
-      report.area = mapper.map(*m);
+      report.area = mapper.map(*ctrl.module);
     }
     {
       perf::ScopedPhase phase(prof, "timing");

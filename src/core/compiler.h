@@ -17,6 +17,7 @@
 #include "hic/sema.h"
 #include "memalloc/allocator.h"
 #include "memalloc/portplan.h"
+#include "memorg/controller.h"
 #include "nlint/nlint.h"
 #include "perf/profile.h"
 #include "rtl/netlist.h"
@@ -117,6 +118,13 @@ class CompileResult {
     return plans_;
   }
   [[nodiscard]] const rtl::Design& design() const { return design_; }
+  /// One generated controller per BRAM (modules live in design()), with
+  /// the possibly pruned BRAM, port plan and dependency list each was
+  /// built from. Simulators and the testbench generator drive these.
+  [[nodiscard]] const std::vector<memorg::GeneratedController>& controllers()
+      const {
+    return controllers_;
+  }
   [[nodiscard]] const std::vector<BramReport>& bram_reports() const {
     return bram_reports_;
   }
@@ -171,8 +179,11 @@ class CompileResult {
   /// True if every controller meets the target clock.
   [[nodiscard]] bool meets_target() const;
 
-  /// Creates a cycle-accurate system simulator over this compilation.
-  /// The result must outlive the simulator.
+  /// Creates a cycle-accurate system simulator over this compilation's
+  /// own FSMs and controllers. The simulator borrows them (and the
+  /// program and Sema), so this result must outlive it. A
+  /// `sim_options.organization` other than options().organization throws
+  /// std::invalid_argument.
   [[nodiscard]] std::unique_ptr<sim::SystemSim> make_simulator(
       sim::SystemOptions sim_options) const;
   [[nodiscard]] std::unique_ptr<sim::SystemSim> make_simulator() const;
@@ -189,6 +200,7 @@ class CompileResult {
   memalloc::MemoryMap map_;
   std::vector<memalloc::BramPortPlan> plans_;
   rtl::Design design_;
+  std::vector<memorg::GeneratedController> controllers_;
   std::vector<BramReport> bram_reports_;
   std::vector<std::string> deadlock_warnings_;
   std::size_t lint_errors_ = 0;

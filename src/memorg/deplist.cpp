@@ -34,6 +34,18 @@ int total_slots(const std::vector<DepEntry>& entries) {
   return n;
 }
 
+std::vector<Slot> slot_order(const std::vector<DepEntry>& entries) {
+  std::vector<Slot> slots;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const int entry = static_cast<int>(i);
+    slots.push_back(Slot{entry, true, entries[i].producer_port});
+    for (int cp : entries[i].consumer_ports) {
+      slots.push_back(Slot{entry, false, cp});
+    }
+  }
+  return slots;
+}
+
 int counter_width(const std::vector<DepEntry>& entries) {
   int max_n = 1;
   for (const DepEntry& e : entries) {

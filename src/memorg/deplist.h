@@ -40,4 +40,18 @@ struct DepEntry {
 /// event-driven generator and the coverage model's slot bins.
 [[nodiscard]] int total_slots(const std::vector<DepEntry>& entries);
 
+/// One slot of the §3.2 modulo schedule: whose turn it is.
+struct Slot {
+  int entry = 0;             // index into the entries the order was built from
+  bool is_producer = false;
+  int port = 0;              // pseudo-port index on D (producer) or C
+};
+
+/// The §3.2 slot order over `entries`: per entry, its producer slot, then
+/// one slot per consumer in pragma order. Slot s of the event-driven
+/// controller is element s; the generator, the simulator and the
+/// testbench generator all read it from here.
+[[nodiscard]] std::vector<Slot> slot_order(
+    const std::vector<DepEntry>& entries);
+
 }  // namespace hicsync::memorg

@@ -80,19 +80,9 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
   int prev_slot = m.add_reg("prev_slot", sw);
   int advance_valid = m.add_reg("advance_valid", 1);
 
-  // Slot table: owner of each slot, and successor.
-  struct SlotInfo {
-    bool is_producer = false;
-    int port = 0;  // pseudo-port index on the owning side
-  };
-  std::vector<SlotInfo> slots;
-  for (const DepEntry& d : cfg.deps) {
-    slots.push_back(SlotInfo{true, d.producer_port});
-    for (int cp : d.consumer_ports) {
-      slots.push_back(SlotInfo{false, cp});
-    }
-  }
-  if (slots.empty()) slots.push_back(SlotInfo{true, 0});
+  // Slot table: owner of each slot; slot s is succeeded by s + 1.
+  std::vector<Slot> slots = slot_order(cfg.deps);
+  if (slots.empty()) slots.push_back(Slot{0, true, 0});
 
   // One-hot decode of the slot register (shared by events, fire logic, and
   // the mux network).

@@ -17,11 +17,14 @@
 //   <payload JSON, exactly payload-bytes long>
 //
 // The payload is one JSON object (schema below, written by emit_artifact).
-// Loading is ProgramStore's job (store.h): it re-runs only the front end
+// Loading is ProgramStore's job (store.h): it re-runs the front end
 // (parse/infer/sema) on the embedded source, checks the recorded semantic
 // digest against the rebuilt Sema, and resolves the stored map/plans
-// against it — allocation, port planning, scheduling and RTL generation
-// are *not* re-run; the artifact's decisions are authoritative.
+// against it — allocation and port planning are *not* re-run; the
+// artifact's decisions are authoritative. The FSMs and controllers are
+// built once per load under the recorded `chain`, `use_cam` and
+// organization (no sizing hints are recorded, so --bound builds load
+// unpruned).
 #pragma once
 
 #include <cstdint>

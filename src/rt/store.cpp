@@ -6,6 +6,7 @@
 #include "hic/infer.h"
 #include "hic/parser.h"
 #include "support/strings.h"
+#include "synth/scheduler.h"
 
 namespace hicsync::rt {
 
@@ -40,8 +41,8 @@ const hic::Dependency* find_dep(const hic::Sema& sema,
 
 std::unique_ptr<sim::SystemSim> LoadedProgram::make_simulator(
     sim::SystemOptions options) const {
-  return std::make_unique<sim::SystemSim>(program_, *sema_, map_, plans_,
-                                          options);
+  return std::make_unique<sim::SystemSim>(program_, *sema_, fsms_,
+                                          controllers_, options);
 }
 
 std::unique_ptr<sim::SystemSim> LoadedProgram::make_simulator() const {
@@ -201,6 +202,16 @@ std::shared_ptr<const LoadedProgram> load_program(const Artifact& artifact,
     }
     lp->plans_.push_back(std::move(plan));
   }
+
+  // The one build every shard's simulator runs, under the recorded
+  // compile choices.
+  synth::SchedulePolicy schedule;
+  schedule.chain_states = artifact.chain;
+  lp->fsms_ =
+      synth::synthesize_program(lp->program_, *lp->sema_, schedule);
+  lp->controllers_ = memorg::build_controllers(
+      lp->design_, lp->map_, lp->plans_,
+      {lp->organization_, artifact.use_cam});
 
   if (error != nullptr) *error = ArtifactError{};
   return lp;

@@ -2,13 +2,17 @@
 //
 // ProgramStore turns hicbin bytes (artifact.h) into live, simulatable
 // LoadedPrograms without re-running the compiler's decision-bearing
-// phases. Loading re-runs only the cheap front end (parse → optional
-// dependency inference → sema) on the embedded source — the hicbin analog
-// of reading an ELF symbol table — then cross-checks the rebuilt semantics
-// against the recorded digest and resolves the artifact's memory map and
-// port plans against the fresh Sema by name. Allocation, port planning,
-// scheduling and RTL generation are not repeated: the artifact's decisions
-// are authoritative (docs/RUNTIME.md).
+// phases. Loading re-runs the cheap front end (parse → optional dependency
+// inference → sema) on the embedded source — the hicbin analog of reading
+// an ELF symbol table — then cross-checks the rebuilt semantics against
+// the recorded digest and resolves the artifact's memory map and port
+// plans against the fresh Sema by name. Allocation and port planning are
+// not repeated: the artifact's decisions are authoritative. The thread
+// FSMs and controllers are built once per load, under the recorded
+// `chain`, `use_cam` and organization, and every simulator of the program
+// runs those (docs/RUNTIME.md). Artifacts record no hic-bound sizing
+// hints, so a program compiled with --bound is served with its unpruned
+// controllers.
 //
 // LoadedProgram is self-contained and immutable once built; the store
 // hands out shared_ptr<const LoadedProgram> so sessions, shards and stats
@@ -26,16 +30,19 @@
 #include "hic/sema.h"
 #include "memalloc/allocator.h"
 #include "memalloc/portplan.h"
+#include "memorg/controller.h"
 #include "rt/artifact.h"
 #include "sim/system.h"
 #include "support/diagnostics.h"
+#include "synth/fsm.h"
 
 namespace hicsync::rt {
 
 /// A rehydrated program: the artifact's metadata plus live front-end
-/// structures and the restored memory map / port plans, ready to build
-/// simulators from. Not movable — Sema and the map hold pointers into the
-/// Program — so it always lives on the heap behind a shared_ptr.
+/// structures, the restored memory map / port plans and the FSMs and
+/// controllers built from them, ready to build simulators from. Not
+/// movable — Sema, the map and the simulators hold pointers into it — so
+/// it always lives on the heap behind a shared_ptr.
 class LoadedProgram {
  public:
   LoadedProgram(const LoadedProgram&) = delete;
@@ -54,10 +61,18 @@ class LoadedProgram {
     return plans_;
   }
   [[nodiscard]] sim::OrgKind organization() const { return organization_; }
+  [[nodiscard]] const std::vector<synth::ThreadFsm>& fsms() const {
+    return fsms_;
+  }
+  [[nodiscard]] const std::vector<memorg::GeneratedController>& controllers()
+      const {
+    return controllers_;
+  }
 
-  /// A fresh cycle-accurate simulator over this program (the shard workers
-  /// call this once per shard, then reset()-recycle between runs). This
-  /// LoadedProgram must outlive the simulator.
+  /// A fresh cycle-accurate simulator over this program's FSMs and
+  /// controllers (the shard workers call this once per shard, then
+  /// reset()-recycle between runs); it generates nothing. The simulator
+  /// borrows them, so this LoadedProgram must outlive it.
   [[nodiscard]] std::unique_ptr<sim::SystemSim> make_simulator(
       sim::SystemOptions options) const;
   [[nodiscard]] std::unique_ptr<sim::SystemSim> make_simulator() const;
@@ -78,6 +93,9 @@ class LoadedProgram {
   memalloc::MemoryMap map_;
   std::vector<memalloc::BramPortPlan> plans_;
   sim::OrgKind organization_ = sim::OrgKind::Arbitrated;
+  std::vector<synth::ThreadFsm> fsms_;
+  rtl::Design design_;
+  std::vector<memorg::GeneratedController> controllers_;
 };
 
 /// Thread-safe registry of loaded programs, keyed by artifact source_name.
@@ -104,8 +122,9 @@ class ProgramStore {
 };
 
 /// The rehydration step on its own (no registry): front end + digest check
-/// + name resolution + map/plan restore. Exposed for tests and for
-/// in-process embedders that manage lifetime themselves.
+/// + name resolution + map/plan restore + FSM and controller build.
+/// Exposed for tests and for in-process embedders that manage lifetime
+/// themselves.
 std::shared_ptr<const LoadedProgram> load_program(const Artifact& artifact,
                                                   ArtifactError* error);
 

@@ -10,25 +10,6 @@
 
 namespace hicsync::sim {
 
-const char* to_string(OrgKind k) {
-  switch (k) {
-    case OrgKind::Arbitrated: return "arbitrated";
-    case OrgKind::EventDriven: return "event-driven";
-  }
-  return "unknown";
-}
-
-bool parse_org(std::string_view name, OrgKind* out, std::string* error) {
-  for (OrgKind k : {OrgKind::Arbitrated, OrgKind::EventDriven}) {
-    if (name == to_string(k)) {
-      *out = k;
-      return true;
-    }
-  }
-  *error = "unknown organization '" + std::string(name) + "'";
-  return false;
-}
-
 std::uint64_t DepRound::completion_latency() const {
   std::uint64_t last = produce_grant_cycle;
   for (const auto& [thread, cycle] : consume_cycles) {
@@ -51,24 +32,16 @@ std::uint64_t mask_width(std::uint64_t v, int width) {
 // ---------------------------------------------------------------------------
 
 struct SystemSim::Controller {
-  /// Simulates `module`, the organization generated for `bram`, and binds
-  /// its ports and probe once.
-  Controller(int bram, OrgKind org, const memalloc::BramPortPlan& port_plan,
-             std::vector<memorg::DepEntry> deps, const rtl::Module& module)
-      : bram_id(bram),
-        kind(org),
-        plan(&port_plan),
-        entries(std::move(deps)),
-        sim(std::make_unique<rtl::ModuleSim>(module)) {
-    if (kind == OrgKind::EventDriven) {
-      // Mirror the generator's slot enumeration.
-      for (const memorg::DepEntry& e : entries) {
-        slot_table.push_back(SlotRef{e.id, true, e.producer_port});
-        for (int cp : e.consumer_ports) {
-          slot_table.push_back(SlotRef{e.id, false, cp});
-        }
-      }
-    }
+  /// Simulates the generated controller and binds its ports and probe
+  /// once. `generated` is borrowed: its module, plan and entries.
+  explicit Controller(const memorg::GeneratedController& generated)
+      : bram_id(generated.bram.id),
+        kind(generated.organization),
+        bram(&generated.bram),
+        plan(&generated.plan),
+        entries(&generated.entries),
+        sim(std::make_unique<rtl::ModuleSim>(*generated.module)) {
+    if (kind == OrgKind::EventDriven) slots = memorg::slot_order(*entries);
     bind_nets();
     memorg::ProbeConfig probe_cfg;
     probe_cfg.controller = bram_id;
@@ -81,8 +54,9 @@ struct SystemSim::Controller {
 
   int bram_id = -1;
   OrgKind kind = OrgKind::Arbitrated;
+  const memalloc::BramInstance* bram = nullptr;
   const memalloc::BramPortPlan* plan = nullptr;
-  std::vector<memorg::DepEntry> entries;
+  const std::vector<memorg::DepEntry>* entries = nullptr;
   std::unique_ptr<rtl::ModuleSim> sim;
 
   // Port A host-side sharing: one owner per cycle, rotating for fairness.
@@ -93,13 +67,8 @@ struct SystemSim::Controller {
   // hic-trace probe over the generated netlist (grants, slot).
   std::unique_ptr<memorg::ControllerProbe> probe;
 
-  // Event-driven slot table: slot index of each (dep, endpoint).
-  struct SlotRef {
-    std::string dep_id;
-    bool is_producer = false;
-    int pseudo_port = 0;
-  };
-  std::vector<SlotRef> slot_table;
+  // Event-driven only: the controller's slot order.
+  std::vector<memorg::Slot> slots;
 
   [[nodiscard]] int pseudo_port(const std::string& thread,
                                 memalloc::LogicalPort port) const {
@@ -110,10 +79,10 @@ struct SystemSim::Controller {
   /// Slot index of a dependency endpoint (event-driven only); -1 if absent.
   [[nodiscard]] int slot_of(const std::string& dep_id, bool producer,
                             int pseudo_port_index) const {
-    for (std::size_t s = 0; s < slot_table.size(); ++s) {
-      const SlotRef& r = slot_table[s];
-      if (r.dep_id == dep_id && r.is_producer == producer &&
-          r.pseudo_port == pseudo_port_index) {
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      const memorg::Slot& r = slots[s];
+      if (r.is_producer == producer && r.port == pseudo_port_index &&
+          (*entries)[static_cast<std::size_t>(r.entry)].id == dep_id) {
         return static_cast<int>(s);
       }
     }
@@ -226,7 +195,7 @@ struct SystemSim::Controller {
 
 struct SystemSim::ThreadExec {
   std::string name;
-  synth::ThreadFsm fsm;
+  const synth::ThreadFsm* fsm = nullptr;
   std::map<const hic::Symbol*, std::uint64_t> regs;
   std::function<bool(std::uint64_t)> gate;
   int passes = 0;
@@ -295,38 +264,34 @@ struct SystemSim::ThreadExec {
 
 // ---------------------------------------------------------------------------
 
-SystemSim::SystemSim(const hic::Program& program, const hic::Sema& sema,
-                     const memalloc::MemoryMap& map,
-                     const std::vector<memalloc::BramPortPlan>& plans,
-                     SystemOptions options)
-    : program_(program), sema_(sema), map_(map), options_(options) {
-  // Generate one controller per BRAM.
-  for (const memalloc::BramInstance& bram : map.brams()) {
-    const memalloc::BramPortPlan* plan = nullptr;
-    for (const auto& p : plans) {
-      if (p.bram_id == bram.id) plan = &p;
+SystemSim::SystemSim(
+    const hic::Program& program, const hic::Sema& sema,
+    const std::vector<synth::ThreadFsm>& fsms,
+    const std::vector<memorg::GeneratedController>& controllers,
+    SystemOptions options)
+    : sema_(sema), options_(options) {
+  for (const memorg::GeneratedController& generated : controllers) {
+    if (generated.organization != options.organization) {
+      throw std::invalid_argument(support::format(
+          "SystemSim: %s organization requested, but the bram%d controller "
+          "is %s",
+          to_string(options.organization), generated.bram.id,
+          to_string(generated.organization)));
     }
-    if (plan == nullptr) {
-      throw std::runtime_error("SystemSim: no port plan for bram " +
-                               std::to_string(bram.id));
-    }
-    const std::string name = "memorg_bram" + std::to_string(bram.id);
-    const rtl::Module& m =
-        options.organization == OrgKind::Arbitrated
-            ? memorg::generate_arbitrated(
-                  design_, memorg::arbitrated_config_from(bram, *plan), name)
-            : memorg::generate_eventdriven(
-                  design_, memorg::eventdriven_config_from(bram, *plan), name);
-    controllers_.push_back(std::make_unique<Controller>(
-        bram.id, options.organization, *plan,
-        memorg::build_dep_entries(bram, *plan), m));
+    controllers_.push_back(std::make_unique<Controller>(generated));
   }
 
-  // Synthesize and stage every thread.
+  // Stage every thread on its FSM.
   for (const hic::ThreadDecl& t : program.threads) {
     auto exec = std::make_unique<ThreadExec>();
     exec->name = t.name;
-    exec->fsm = synth::ThreadFsm::synthesize(t, sema);
+    for (const synth::ThreadFsm& fsm : fsms) {
+      if (fsm.thread_name() == t.name) exec->fsm = &fsm;
+    }
+    if (exec->fsm == nullptr) {
+      throw std::invalid_argument("SystemSim: no FSM for thread '" + t.name +
+                                  "'");
+    }
     const bool restart = options_.restart_threads;
     exec->gate = [restart, raw = exec.get()](std::uint64_t) {
       return restart || raw->passes == 0;
@@ -805,7 +770,7 @@ void SystemSim::drive_phase() {
     // --- Mode transitions that need no controller interaction. ---
     if (t.mode == ThreadExec::Mode::Gated) {
       if (t.gate && t.gate(cycle_)) {
-        t.state = t.fsm.initial();
+        t.state = t.fsm->initial();
         t.mode = ThreadExec::Mode::Plan;
         if (trace_ != nullptr && trace_->active()) {
           trace::Event e;
@@ -821,7 +786,7 @@ void SystemSim::drive_phase() {
     }
 
     if (t.mode == ThreadExec::Mode::Plan) {
-      const synth::FsmState& s = t.fsm.state(t.state);
+      const synth::FsmState& s = t.fsm->state(t.state);
       if (s.kind == synth::StateKind::Done) {
         ++t.passes;
         if (trace_ != nullptr && trace_->active()) {
@@ -888,28 +853,27 @@ void SystemSim::drive_phase() {
       continue;
     }
 
-    const synth::FsmState& s = t.fsm.state(t.state);
+    const synth::FsmState& s = t.fsm->state(t.state);
     ThreadExec::StmtPlan& p = t.plan[t.plan_index];
 
     // --- Prepare the in-flight memory op, if a new one is needed. ---
-    auto locate = [&](const hic::Symbol* sym) {
-      auto loc = map_.locate(sym);
-      if (loc.bram == nullptr) {
-        throw std::runtime_error("sim: symbol not in memory map: " +
-                                 sym->qualified_name());
-      }
-      return loc;
+    // The controller whose BRAM holds `sym`, and the placement there.
+    struct Location {
+      Controller* ctrl;
+      const memalloc::Placement* placement;
     };
-    auto controller_of = [&](int bram_id) -> Controller* {
+    auto locate = [&](const hic::Symbol* sym) {
       for (auto& c : controllers_) {
-        if (c->bram_id == bram_id) return c.get();
+        if (const memalloc::Placement* p = c->bram->find(sym)) {
+          return Location{c.get(), p};
+        }
       }
-      throw std::runtime_error("sim: no controller for bram");
+      throw std::runtime_error("sim: symbol not in memory map: " +
+                               sym->qualified_name());
     };
 
     auto element_addr = [&](const hic::Expr& e,
-                            const memalloc::MemoryMap::Location& loc)
-        -> std::uint64_t {
+                            const Location& loc) -> std::uint64_t {
       std::uint64_t base = loc.placement->base_address;
       if (e.kind == hic::ExprKind::Index) {
         if (expr_reads_memory(*e.operands[1])) {
@@ -955,7 +919,7 @@ void SystemSim::drive_phase() {
           hic::Symbol* sym = root->symbol;
           if (sym != nullptr && memalloc::is_memory_resident(*sym)) {
             auto loc = locate(sym);
-            p.write.ctrl = controller_of(loc.bram->id);
+            p.write.ctrl = loc.ctrl;
             p.write.is_write = true;
             p.write.addr = element_addr(*target, loc);
             p.write.wdata =
@@ -981,7 +945,7 @@ void SystemSim::drive_phase() {
         ThreadExec::MemOp& mo = op.op;
         if (mo.stage == ThreadExec::MemOp::Stage::Idle) {
           auto loc = locate(op.expr->symbol);
-          mo.ctrl = controller_of(loc.bram->id);
+          mo.ctrl = loc.ctrl;
           mo.is_write = false;
           mo.addr = element_addr(*op.expr, loc);
           const synth::StateAccess* acc =
@@ -1170,7 +1134,7 @@ void SystemSim::observe_phase() {
         continue;
       }
       // Choose the successor state.
-      const synth::FsmState& s = t.fsm.state(t.state);
+      const synth::FsmState& s = t.fsm->state(t.state);
       int next = -1;
       switch (s.kind) {
         case synth::StateKind::Action:

@@ -1,11 +1,14 @@
 // System-level cycle-accurate simulation.
 //
 // Executes a compiled hic program against the *generated* memory
-// organization netlists: each thread's synthesized FSM is interpreted, and
-// every shared-memory access goes through an rtl::ModuleSim instance of the
+// organization netlists: each thread's FSM is interpreted, and every
+// shared-memory access goes through an rtl::ModuleSim instance of the
 // arbitrated or event-driven controller — so blocking, arbitration delays,
 // and the modulo schedule come from the same logic the Verilog backend
-// emits, not from a separate behavioural model.
+// emits, not from a separate behavioural model. The simulator builds
+// neither: it borrows the FSMs and controllers its caller built (the
+// compiler, or hic-rt's artifact loader), so scheduling, the CAM choice and
+// hic-bound pruning are simulated exactly as compiled.
 //
 // Substitute for running the bitstream on a Virtex-II Pro (see DESIGN.md):
 // the functional and latency claims of §3/§4 are cycle-level properties of
@@ -17,14 +20,10 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "hic/sema.h"
-#include "memalloc/allocator.h"
-#include "memalloc/portplan.h"
-#include "memorg/arbitrated.h"
-#include "memorg/eventdriven.h"
+#include "memorg/controller.h"
 #include "rtl/eval.h"
 #include "sim/externs.h"
 #include "synth/fsm.h"
@@ -32,16 +31,15 @@
 
 namespace hicsync::sim {
 
-enum class OrgKind { Arbitrated, EventDriven };
-
-[[nodiscard]] const char* to_string(OrgKind k);
-
-/// The inverse of to_string: "arbitrated" or "event-driven". Anything else
-/// leaves *out alone and sets *error to "unknown organization '<name>'".
-[[nodiscard]] bool parse_org(std::string_view name, OrgKind* out,
-                             std::string* error);
+// The organization is chosen where controllers are built (memorg); the
+// simulator's callers name it through sim:: as well.
+using memorg::OrgKind;
+using memorg::parse_org;
+using memorg::to_string;
 
 struct SystemOptions {
+  /// Must be the organization of every controller passed to SystemSim;
+  /// a mismatch throws std::invalid_argument.
   OrgKind organization = OrgKind::Arbitrated;
   /// Threads restart after run-to-completion (each pass processes one
   /// message). A gate callback can hold a thread at Done (e.g. waiting for
@@ -75,11 +73,16 @@ struct DepRound {
 
 class SystemSim {
  public:
-  /// `sema` must have run successfully; `map`/`plans` from the allocator
-  /// and port planner. FSMs are synthesized internally.
+  /// `sema` must have run successfully. `fsms` holds one FSM per thread
+  /// of `program` and `controllers` one generated controller per BRAM
+  /// (memorg::build_controller). `sema`, `fsms` and `controllers` are
+  /// borrowed, not copied, and must outlive the simulator (each module is
+  /// owned by the rtl::Design it was built into, which must outlive it
+  /// too). Throws std::invalid_argument when a thread has no FSM or a
+  /// controller's organization is not options.organization.
   SystemSim(const hic::Program& program, const hic::Sema& sema,
-            const memalloc::MemoryMap& map,
-            const std::vector<memalloc::BramPortPlan>& plans,
+            const std::vector<synth::ThreadFsm>& fsms,
+            const std::vector<memorg::GeneratedController>& controllers,
             SystemOptions options);
   ~SystemSim();
 
@@ -143,12 +146,9 @@ class SystemSim {
   void drive_phase();
   void observe_phase();
 
-  const hic::Program& program_;
   const hic::Sema& sema_;
-  const memalloc::MemoryMap& map_;
   SystemOptions options_;
   ExternFuncs externs_;
-  rtl::Design design_;
   std::vector<std::unique_ptr<Controller>> controllers_;
   std::vector<std::unique_ptr<ThreadExec>> threads_;
   std::vector<DepRound> rounds_;

@@ -159,4 +159,17 @@ ScheduleStats schedule(ThreadFsm& fsm, const SchedulePolicy& policy) {
   return stats;
 }
 
+std::vector<ThreadFsm> synthesize_program(const hic::Program& program,
+                                          const hic::Sema& sema,
+                                          const SchedulePolicy& policy) {
+  std::vector<ThreadFsm> fsms;
+  fsms.reserve(program.threads.size());
+  for (const hic::ThreadDecl& t : program.threads) {
+    ThreadFsm fsm = ThreadFsm::synthesize(t, sema);
+    schedule(fsm, policy);
+    fsms.push_back(std::move(fsm));
+  }
+  return fsms;
+}
+
 }  // namespace hicsync::synth

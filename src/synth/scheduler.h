@@ -7,6 +7,8 @@
 // paper's front end applies, and an ablation knob for our benches.
 #pragma once
 
+#include <vector>
+
 #include "synth/fsm.h"
 
 namespace hicsync::synth {
@@ -38,5 +40,12 @@ struct ScheduleStats {
 ///  * the merged state respects `max_mem_accesses_per_state` for variables
 ///    that live in memory (arrays and shared variables).
 ScheduleStats schedule(ThreadFsm& fsm, const SchedulePolicy& policy);
+
+/// One FSM per thread of `program`, in declaration order: synthesized,
+/// then scheduled under `policy`. The compiler and hic-rt's artifact
+/// loader both build a design's FSMs through this.
+[[nodiscard]] std::vector<ThreadFsm> synthesize_program(
+    const hic::Program& program, const hic::Sema& sema,
+    const SchedulePolicy& policy);
 
 }  // namespace hicsync::synth

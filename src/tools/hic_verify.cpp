@@ -146,8 +146,8 @@ int main(int argc, char** argv) {
     if (do_replay && vr.has_cex) {
       verify::ReplayResult rr =
           verify::replay(compiled->program(), compiled->sema(),
-                         compiled->memory_map(), compiled->port_plans(), org,
-                         vr.cex, ropts);
+                         compiled->memory_map(), compiled->port_plans(),
+                         compiled->fsms(), org, vr.cex, ropts);
       replay_reports += rr.report;
       all_replays_reproduced = all_replays_reproduced && rr.reproduced;
     }

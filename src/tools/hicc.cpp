@@ -87,7 +87,8 @@
 // Exit status:
 //   0  success
 //   1  compile error (parse/sema/analysis reported errors)
-//   2  usage error (bad flags, unreadable input, unknown lint check)
+//   2  usage error (bad flags, unreadable input, unknown lint check), or
+//      an output that could not be written or generated
 //   3  simulation did not converge within the cycle budget
 //   4  lint findings at error severity (including -W/--Werror promotions)
 //   5  verify refuted a property (reported with a verify-* check ID)
@@ -96,6 +97,7 @@
 //      ID)
 
 #include <cstdio>
+#include <exception>
 #include <optional>
 #include <string>
 
@@ -342,9 +344,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!testbench_out.empty()) {
-    if (!cli::write_file(testbench_out,
-                         core::generate_controller_testbench(*result),
-                         cli::Write::Quiet)) {
+    std::string testbench;
+    try {
+      testbench = core::generate_controller_testbench(*result);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
+    }
+    if (!cli::write_file(testbench_out, testbench, cli::Write::Quiet)) {
       return 2;
     }
     std::printf("wrote %s (DUT + self-checking testbench)\n",

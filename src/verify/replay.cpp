@@ -38,14 +38,18 @@ bool trace_blocked_on(const std::vector<diffview::CapturedEvent>& events,
 ReplayResult replay(const hic::Program& program, const hic::Sema& sema,
                     const memalloc::MemoryMap& map,
                     const std::vector<memalloc::BramPortPlan>& plans,
+                    const std::vector<synth::ThreadFsm>& fsms,
                     sim::OrgKind organization, const CexInfo& cex,
                     const ReplayOptions& options) {
   ReplayResult r;
 
+  rtl::Design design;
+  const std::vector<memorg::GeneratedController> controllers =
+      memorg::build_controllers(design, map, plans, {organization});
   sim::SystemOptions so;
   so.organization = organization;
   so.restart_threads = true;
-  sim::SystemSim sys(program, sema, map, plans, so);
+  sim::SystemSim sys(program, sema, fsms, controllers, so);
 
   trace::TraceBus bus;
   diffview::BundleCaptureSink capture;

@@ -18,6 +18,7 @@
 
 #include "memalloc/allocator.h"
 #include "memalloc/portplan.h"
+#include "synth/fsm.h"
 #include "verify/checker.h"
 
 namespace hicsync::verify {
@@ -45,13 +46,15 @@ struct ReplayResult {
 };
 
 /// Replays `cex` (a deadlock refutation from run_verify) through
-/// sim::SystemSim under `organization`. Inputs are the same compile
-/// artifacts run_verify consumed.
+/// sim::SystemSim under `organization`. Inputs are the compile artifacts
+/// run_verify consumed plus the compiled thread FSMs; the controllers for
+/// `organization` are built from `map`/`plans` by
+/// memorg::build_controllers, as the compiler builds them.
 [[nodiscard]] ReplayResult replay(
     const hic::Program& program, const hic::Sema& sema,
     const memalloc::MemoryMap& map,
     const std::vector<memalloc::BramPortPlan>& plans,
-    sim::OrgKind organization, const CexInfo& cex,
-    const ReplayOptions& options);
+    const std::vector<synth::ThreadFsm>& fsms, sim::OrgKind organization,
+    const CexInfo& cex, const ReplayOptions& options);
 
 }  // namespace hicsync::verify

@@ -12,6 +12,7 @@
 namespace hicsync::bound {
 namespace {
 
+using bound_test::bound_fixture_path;
 using bound_test::bound_source;
 using bound_test::compile_for_bound;
 using bound_test::example_path;
@@ -20,35 +21,11 @@ using bound_test::read_file;
 const char* kExamples[] = {"fig1.hic", "pipeline.hic", "stress8.hic",
                            "stress_shared.hic"};
 
-// A fully dead dependency: both its produce site (t1's loop body) and its
-// only consume site (t3's loop body) sit after a `break`, so neither is
-// CFG-reachable. The 'live' dependency keeps t1 and t2 attached to the
-// same BRAM with real work.
-const char* kDeadDepSource = R"(
-thread t1 () {
-  int x1, x2, d1, n;
-  #consumer{live, [t2,y1]}
-  x1 = f(x2);
-  while (n) {
-    break;
-    #consumer{dead, [t3,z1]}
-    d1 = f2(x2);
-  }
+// A fully dead dependency (tests/bound/fixtures/dead_dep.hic): its produce
+// and its only consume site both sit after a `break`.
+std::string dead_dep_source() {
+  return read_file(bound_fixture_path("dead_dep.hic"));
 }
-thread t2 () {
-  int y1, y2;
-  #producer{live, [t1,x1]}
-  y1 = g(x1, y2);
-}
-thread t3 () {
-  int z1, m3;
-  while (m3) {
-    break;
-    #producer{dead, [t1,d1]}
-    z1 = g3(d1, m3);
-  }
-}
-)";
 
 // A sync-free thread cycles forever through the restart edge without ever
 // touching the controller, so no consumer's blocking is statically (or
@@ -142,7 +119,7 @@ thread t2 () {
 }
 
 TEST(BoundTest, DeadDependencyDetectedAndHinted) {
-  auto c = compile_for_bound(kDeadDepSource, "dead_dep.hic");
+  auto c = compile_for_bound(dead_dep_source(), "dead_dep.hic");
   ASSERT_TRUE(c->ok());
   BoundResult r = bound_source(*c, sim::OrgKind::Arbitrated);
 
@@ -194,7 +171,7 @@ TEST(BoundTest, SizingHintPrunesGeneratedController) {
   core::CompileOptions with;
   with.bound.enabled = true;
   core::Compiler pruning(with);
-  auto pruned = pruning.compile(kDeadDepSource);
+  auto pruned = pruning.compile(dead_dep_source());
   ASSERT_TRUE(pruned->ok()) << pruned->diags().str();
   ASSERT_FALSE(pruned->bram_reports().empty());
 
@@ -202,7 +179,7 @@ TEST(BoundTest, SizingHintPrunesGeneratedController) {
   without.bound.enabled = true;
   without.bound.apply_sizing = false;
   core::Compiler keeping(without);
-  auto kept = keeping.compile(kDeadDepSource);
+  auto kept = keeping.compile(dead_dep_source());
   ASSERT_TRUE(kept->ok()) << kept->diags().str();
 
   int pruned_deps = 0;

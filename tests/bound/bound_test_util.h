@@ -31,6 +31,10 @@ inline std::string verify_fixture_path(const std::string& name) {
   return std::string(VERIFY_FIXTURE_DIR) + "/" + name;
 }
 
+inline std::string bound_fixture_path(const std::string& name) {
+  return std::string(BOUND_FIXTURE_DIR) + "/" + name;
+}
+
 inline std::string example_path(const std::string& name) {
   return std::string(HICSYNC_EXAMPLES_DIR) + "/" + name;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "netapp/scenarios.h"
 
 namespace hicsync::core {
@@ -102,6 +104,18 @@ TEST(Compiler, SimulatorFromResultRuns) {
   ASSERT_TRUE(sim->run_until_passes(1, 300));
   EXPECT_EQ(sim->register_value("t2", "y1"), 78u);
   EXPECT_EQ(sim->register_value("t3", "z1"), 79u);
+}
+
+TEST(Compiler, SimulatorRejectsOrganizationMismatch) {
+  // The simulator runs the compiled controllers; asking it for the other
+  // organization must fail loudly, not simulate something else.
+  auto r = Compiler().compile(netapp::figure1_source());
+  ASSERT_TRUE(r->ok());
+  sim::SystemOptions options;
+  options.organization = sim::OrgKind::EventDriven;
+  EXPECT_THROW((void)r->make_simulator(options), std::invalid_argument);
+  options.organization = sim::OrgKind::Arbitrated;
+  EXPECT_NE(r->make_simulator(options), nullptr);
 }
 
 TEST(Compiler, ScheduleChainingReducesStates) {

@@ -47,9 +47,10 @@ std::string read_example(const std::string& name) {
   return read_source(HICSYNC_EXAMPLES_DIR, name);
 }
 
-std::string read_fixture(const std::string& name) {
-  return read_source(std::string(HICSYNC_EXAMPLES_DIR) +
-                         "/../tests/verify/fixtures",
+std::string read_fixture(const std::string& name,
+                         const std::string& suite = "verify") {
+  return read_source(std::string(HICSYNC_EXAMPLES_DIR) + "/../tests/" +
+                         suite + "/fixtures",
                      name);
 }
 
@@ -80,13 +81,17 @@ void register_externs(sim::SystemSim& simulator,
   }
 }
 
-RunOutcome run(const std::string& source, sim::OrgKind kind,
+CompileOptions org_options(sim::OrgKind kind) {
+  CompileOptions options;
+  options.organization = kind;
+  return options;
+}
+
+RunOutcome run(const std::string& source, const CompileOptions& options,
                const std::vector<std::string>& fns,
                const std::map<std::string, std::vector<std::string>>& vars,
                int passes, bool expect_converged = true,
                std::uint64_t max_cycles = 100000) {
-  CompileOptions options;
-  options.organization = kind;
   auto result = Compiler(options).compile(source);
   EXPECT_TRUE(result->ok()) << result->diags().str();
   auto simulator = result->make_simulator();
@@ -156,8 +161,10 @@ TEST(DifferentialOrgTest, Fig1Example) {
   const std::vector<std::string> fns = {"f", "g", "h"};
   const std::map<std::string, std::vector<std::string>> vars = {
       {"t2", {"y1"}}, {"t3", {"z1"}}};
-  RunOutcome arb = run(source, sim::OrgKind::Arbitrated, fns, vars, 1);
-  RunOutcome ev = run(source, sim::OrgKind::EventDriven, fns, vars, 1);
+  RunOutcome arb =
+      run(source, org_options(sim::OrgKind::Arbitrated), fns, vars, 1);
+  RunOutcome ev =
+      run(source, org_options(sim::OrgKind::EventDriven), fns, vars, 1);
   expect_equivalent(arb, ev, 1);
   // The produced value actually flowed: consumers saw t1's x1.
   EXPECT_NE(arb.regs["t2"]["y1"], 0u);
@@ -171,8 +178,10 @@ TEST(DifferentialOrgTest, PipelineExample) {
   const std::vector<std::string> fns = {"f", "g", "f2", "g2", "h2"};
   const std::map<std::string, std::vector<std::string>> vars = {
       {"parse", {"h"}}, {"act", {"m", "verdict"}}};
-  RunOutcome arb = run(source, sim::OrgKind::Arbitrated, fns, vars, 1);
-  RunOutcome ev = run(source, sim::OrgKind::EventDriven, fns, vars, 1);
+  RunOutcome arb =
+      run(source, org_options(sim::OrgKind::Arbitrated), fns, vars, 1);
+  RunOutcome ev =
+      run(source, org_options(sim::OrgKind::EventDriven), fns, vars, 1);
   expect_equivalent(arb, ev, 1);
   // Both dependencies completed a round in both organizations.
   std::set<std::string> deps;
@@ -186,9 +195,9 @@ TEST(DifferentialOrgTest, PipelineExample) {
 // d1's round sequence.
 TEST(DifferentialOrgTest, SeededBugYieldsForensics) {
   const std::string source = read_fixture("ed_slot_order.hic");
-  RunOutcome arb = run(source, sim::OrgKind::Arbitrated, {}, {}, 1,
+  RunOutcome arb = run(source, org_options(sim::OrgKind::Arbitrated), {}, {}, 1,
                        /*expect_converged=*/false, /*max_cycles=*/2000);
-  RunOutcome ev = run(source, sim::OrgKind::EventDriven, {}, {}, 1,
+  RunOutcome ev = run(source, org_options(sim::OrgKind::EventDriven), {}, {}, 1,
                       /*expect_converged=*/false, /*max_cycles=*/2000);
   const diffview::AlignResult aligned = diffview::align(arb.events, ev.events);
   ASSERT_FALSE(aligned.equivalent);
@@ -204,6 +213,55 @@ TEST(DifferentialOrgTest, SeededBugYieldsForensics) {
   // Both raw-event context windows made it into the record.
   EXPECT_NE(forensics.find("context A:"), std::string::npos) << forensics;
   EXPECT_NE(forensics.find("context B:"), std::string::npos) << forensics;
+}
+
+// The simulator runs the controller the compiler built, so the CAM-vs-scan
+// ablation is simulated: the serial scan adds dependency-list lookup
+// cycles and must never change a value.
+TEST(DifferentialOrgTest, SerialScanComputesCamValuesInNoFewerCycles) {
+  const std::string source = read_example("stress_shared.hic");
+  const std::vector<std::string> fns = {"f", "f2", "f3", "g", "g2", "g3"};
+  const std::map<std::string, std::vector<std::string>> vars = {
+      {"q1", {"u1", "w1"}}, {"q2", {"u2", "s2"}}};
+  CompileOptions scan = org_options(sim::OrgKind::Arbitrated);
+  scan.use_cam = false;
+  RunOutcome cam = run(source, org_options(sim::OrgKind::Arbitrated), fns,
+                       vars, 3);
+  RunOutcome serial = run(source, scan, fns, vars, 3);
+  EXPECT_EQ(cam.regs, serial.regs);
+  // At least as many cycles; strictly more here, because stress_shared
+  // keeps three entries on one list.
+  EXPECT_GT(serial.cycles, cam.cycles);
+}
+
+// hic-bound's sizing hint prunes the dead entry (and t3's pseudo-port)
+// from the compiled controller, and the simulator runs that controller.
+// Arbitrated: the dead entry is inert, so pruning changes no value.
+// Event-driven: the unpruned schedule waits forever on the dead
+// producer's slot; the pruned one completes.
+TEST(DifferentialOrgTest, BoundSizingPrunesTheSimulatedController) {
+  const std::string source = read_fixture("dead_dep.hic", "bound");
+  const std::vector<std::string> fns = {"f", "f2", "g", "g3"};
+  const std::map<std::string, std::vector<std::string>> vars = {
+      {"t2", {"y1", "y2"}}, {"t3", {"z1", "m3"}}};
+  for (sim::OrgKind kind :
+       {sim::OrgKind::Arbitrated, sim::OrgKind::EventDriven}) {
+    CompileOptions sized = org_options(kind);
+    sized.bound.enabled = true;
+    CompileOptions unsized = sized;
+    unsized.bound.apply_sizing = false;
+    const bool event_driven = kind == sim::OrgKind::EventDriven;
+    RunOutcome pruned = run(source, sized, fns, vars, 2);
+    RunOutcome kept = run(source, unsized, fns, vars, 2,
+                          /*expect_converged=*/!event_driven,
+                          /*max_cycles=*/event_driven ? 2000 : 100000);
+    EXPECT_TRUE(pruned.converged) << sim::to_string(kind);
+    if (event_driven) {
+      EXPECT_FALSE(kept.converged);
+    } else {
+      EXPECT_EQ(pruned.regs, kept.regs);
+    }
+  }
 }
 
 }  // namespace

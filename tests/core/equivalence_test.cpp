@@ -17,18 +17,20 @@ namespace {
 
 /// Deterministic random fanout program: one producer computing a chain of
 /// arithmetic on locals, N consumers each applying a random operation to
-/// the shared value.
+/// the shared value. The producer's first two assignments are independent
+/// register writes, so operation chaining merges them into one state.
 std::string random_program(support::Rng& rng, int consumers) {
-  std::string src = "thread p () {\n  int data, t0, t1;\n";
+  std::string src = "thread p () {\n  int data, t0, t1, t2;\n";
   src += "  t0 = " + std::to_string(rng.next_range(1, 100)) + ";\n";
+  src += "  t2 = " + std::to_string(rng.next_range(1, 100)) + ";\n";
   src += "  t1 = t0 * " + std::to_string(rng.next_range(2, 9)) + " + " +
          std::to_string(rng.next_range(0, 50)) + ";\n";
   src += "  #consumer{m";
   for (int i = 0; i < consumers; ++i) {
     src += ", [c" + std::to_string(i) + ",v" + std::to_string(i) + "]";
   }
-  src += "}\n  data = t1 ^ " + std::to_string(rng.next_range(0, 255)) +
-         ";\n}\n";
+  src += "}\n  data = (t1 ^ " + std::to_string(rng.next_range(0, 255)) +
+         ") + t2;\n}\n";
   const char* ops[] = {"+", "*", "^", "-", "&", "|"};
   for (int i = 0; i < consumers; ++i) {
     std::string n = std::to_string(i);
@@ -38,6 +40,23 @@ std::string random_program(support::Rng& rng, int consumers) {
            std::to_string(rng.next_range(1, 64)) + ";\n}\n";
   }
   return src;
+}
+
+std::size_t state_count(const CompileResult& r) {
+  std::size_t n = 0;
+  for (const auto& fsm : r.fsms()) n += fsm.states().size();
+  return n;
+}
+
+/// Precondition of the chaining tests: chaining must actually merge
+/// states in `src`, or the two runs compared are the same run.
+void expect_chaining_fires(const std::string& src) {
+  CompileOptions chained;
+  chained.schedule.chain_states = true;
+  auto plain = Compiler().compile(src);
+  auto merged = Compiler(chained).compile(src);
+  ASSERT_TRUE(plain->ok() && merged->ok());
+  ASSERT_LT(state_count(*merged), state_count(*plain)) << src;
 }
 
 std::map<std::string, std::uint64_t> run_and_collect(
@@ -78,6 +97,7 @@ TEST_P(RandomProgramEquivalence, ChainingPreservesSemantics) {
   support::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
   const int consumers = static_cast<int>(rng.next_range(2, 5));
   const std::string src = random_program(rng, consumers);
+  expect_chaining_fires(src);
 
   CompileOptions plain;
   CompileOptions chained;
@@ -146,6 +166,7 @@ TEST(Equivalence, ChainingNeverSlowsSimulation) {
     auto rc = Compiler(chained).compile(src);
     ASSERT_TRUE(rp->ok());
     ASSERT_TRUE(rc->ok());
+    ASSERT_LT(state_count(*rc), state_count(*rp)) << src;
     auto sp = rp->make_simulator();
     auto sc = rc->make_simulator();
     ASSERT_TRUE(sp->run_until_passes(1, 2000));

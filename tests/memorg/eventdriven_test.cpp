@@ -35,6 +35,23 @@ TEST(EventDrivenStructure, TotalSlots) {
   EXPECT_EQ(total_slots(ev_config(8)), 9);
 }
 
+TEST(EventDrivenStructure, SlotOrderIsProducerThenConsumersPerEntry) {
+  std::vector<DepEntry> entries(2);
+  entries[0].producer_port = 1;
+  entries[0].consumer_ports = {2, 0};
+  entries[1].producer_port = 0;
+  entries[1].consumer_ports = {1};
+  const std::vector<Slot> slots = slot_order(entries);
+  ASSERT_EQ(static_cast<int>(slots.size()), total_slots(entries));
+  const Slot expected[] = {
+      {0, true, 1}, {0, false, 2}, {0, false, 0}, {1, true, 0}, {1, false, 1}};
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    EXPECT_EQ(slots[s].entry, expected[s].entry) << s;
+    EXPECT_EQ(slots[s].is_producer, expected[s].is_producer) << s;
+    EXPECT_EQ(slots[s].port, expected[s].port) << s;
+  }
+}
+
 TEST(EventDrivenStructure, FlipFlopCountConstantAcrossConsumers) {
   int ff2 = 0, ff4 = 0, ff8 = 0;
   {

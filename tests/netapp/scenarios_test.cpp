@@ -64,10 +64,13 @@ TEST(Scenarios, IpForwardingEndToEndSimulation) {
     fsms.push_back(synth::ThreadFsm::synthesize(t, *c->sema));
   }
   auto plans = memalloc::PortPlanner::plan(*c->sema, map, fsms);
+  rtl::Design design;
+  const auto controllers = memorg::build_controllers(
+      design, map, plans, {memorg::OrgKind::Arbitrated});
   sim::SystemOptions opt;
   opt.organization = sim::OrgKind::Arbitrated;
   opt.restart_threads = true;
-  sim::SystemSim s(c->program, *c->sema, map, plans, opt);
+  sim::SystemSim s(c->program, *c->sema, fsms, controllers, opt);
 
   LpmTable table;
   table.insert_cidr("10.0.0.0/9", 0);

@@ -18,6 +18,7 @@
 #include "core/compiler.h"
 #include "rt/store.h"
 #include "rt/workload.h"
+#include "rtl/verilog.h"
 #include "support/strings.h"
 
 #ifndef HICSYNC_EXAMPLES_DIR
@@ -36,8 +37,8 @@ std::string read_example(const std::string& name) {
 }
 
 std::unique_ptr<core::CompileResult> compile_example(
-    const std::string& source, sim::OrgKind kind, const std::string& name) {
-  core::CompileOptions options;
+    const std::string& source, sim::OrgKind kind, const std::string& name,
+    core::CompileOptions options = {}) {
   options.organization = kind;
   options.source_name = name;
   auto result = core::Compiler(options).compile(source);
@@ -62,11 +63,14 @@ const Case kCases[] = {
 class RoundTripBothOrgs
     : public ::testing::TestWithParam<std::tuple<sim::OrgKind, int>> {};
 
-TEST_P(RoundTripBothOrgs, LoadedArtifactMatchesDirectCompile) {
-  const auto [kind, index] = GetParam();
-  const Case& c = kCases[index];
-  const std::string source = read_example(c.example);
-  auto compiled = compile_example(source, kind, c.example);
+/// Emits `c` compiled under `options`, loads it back, and runs the same
+/// seeded workloads on a direct-compile simulator and on an
+/// artifact-loaded one: they must agree on everything a client can
+/// observe.
+void expect_loaded_matches_direct(const Case& c, const std::string& source,
+                                  sim::OrgKind kind,
+                                  const core::CompileOptions& options) {
+  auto compiled = compile_example(source, kind, c.example, options);
 
   const std::string bytes = emit_artifact(*compiled, source);
   ArtifactError error;
@@ -79,9 +83,18 @@ TEST_P(RoundTripBothOrgs, LoadedArtifactMatchesDirectCompile) {
   EXPECT_EQ(loaded->name(), c.example);
   EXPECT_EQ(loaded->organization(), kind);
 
-  // Differential: the same seeded workload on a direct-compile simulator
-  // and on an artifact-loaded simulator must agree on everything a client
-  // can observe.
+  // The load built what the compiler built: the same FSM shapes and the
+  // same controller netlists.
+  ASSERT_EQ(loaded->fsms().size(), compiled->fsms().size());
+  for (std::size_t i = 0; i < loaded->fsms().size(); ++i) {
+    EXPECT_EQ(loaded->fsms()[i].str(), compiled->fsms()[i].str());
+  }
+  ASSERT_EQ(loaded->controllers().size(), compiled->controllers().size());
+  for (std::size_t i = 0; i < loaded->controllers().size(); ++i) {
+    EXPECT_EQ(rtl::emit_module(*loaded->controllers()[i].module),
+              rtl::emit_module(*compiled->controllers()[i].module));
+  }
+
   for (std::uint64_t salt : {0ull, 7ull}) {
     std::uint64_t words[] = {salt, salt * 3 + 1};
     std::uint64_t seed = fold_seed(kWorkloadSeedInit, words, 2);
@@ -101,6 +114,58 @@ TEST_P(RoundTripBothOrgs, LoadedArtifactMatchesDirectCompile) {
     EXPECT_EQ(direct.registers, from_artifact.registers) << c.example;
     EXPECT_EQ(direct.cycles, from_artifact.cycles) << c.example;
     EXPECT_EQ(direct.rounds, from_artifact.rounds) << c.example;
+  }
+}
+
+TEST_P(RoundTripBothOrgs, LoadedArtifactMatchesDirectCompile) {
+  const auto [kind, index] = GetParam();
+  const Case& c = kCases[index];
+  expect_loaded_matches_direct(c, read_example(c.example), kind, {});
+}
+
+// The loader builds the FSMs and controllers under the artifact's recorded
+// knobs: a serial-scan, chained compile must load as one, cycle for cycle.
+core::CompileOptions scan_chained() {
+  core::CompileOptions options;
+  options.use_cam = false;
+  options.schedule.chain_states = true;
+  return options;
+}
+
+TEST_P(RoundTripBothOrgs, ScanChainedArtifactMatchesDirectCompile) {
+  const auto [kind, index] = GetParam();
+  const Case& c = kCases[index];
+  expect_loaded_matches_direct(c, read_example(c.example), kind,
+                               scan_chained());
+}
+
+// No shipped example has states chaining can merge; this one does (t1's
+// first two assignments), so a loader that dropped the recorded `chain`
+// would build different FSMs.
+TEST(ArtifactFormat, ChainedArtifactLoadsChainedFsms) {
+  const std::string source = R"(
+thread t1 () {
+  int x1, x2, a, b;
+  a = 3;
+  b = 4;
+  #consumer{mt1, [t2,y1]}
+  x1 = f(a + b + x2);
+}
+thread t2 () {
+  int y1, y2;
+  #producer{mt1, [t1,x1]}
+  y1 = g(x1, y2);
+}
+)";
+  const Case c{"chained.hic", 2};
+  auto plain = compile_example(source, sim::OrgKind::Arbitrated, c.example);
+  auto chained = compile_example(source, sim::OrgKind::Arbitrated, c.example,
+                                 scan_chained());
+  ASSERT_LT(chained->fsm("t1")->states().size(),
+            plain->fsm("t1")->states().size());
+  for (sim::OrgKind kind :
+       {sim::OrgKind::Arbitrated, sim::OrgKind::EventDriven}) {
+    expect_loaded_matches_direct(c, source, kind, scan_chained());
   }
 }
 

@@ -18,6 +18,8 @@ struct World {
   memalloc::MemoryMap map;
   std::vector<synth::ThreadFsm> fsms;
   std::vector<memalloc::BramPortPlan> plans;
+  rtl::Design design;
+  std::vector<memorg::GeneratedController> controllers;
   std::unique_ptr<SystemSim> sim;
 };
 
@@ -34,8 +36,10 @@ World make_world(const std::string& src, OrgKind kind,
   SystemOptions opt;
   opt.organization = kind;
   opt.restart_threads = restart;
-  w.sim = std::make_unique<SystemSim>(w.c->program, *w.c->sema, w.map,
-                                      w.plans, opt);
+  w.controllers =
+      memorg::build_controllers(w.design, w.map, w.plans, {kind});
+  w.sim = std::make_unique<SystemSim>(w.c->program, *w.c->sema, w.fsms,
+                                      w.controllers, opt);
   return w;
 }
 

@@ -28,8 +28,8 @@ ReplayResult refute_and_replay(const core::CompileResult& c,
   VerifyResult r = verify_source(c, org);
   EXPECT_EQ(r.deadlock_free, Verdict::Refuted);
   EXPECT_TRUE(r.has_cex);
-  return replay(c.program(), c.sema(), c.memory_map(), c.port_plans(), org,
-                r.cex, quick_replay());
+  return replay(c.program(), c.sema(), c.memory_map(), c.port_plans(),
+                c.fsms(), org, r.cex, quick_replay());
 }
 
 TEST(ReplayTest, ConsumeBeforeProduceReproducesBothOrgs) {
