@@ -87,8 +87,7 @@ BENCHMARK(BM_SystemSimCyclesEmptyTraceBus);
 static void BM_SystemSimCyclesCoverageSink(benchmark::State& state) {
   auto result = core::Compiler().compile(netapp::fanout_source(4));
   const cover::ModelInputs inputs = cover::inputs_from(
-      result->options().organization, result->fsms(), result->memory_map(),
-      result->port_plans());
+      result->options().organization, result->fsms(), result->controllers());
   cover::CoverageModel model;
   cover::declare_model(cover::CoverRegistry::builtin(), inputs, model);
   cover::CoverageSink sink(model, inputs);

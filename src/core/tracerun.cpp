@@ -46,8 +46,7 @@ TraceRunResult run_traced(const CompileResult& result,
   std::unique_ptr<cover::CoverageSink> cover_sink;
   if (options.cover) {
     cover_inputs = cover::inputs_from(result.options().organization,
-                                      result.fsms(), result.memory_map(),
-                                      result.port_plans());
+                                      result.fsms(), result.controllers());
     cover::declare_model(cover::CoverRegistry::builtin(), cover_inputs,
                          cover_model);
     cover_sink = std::make_unique<cover::CoverageSink>(cover_model,

@@ -117,31 +117,22 @@ const char* org_prefix(sim::OrgKind k) {
   return "unknown";
 }
 
-ModelInputs inputs_from(sim::OrgKind organization,
-                        const std::vector<synth::ThreadFsm>& fsms,
-                        const memalloc::MemoryMap& map,
-                        const std::vector<memalloc::BramPortPlan>& plans) {
+ModelInputs inputs_from(
+    sim::OrgKind organization, const std::vector<synth::ThreadFsm>& fsms,
+    const std::vector<memorg::GeneratedController>& controllers) {
   ModelInputs in;
   in.organization = organization;
   in.fsms = &fsms;
-  for (const auto& bram : map.brams()) {
-    const memalloc::BramPortPlan* plan = nullptr;
-    for (const auto& p : plans) {
-      if (p.bram_id == bram.id) {
-        plan = &p;
-        break;
-      }
-    }
-    if (plan == nullptr || bram.dependencies.empty()) continue;
+  for (const memorg::GeneratedController& ctrl : controllers) {
+    if (ctrl.entries.empty()) continue;
     ControllerModel cm;
-    cm.bram_id = bram.id;
-    cm.num_consumers = plan->consumer_pseudo_ports();
-    cm.num_producers = plan->producer_pseudo_ports();
+    cm.bram_id = ctrl.bram.id;
+    cm.num_consumers = ctrl.plan.consumer_pseudo_ports();
+    cm.num_producers = ctrl.plan.producer_pseudo_ports();
     cm.has_port_a = std::any_of(
-        plan->clients.begin(), plan->clients.end(), [](const auto& c) {
-          return c.port == memalloc::LogicalPort::A;
-        });
-    cm.deps = memorg::build_dep_entries(bram, *plan);
+        ctrl.plan.clients.begin(), ctrl.plan.clients.end(),
+        [](const auto& c) { return c.port == memalloc::LogicalPort::A; });
+    cm.deps = ctrl.entries;
     cm.total_slots = memorg::total_slots(cm.deps);
     in.controllers.push_back(std::move(cm));
   }

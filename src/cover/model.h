@@ -22,8 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "memalloc/allocator.h"
-#include "memalloc/portplan.h"
+#include "memorg/controller.h"
 #include "memorg/deplist.h"
 #include "sim/system.h"
 #include "synth/fsm.h"
@@ -122,11 +121,11 @@ struct ModelInputs {
 /// Covergroup-name prefix of an organization: "arbitrated" / "eventdriven".
 [[nodiscard]] const char* org_prefix(sim::OrgKind k);
 
-/// Derives the declaration inputs from a compilation's artifacts (the same
-/// pieces SystemSim is built from).
+/// Derives the declaration inputs from the FSMs and controllers a
+/// compilation built (the pieces SystemSim runs), so bins follow any
+/// pruning the controllers saw.
 [[nodiscard]] ModelInputs inputs_from(
     sim::OrgKind organization, const std::vector<synth::ThreadFsm>& fsms,
-    const memalloc::MemoryMap& map,
-    const std::vector<memalloc::BramPortPlan>& plans);
+    const std::vector<memorg::GeneratedController>& controllers);
 
 }  // namespace hicsync::cover

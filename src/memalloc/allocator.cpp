@@ -29,21 +29,6 @@ MemoryMap::Location MemoryMap::locate(const hic::Symbol* sym) const {
   return Location{&b, &b.placements[static_cast<std::size_t>(it->second.second)]};
 }
 
-MemoryMap MemoryMap::restore(std::vector<BramInstance> brams,
-                             std::vector<hic::Symbol*> registers) {
-  MemoryMap map;
-  map.brams_ = std::move(brams);
-  map.registers_ = std::move(registers);
-  for (std::size_t bi = 0; bi < map.brams_.size(); ++bi) {
-    const BramInstance& b = map.brams_[bi];
-    for (std::size_t pi = 0; pi < b.placements.size(); ++pi) {
-      map.index_[b.placements[pi].symbol] = {static_cast<int>(bi),
-                                             static_cast<int>(pi)};
-    }
-  }
-  return map;
-}
-
 int MemoryMap::total_primitives() const {
   int total = 0;
   for (const BramInstance& b : brams_) total += b.primitives;

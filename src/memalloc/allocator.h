@@ -65,14 +65,6 @@ class MemoryMap {
 
   [[nodiscard]] std::string str() const;
 
-  /// Rebuilds a map from already-decided parts — the hic-rt artifact
-  /// loader's entry point (docs/RUNTIME.md). `brams` must carry their
-  /// placements/dependencies resolved against the *current* Sema; the
-  /// symbol index is reconstructed here. The allocator's policy is not
-  /// re-run: the artifact's placement decisions are authoritative.
-  [[nodiscard]] static MemoryMap restore(std::vector<BramInstance> brams,
-                                         std::vector<hic::Symbol*> registers);
-
   friend class Allocator;
 
  private:

@@ -1,6 +1,9 @@
 #include "rt/artifact.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "core/compiler.h"
 #include "hic/sema.h"
@@ -17,6 +20,15 @@ std::string hex64(std::uint64_t v) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(v));
   return std::string(buf);
+}
+
+/// Index of the first row where `a` and `b` differ.
+template <typename Row>
+std::size_t first_mismatch(const std::vector<Row>& a,
+                           const std::vector<Row>& b) {
+  return static_cast<std::size_t>(
+      std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+      a.begin());
 }
 
 }  // namespace
@@ -46,9 +58,61 @@ std::string sema_digest(const hic::Sema& sema) {
   return hex64(support::fnv1a64(canon));
 }
 
+ArtifactDecisions encode_decisions(
+    const memalloc::MemoryMap& map,
+    const std::vector<memalloc::BramPortPlan>& plans) {
+  auto ids = [](const std::vector<const hic::Dependency*>& deps) {
+    std::vector<std::string> out;
+    for (const hic::Dependency* dep : deps) out.push_back(dep->id);
+    return out;
+  };
+  ArtifactDecisions d;
+  for (const memalloc::BramInstance& b : map.brams()) {
+    ArtifactBram& ab = d.brams.emplace_back(
+        ArtifactBram{b.id, b.shape.width, b.shape.depth, b.primitives, {},
+                     ids(b.dependencies)});
+    for (const memalloc::Placement& p : b.placements) {
+      ab.placements.push_back({p.symbol->thread(), p.symbol->name(),
+                               p.base_address, p.words});
+    }
+  }
+  for (const hic::Symbol* r : map.registers()) {
+    d.registers.push_back(r->qualified_name());
+  }
+  for (const memalloc::BramPortPlan& plan : plans) {
+    ArtifactPortPlan& ap =
+        d.plans.emplace_back(ArtifactPortPlan{plan.bram_id, {}});
+    for (const memalloc::PortClient& c : plan.clients) {
+      ap.clients.push_back({c.thread, memalloc::to_string(c.port),
+                            c.pseudo_port, ids(c.deps)});
+    }
+  }
+  return d;
+}
+
+std::string first_difference(const ArtifactDecisions& recorded,
+                             const ArtifactDecisions& rebuilt) {
+  if (recorded.brams != rebuilt.brams) {
+    return support::format(
+        "memory_map.brams[%zu] differs from the rebuilt memory map",
+        first_mismatch(recorded.brams, rebuilt.brams));
+  }
+  if (recorded.registers != rebuilt.registers) {
+    return "memory_map.registers differs from the rebuilt memory map";
+  }
+  if (recorded.plans != rebuilt.plans) {
+    return support::format(
+        "port_plans[%zu] differs from the rebuilt port plans",
+        first_mismatch(recorded.plans, rebuilt.plans));
+  }
+  return {};
+}
+
 std::string emit_artifact(const core::CompileResult& result,
                           std::string_view source) {
   const core::CompileOptions& opt = result.options();
+  const ArtifactDecisions decisions =
+      encode_decisions(result.memory_map(), result.port_plans());
   support::JsonWriter w(0);
   w.begin_object();
   w.key("schema").value("hicbin-v1");
@@ -63,51 +127,45 @@ std::string emit_artifact(const core::CompileResult& result,
 
   w.key("memory_map").begin_object();
   w.key("brams").begin_array();
-  for (const memalloc::BramInstance& b : result.memory_map().brams()) {
+  for (const ArtifactBram& b : decisions.brams) {
     w.begin_object();
     w.key("id").value(b.id);
-    w.key("width").value(b.shape.width);
-    w.key("depth").value(b.shape.depth);
+    w.key("width").value(b.width);
+    w.key("depth").value(b.depth);
     w.key("primitives").value(b.primitives);
     w.key("placements").begin_array();
-    for (const memalloc::Placement& p : b.placements) {
+    for (const ArtifactPlacement& p : b.placements) {
       w.begin_object();
-      w.key("thread").value(p.symbol->thread());
-      w.key("var").value(p.symbol->name());
+      w.key("thread").value(p.thread);
+      w.key("var").value(p.var);
       w.key("base").value(static_cast<std::int64_t>(p.base_address));
       w.key("words").value(static_cast<std::int64_t>(p.words));
       w.end_object();
     }
     w.end_array();
     w.key("deps").begin_array();
-    for (const hic::Dependency* dep : b.dependencies) {
-      w.value(dep->id);
-    }
+    for (const std::string& dep : b.deps) w.value(dep);
     w.end_array();
     w.end_object();
   }
   w.end_array();
   w.key("registers").begin_array();
-  for (const hic::Symbol* r : result.memory_map().registers()) {
-    w.value(r->qualified_name());
-  }
+  for (const std::string& r : decisions.registers) w.value(r);
   w.end_array();
   w.end_object();  // memory_map
 
   w.key("port_plans").begin_array();
-  for (const memalloc::BramPortPlan& plan : result.port_plans()) {
+  for (const ArtifactPortPlan& plan : decisions.plans) {
     w.begin_object();
     w.key("bram").value(plan.bram_id);
     w.key("clients").begin_array();
-    for (const memalloc::PortClient& c : plan.clients) {
+    for (const ArtifactPortClient& c : plan.clients) {
       w.begin_object();
       w.key("thread").value(c.thread);
-      w.key("port").value(memalloc::to_string(c.port));
+      w.key("port").value(c.port);
       w.key("pseudo_port").value(c.pseudo_port);
       w.key("deps").begin_array();
-      for (const hic::Dependency* dep : c.deps) {
-        w.value(dep->id);
-      }
+      for (const std::string& dep : c.deps) w.value(dep);
       w.end_array();
       w.end_object();
     }
@@ -206,11 +264,23 @@ bool get_number(const support::JsonValue& obj, const char* key,
   return true;
 }
 
+/// An integer field that fits T. The range test runs on the double:
+/// converting one outside T's range is undefined behaviour.
+template <typename T>
 bool get_int(const support::JsonValue& obj, const char* key,
-             const char* where, int* out, ArtifactError* error) {
+             const char* where, T* out, ArtifactError* error) {
   double d = 0.0;
   if (!get_number(obj, key, where, &d, error)) return false;
-  *out = static_cast<int>(d);
+  constexpr auto lo = static_cast<long long>(std::numeric_limits<T>::min());
+  constexpr auto hi = static_cast<long long>(std::numeric_limits<T>::max());
+  if (!(d >= static_cast<double>(lo) && d <= static_cast<double>(hi)) ||
+      d != std::floor(d)) {
+    return corrupt(error, support::format(
+                              "field '%s' in %s is not an integer in "
+                              "[%lld, %lld]",
+                              key, where, lo, hi));
+  }
+  *out = static_cast<T>(d);
   return true;
 }
 
@@ -351,30 +421,19 @@ bool parse_artifact(std::string_view bytes, Artifact* out,
         return corrupt(error, "placement entry is not an object");
       }
       ArtifactPlacement p;
-      int base = 0;
-      int words = 0;
       if (!get_string(pj, "thread", "placement", &p.thread, error) ||
           !get_string(pj, "var", "placement", &p.var, error) ||
-          !get_int(pj, "base", "placement", &base, error) ||
-          !get_int(pj, "words", "placement", &words, error)) {
+          !get_int(pj, "base", "placement", &p.base_address, error) ||
+          !get_int(pj, "words", "placement", &p.words, error)) {
         return false;
       }
-      p.base_address = static_cast<std::uint32_t>(base);
-      p.words = static_cast<std::uint32_t>(words);
       b.placements.push_back(std::move(p));
     }
-    art.brams.push_back(std::move(b));
+    art.decisions.brams.push_back(std::move(b));
   }
-  const support::JsonValue* registers =
-      map->find("registers");
-  if (registers == nullptr || !registers->is_array()) {
-    return corrupt(error, "'memory_map.registers' missing or not an array");
-  }
-  for (const support::JsonValue& r : registers->elements) {
-    if (!r.is_string()) {
-      return corrupt(error, "register entry is not a string");
-    }
-    art.registers.push_back(r.string_value);
+  if (!get_string_array(*map, "registers", "memory_map",
+                        &art.decisions.registers, error)) {
+    return false;
   }
 
   const support::JsonValue* plans =
@@ -401,12 +460,9 @@ bool parse_artifact(std::string_view bytes, Artifact* out,
           !get_string_array(cj, "deps", "port_client", &c.deps, error)) {
         return false;
       }
-      if (c.port != "A" && c.port != "B" && c.port != "C" && c.port != "D") {
-        return corrupt(error, "unknown logical port '" + c.port + "'");
-      }
       plan.clients.push_back(std::move(c));
     }
-    art.plans.push_back(std::move(plan));
+    art.decisions.plans.push_back(std::move(plan));
   }
 
   const support::JsonValue* controllers =

@@ -2,9 +2,12 @@
 
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "hic/infer.h"
 #include "hic/parser.h"
+#include "memalloc/allocator.h"
+#include "memalloc/portplan.h"
 #include "support/strings.h"
 #include "synth/scheduler.h"
 
@@ -27,14 +30,6 @@ std::string first_error(const support::DiagnosticEngine& diags) {
     if (d->severity == support::Severity::Error) return d->str();
   }
   return "unknown front-end error";
-}
-
-const hic::Dependency* find_dep(const hic::Sema& sema,
-                                const std::string& id) {
-  for (const hic::Dependency& dep : sema.dependencies()) {
-    if (dep.id == id) return &dep;
-  }
-  return nullptr;
 }
 
 }  // namespace
@@ -60,8 +55,8 @@ std::string LoadedProgram::describe() const {
       program_.threads.size() == 1 ? "" : "s",
       static_cast<int>(sema_->dependencies().size()),
       sema_->dependencies().size() == 1 ? "y" : "ies",
-      static_cast<int>(map_.brams().size()),
-      map_.brams().size() == 1 ? "" : "s");
+      static_cast<int>(controllers_.size()),
+      controllers_.size() == 1 ? "" : "s");
   for (const ArtifactController& c : artifact_.controllers) {
     out += support::format(
         "  %s: %d consumer%s, %d producer%s, %d slices, %.1f MHz\n",
@@ -71,11 +66,10 @@ std::string LoadedProgram::describe() const {
   return out;
 }
 
-std::shared_ptr<const LoadedProgram> load_program(const Artifact& artifact,
+std::shared_ptr<const LoadedProgram> load_program(Artifact artifact,
                                                   ArtifactError* error) {
   // shared_ptr<LoadedProgram> during construction, const on return.
   std::shared_ptr<LoadedProgram> lp(new LoadedProgram());
-  lp->artifact_ = artifact;
   std::string org_error;
   if (!sim::parse_org(artifact.organization, &lp->organization_,
                       &org_error)) {
@@ -114,8 +108,8 @@ std::shared_ptr<const LoadedProgram> load_program(const Artifact& artifact,
     return nullptr;
   }
 
-  // The artifact's map and plans are only meaningful against semantics
-  // identical to the ones they were derived from.
+  // The recorded decisions were derived from these semantics; a different
+  // program cannot be checked against them.
   std::string digest = sema_digest(*lp->sema_);
   if (digest != artifact.sema_digest) {
     fail(error, "rt-sema-mismatch",
@@ -125,94 +119,45 @@ std::shared_ptr<const LoadedProgram> load_program(const Artifact& artifact,
     return nullptr;
   }
 
-  // Resolve the stored names against the fresh Sema and restore the map.
-  std::vector<memalloc::BramInstance> brams;
-  for (const ArtifactBram& ab : artifact.brams) {
-    memalloc::BramInstance b;
-    b.id = ab.id;
-    b.shape = memalloc::BramShape{ab.width, ab.depth};
-    b.primitives = ab.primitives;
-    for (const ArtifactPlacement& ap : ab.placements) {
-      hic::Symbol* sym = lp->sema_->lookup(ap.thread, ap.var);
-      if (sym == nullptr) {
-        fail(error, "rt-resolve-error",
-             support::format("placed variable %s.%s is unknown",
-                             ap.thread.c_str(), ap.var.c_str()));
-        return nullptr;
-      }
-      memalloc::Placement p;
-      p.symbol = sym;
-      p.base_address = ap.base_address;
-      p.words = ap.words;
-      b.placements.push_back(p);
-    }
-    for (const std::string& dep_id : ab.deps) {
-      const hic::Dependency* dep = find_dep(*lp->sema_, dep_id);
-      if (dep == nullptr) {
-        fail(error, "rt-resolve-error",
-             support::format("dependency '%s' of bram%d is unknown",
-                             dep_id.c_str(), ab.id));
-        return nullptr;
-      }
-      b.dependencies.push_back(dep);
-    }
-    brams.push_back(std::move(b));
-  }
-  std::vector<hic::Symbol*> registers;
-  for (const std::string& qualified : artifact.registers) {
-    std::size_t dot = qualified.find('.');
-    hic::Symbol* sym =
-        dot == std::string::npos
-            ? nullptr
-            : lp->sema_->lookup(qualified.substr(0, dot),
-                                qualified.substr(dot + 1));
-    if (sym == nullptr) {
-      fail(error, "rt-resolve-error",
-           "register variable " + qualified + " is unknown");
-      return nullptr;
-    }
-    registers.push_back(sym);
-  }
-  lp->map_ = memalloc::MemoryMap::restore(std::move(brams),
-                                          std::move(registers));
-
-  for (const ArtifactPortPlan& app : artifact.plans) {
-    memalloc::BramPortPlan plan;
-    plan.bram_id = app.bram_id;
-    for (const ArtifactPortClient& ac : app.clients) {
-      memalloc::PortClient c;
-      c.thread = ac.thread;
-      c.port = ac.port == "A"   ? memalloc::LogicalPort::A
-               : ac.port == "B" ? memalloc::LogicalPort::B
-               : ac.port == "C" ? memalloc::LogicalPort::C
-                                : memalloc::LogicalPort::D;
-      c.pseudo_port = ac.pseudo_port;
-      for (const std::string& dep_id : ac.deps) {
-        const hic::Dependency* dep = find_dep(*lp->sema_, dep_id);
-        if (dep == nullptr) {
-          fail(error, "rt-resolve-error",
-               support::format("dependency '%s' of a bram%d port client "
-                               "is unknown",
-                               dep_id.c_str(), app.bram_id));
-          return nullptr;
-        }
-        c.deps.push_back(dep);
-      }
-      plan.clients.push_back(std::move(c));
-    }
-    lp->plans_.push_back(std::move(plan));
-  }
-
-  // The one build every shard's simulator runs, under the recorded
-  // compile choices.
+  // Derive the FSMs, the memory map and the port plans exactly as the
+  // compiler does, under the recorded compile choices.
   synth::SchedulePolicy schedule;
   schedule.chain_states = artifact.chain;
   lp->fsms_ =
       synth::synthesize_program(lp->program_, *lp->sema_, schedule);
-  lp->controllers_ = memorg::build_controllers(
-      lp->design_, lp->map_, lp->plans_,
-      {lp->organization_, artifact.use_cam});
+  const memalloc::MemoryMap map = memalloc::Allocator().allocate(*lp->sema_);
+  const std::vector<memalloc::BramPortPlan> plans =
+      memalloc::PortPlanner::plan(*lp->sema_, map, lp->fsms_);
 
+  // The recorded decisions are checks: a load serves what it rebuilt, and
+  // only if the artifact describes the same thing.
+  const std::string difference = first_difference(
+      artifact.decisions, encode_decisions(map, plans));
+  if (!difference.empty()) {
+    fail(error, "rt-plan-mismatch", difference);
+    return nullptr;
+  }
+
+  // The one build every shard's simulator runs.
+  lp->controllers_ = memorg::build_controllers(
+      lp->design_, map, plans,
+      {lp->organization_, artifact.use_cam});
+  std::size_t row = 0;
+  while (row < artifact.controllers.size() && row < lp->controllers_.size() &&
+         artifact.controllers[row].module ==
+             lp->controllers_[row].module->name()) {
+    ++row;
+  }
+  if (row != artifact.controllers.size() ||
+      row != lp->controllers_.size()) {
+    fail(error, "rt-plan-mismatch",
+         support::format("controllers[%zu] differs from the %zu rebuilt "
+                         "controller modules",
+                         row, lp->controllers_.size()));
+    return nullptr;
+  }
+
+  lp->artifact_ = std::move(artifact);
   if (error != nullptr) *error = ArtifactError{};
   return lp;
 }
@@ -221,7 +166,8 @@ std::shared_ptr<const LoadedProgram> ProgramStore::load_bytes(
     std::string_view bytes, ArtifactError* error) {
   Artifact artifact;
   if (!parse_artifact(bytes, &artifact, error)) return nullptr;
-  std::shared_ptr<const LoadedProgram> lp = load_program(artifact, error);
+  std::shared_ptr<const LoadedProgram> lp =
+      load_program(std::move(artifact), error);
   if (lp == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   programs_[lp->name()] = lp;

@@ -1,18 +1,18 @@
 // Program loading for hic-rt.
 //
 // ProgramStore turns hicbin bytes (artifact.h) into live, simulatable
-// LoadedPrograms without re-running the compiler's decision-bearing
-// phases. Loading re-runs the cheap front end (parse → optional dependency
-// inference → sema) on the embedded source — the hicbin analog of reading
-// an ELF symbol table — then cross-checks the rebuilt semantics against
-// the recorded digest and resolves the artifact's memory map and port
-// plans against the fresh Sema by name. Allocation and port planning are
-// not repeated: the artifact's decisions are authoritative. The thread
-// FSMs and controllers are built once per load, under the recorded
-// `chain`, `use_cam` and organization, and every simulator of the program
-// runs those (docs/RUNTIME.md). Artifacts record no hic-bound sizing
-// hints, so a program compiled with --bound is served with its unpruned
-// controllers.
+// LoadedPrograms. A load derives the design from the embedded source the
+// way the compiler does: the front end (parse → optional dependency
+// inference → sema), a check of the rebuilt semantics against the
+// recorded digest, then synthesis, allocation and port planning under the
+// recorded `chain`. The artifact's memory map and port plans are checks,
+// not inputs: they must equal the rebuilt ones (rt-plan-mismatch
+// otherwise). The controllers are then built once, under the recorded
+// `use_cam` and organization, and every simulator of the program runs
+// them (docs/RUNTIME.md). Techmap and timing are not re-run: the
+// artifact's controller rows carry area/Fmax for stats. Artifacts record
+// no hic-bound sizing hints, so a program compiled with --bound is served
+// with its unpruned controllers.
 //
 // LoadedProgram is self-contained and immutable once built; the store
 // hands out shared_ptr<const LoadedProgram> so sessions, shards and stats
@@ -28,8 +28,6 @@
 
 #include "hic/ast.h"
 #include "hic/sema.h"
-#include "memalloc/allocator.h"
-#include "memalloc/portplan.h"
 #include "memorg/controller.h"
 #include "rt/artifact.h"
 #include "sim/system.h"
@@ -38,9 +36,9 @@
 
 namespace hicsync::rt {
 
-/// A rehydrated program: the artifact's metadata plus live front-end
-/// structures, the restored memory map / port plans and the FSMs and
-/// controllers built from them, ready to build simulators from. Not
+/// A loaded program: the artifact's metadata plus live front-end
+/// structures and the FSMs and controllers rebuilt from them, ready to
+/// build simulators from. Not
 /// movable — Sema, the map and the simulators hold pointers into it — so
 /// it always lives on the heap behind a shared_ptr.
 class LoadedProgram {
@@ -55,11 +53,6 @@ class LoadedProgram {
   [[nodiscard]] const Artifact& artifact() const { return artifact_; }
   [[nodiscard]] const hic::Program& program() const { return program_; }
   [[nodiscard]] const hic::Sema& sema() const { return *sema_; }
-  [[nodiscard]] const memalloc::MemoryMap& memory_map() const { return map_; }
-  [[nodiscard]] const std::vector<memalloc::BramPortPlan>& port_plans()
-      const {
-    return plans_;
-  }
   [[nodiscard]] sim::OrgKind organization() const { return organization_; }
   [[nodiscard]] const std::vector<synth::ThreadFsm>& fsms() const {
     return fsms_;
@@ -83,15 +76,13 @@ class LoadedProgram {
  private:
   friend class ProgramStore;
   friend std::shared_ptr<const LoadedProgram> load_program(
-      const Artifact& artifact, ArtifactError* error);
+      Artifact artifact, ArtifactError* error);
   LoadedProgram() = default;
 
   Artifact artifact_;
   support::DiagnosticEngine diags_;
   hic::Program program_;
   std::unique_ptr<hic::Sema> sema_;
-  memalloc::MemoryMap map_;
-  std::vector<memalloc::BramPortPlan> plans_;
   sim::OrgKind organization_ = sim::OrgKind::Arbitrated;
   std::vector<synth::ThreadFsm> fsms_;
   rtl::Design design_;
@@ -103,7 +94,7 @@ class LoadedProgram {
 /// their shared_ptr).
 class ProgramStore {
  public:
-  /// Parses, validates and rehydrates hicbin bytes. On failure returns
+  /// Parses, validates and loads hicbin bytes. On failure returns
   /// nullptr with `error` carrying a stable rt-* code (see artifact.h).
   std::shared_ptr<const LoadedProgram> load_bytes(std::string_view bytes,
                                                   ArtifactError* error);
@@ -121,11 +112,12 @@ class ProgramStore {
   std::map<std::string, std::shared_ptr<const LoadedProgram>> programs_;
 };
 
-/// The rehydration step on its own (no registry): front end + digest check
-/// + name resolution + map/plan restore + FSM and controller build.
+/// The load step on its own (no registry): front end + digest check +
+/// synthesis, allocation and port planning + comparison with the recorded
+/// decisions + controller build.
 /// Exposed for tests and for in-process embedders that manage lifetime
 /// themselves.
-std::shared_ptr<const LoadedProgram> load_program(const Artifact& artifact,
+std::shared_ptr<const LoadedProgram> load_program(Artifact artifact,
                                                   ArtifactError* error);
 
 }  // namespace hicsync::rt

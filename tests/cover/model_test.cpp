@@ -125,7 +125,7 @@ TEST(ModelInputsTest, DerivedFromFigure1Compilation) {
 
   const ModelInputs in =
       inputs_from(sim::OrgKind::Arbitrated, result->fsms(),
-                  result->memory_map(), result->port_plans());
+                  result->controllers());
   EXPECT_EQ(in.organization, sim::OrgKind::Arbitrated);
   ASSERT_NE(in.fsms, nullptr);
   EXPECT_EQ(in.fsms->size(), 3u);

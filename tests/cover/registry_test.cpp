@@ -2,19 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "core/compiler.h"
 #include "netapp/scenarios.h"
+
+#ifndef HICSYNC_BOUND_FIXTURES_DIR
+#error "HICSYNC_BOUND_FIXTURES_DIR must point at tests/bound/fixtures"
+#endif
 
 namespace hicsync::cover {
 namespace {
 
 ModelInputs figure1_inputs(const core::CompileResult& result,
                            sim::OrgKind org) {
-  return inputs_from(org, result.fsms(), result.memory_map(),
-                     result.port_plans());
+  return inputs_from(org, result.fsms(), result.controllers());
 }
 
 std::unique_ptr<core::CompileResult> compile_figure1(sim::OrgKind org) {
@@ -142,6 +147,54 @@ TEST(DeclareModelTest, EventDrivenFigure1DeclaresSlotsNotArbitration) {
   ASSERT_NE(stalls, nullptr);
   EXPECT_NE(stalls->find("bram0.C0.not-our-slot"), nullptr);
   EXPECT_EQ(stalls->find("bram0.C0.arbitration-loss"), nullptr);
+}
+
+// The model is declared from the controllers the compile built, so a
+// hic-bound sizing hint that pruned dead_dep.hic's `dead` entry and t3's C1
+// pseudo-port prunes their bins too: no dependency cross, round latency,
+// port or occupancy bin is left that the simulated controller cannot hit.
+std::vector<std::string> dead_dep_bins(sim::OrgKind org, bool bound) {
+  std::ifstream in(std::string(HICSYNC_BOUND_FIXTURES_DIR) + "/dead_dep.hic");
+  std::ostringstream source;
+  source << in.rdbuf();
+  core::CompileOptions options;
+  options.organization = org;
+  options.bound.enabled = bound;
+  auto result = core::Compiler(options).compile(source.str());
+  EXPECT_TRUE(result->ok()) << result->diags().str();
+  CoverageModel model;
+  declare_model(CoverRegistry::builtin(),
+                inputs_from(org, result->fsms(), result->controllers()),
+                model);
+  std::vector<std::string> bins;
+  for (const Covergroup* g : model.groups()) {
+    for (const CoverBin& b : g->bins()) {
+      bins.push_back(g->name() + ":" + b.name);
+    }
+  }
+  return bins;
+}
+
+bool has_bin(const std::vector<std::string>& bins, const std::string& part) {
+  for (const std::string& b : bins) {
+    if (b.find(part) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(CoverRegistryTest, BoundPrunedEntryDeclaresNoBins) {
+  for (sim::OrgKind org :
+       {sim::OrgKind::Arbitrated, sim::OrgKind::EventDriven}) {
+    const std::vector<std::string> unpruned = dead_dep_bins(org, false);
+    const std::vector<std::string> pruned = dead_dep_bins(org, true);
+    for (const char* part :
+         {":dead.C1", ":dead.le", ":bram0.C1.grant", "occupancy:bram0.open2"}) {
+      EXPECT_TRUE(has_bin(unpruned, part)) << part;
+      EXPECT_FALSE(has_bin(pruned, part)) << part;
+    }
+    EXPECT_TRUE(has_bin(pruned, ":live.C0"));
+    EXPECT_TRUE(has_bin(pruned, "occupancy:bram0.open1"));
+  }
 }
 
 }  // namespace

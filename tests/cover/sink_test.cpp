@@ -32,8 +32,7 @@ std::unique_ptr<CoveredRun> run_covered(std::string_view source,
   EXPECT_TRUE(run->result->ok()) << run->result->diags().str();
 
   const ModelInputs in =
-      inputs_from(org, run->result->fsms(), run->result->memory_map(),
-                  run->result->port_plans());
+      inputs_from(org, run->result->fsms(), run->result->controllers());
   declare_model(CoverRegistry::builtin(), in, run->model);
   run->sink = std::make_unique<CoverageSink>(run->model, in);
 

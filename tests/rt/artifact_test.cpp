@@ -2,8 +2,9 @@
 // memory organizations, must survive emit → load → run with results
 // bit-identical to running the direct compilation — and every way an
 // artifact can be damaged (bad magic, version skew, truncation, payload
-// corruption, stale source, digest mismatch, dangling names) must be
-// rejected with its stable rt-* code, never loaded.
+// corruption, stale source, digest mismatch, recorded decisions the load
+// does not rebuild) must be rejected with its stable rt-* code, never
+// loaded.
 
 #include "rt/artifact.h"
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/compiler.h"
+#include "forge.h"
 #include "rt/store.h"
 #include "rt/workload.h"
 #include "rtl/verilog.h"
@@ -202,9 +204,9 @@ TEST(ArtifactFormat, EmitIsDeterministicAndFramed) {
   EXPECT_EQ(art.source_name, "fig1.hic");
   EXPECT_EQ(art.source, source);
   EXPECT_EQ(art.organization, "arbitrated");
-  EXPECT_FALSE(art.brams.empty());
-  EXPECT_FALSE(art.registers.empty());
-  EXPECT_FALSE(art.plans.empty());
+  EXPECT_FALSE(art.decisions.brams.empty());
+  EXPECT_FALSE(art.decisions.registers.empty());
+  EXPECT_FALSE(art.decisions.plans.empty());
   EXPECT_FALSE(art.controllers.empty());
   EXPECT_EQ(art.sema_digest, sema_digest(compiled->sema()));
 }
@@ -216,6 +218,27 @@ class ArtifactRejection : public ::testing::Test {
     auto compiled =
         compile_example(source_, sim::OrgKind::EventDriven, "fig1.hic");
     bytes_ = emit_artifact(*compiled, source_);
+    auto arbitrated =
+        compile_example(source_, sim::OrgKind::Arbitrated, "fig1.hic");
+    arbitrated_bytes_ = emit_artifact(*arbitrated, source_);
+  }
+
+  /// Applies `edit` to the payload of both organizations' artifacts,
+  /// re-frames each with a valid digest and expects the load to fail with
+  /// `code`; returns the last message.
+  template <typename Edit>
+  std::string expect_forged(Edit edit, const std::string& code) {
+    std::string message;
+    for (const std::string* bytes : {&bytes_, &arbitrated_bytes_}) {
+      support::JsonValue payload = forge::payload_of(*bytes);
+      edit(payload);
+      ProgramStore store;
+      ArtifactError error;
+      EXPECT_EQ(store.load_bytes(forge::frame(payload), &error), nullptr);
+      EXPECT_EQ(error.code, code) << error.str();
+      message = error.message;
+    }
+    return message;
   }
 
   std::string expect_rejected(const std::string& bytes) {
@@ -228,7 +251,30 @@ class ArtifactRejection : public ::testing::Test {
 
   std::string source_;
   std::string bytes_;
+  std::string arbitrated_bytes_;
 };
+
+// Payload parts the forged cases edit.
+support::JsonValue& bram0(support::JsonValue& payload) {
+  return forge::at(forge::at(payload, "memory_map"), "brams").elements.at(0);
+}
+std::vector<support::JsonValue>& clients0(support::JsonValue& payload) {
+  return forge::at(forge::at(payload, "port_plans").elements.at(0),
+                   "clients")
+      .elements;
+}
+support::JsonValue& client_on(support::JsonValue& payload,
+                              const std::string& port) {
+  for (support::JsonValue& c : clients0(payload)) {
+    if (forge::at(c, "port").string_value == port) return c;
+  }
+  ADD_FAILURE() << "no client on port " << port;
+  return payload;
+}
+void set_number(support::JsonValue& v, double n) {
+  v.kind = support::JsonValue::Kind::Number;
+  v.number_value = n;
+}
 
 TEST_F(ArtifactRejection, NotAnArtifact) {
   EXPECT_EQ(expect_rejected(""), "rt-bad-magic");
@@ -288,18 +334,177 @@ TEST_F(ArtifactRejection, EditedSourceIsSemaMismatch) {
   EXPECT_EQ(error.code, "rt-sema-mismatch");
 }
 
-TEST_F(ArtifactRejection, DanglingPlacementIsResolveError) {
+TEST_F(ArtifactRejection, DanglingPlacementIsPlanMismatch) {
   Artifact art;
   ArtifactError error;
   ASSERT_TRUE(parse_artifact(bytes_, &art, &error));
-  ASSERT_FALSE(art.brams.empty());
-  ASSERT_FALSE(art.brams[0].placements.empty());
+  ASSERT_FALSE(art.decisions.brams.empty());
+  ASSERT_FALSE(art.decisions.brams[0].placements.empty());
   // Keep the digest honest (same source), but point a placement at a
   // variable the Sema does not know.
-  art.brams[0].placements[0].var = "no_such_var";
+  art.decisions.brams[0].placements[0].var = "no_such_var";
   auto loaded = load_program(art, &error);
   EXPECT_EQ(loaded, nullptr);
-  EXPECT_EQ(error.code, "rt-resolve-error");
+  EXPECT_EQ(error.code, "rt-plan-mismatch");
+  EXPECT_EQ(error.message,
+            "memory_map.brams[0] differs from the rebuilt memory map");
+}
+
+// Each edit below crashed, hung or silently loaded a loader that trusted
+// the recorded decisions; a load that rebuilds them refuses every one.
+TEST_F(ArtifactRejection, PseudoPortOutOfRangeIsPlanMismatch) {
+  EXPECT_EQ(expect_forged(
+                [](support::JsonValue& p) {
+                  set_number(forge::at(client_on(p, "C"), "pseudo_port"), 64);
+                },
+                "rt-plan-mismatch"),
+            "port_plans[0] differs from the rebuilt port plans");
+}
+
+TEST_F(ArtifactRejection, PseudoPortPastIntIsCorrupt) {
+  expect_forged(
+      [](support::JsonValue& p) {
+        set_number(forge::at(client_on(p, "C"), "pseudo_port"),
+                   2147483648.0);
+      },
+      "rt-corrupt");
+}
+
+TEST_F(ArtifactRejection, RemovedProducerIsPlanMismatch) {
+  expect_forged(
+      [](support::JsonValue& p) {
+        std::vector<support::JsonValue>& clients = clients0(p);
+        for (std::size_t i = 0; i < clients.size(); ++i) {
+          if (forge::at(clients[i], "port").string_value == "D") {
+            clients.erase(clients.begin() + static_cast<long>(i));
+            return;
+          }
+        }
+        ADD_FAILURE() << "no producer client";
+      },
+      "rt-plan-mismatch");
+}
+
+TEST_F(ArtifactRejection, ProducerRelabelledAsConsumerIsPlanMismatch) {
+  expect_forged(
+      [](support::JsonValue& p) {
+        forge::at(client_on(p, "D"), "port").string_value = "C";
+      },
+      "rt-plan-mismatch");
+}
+
+TEST_F(ArtifactRejection, ExtraControllerRowIsPlanMismatch) {
+  EXPECT_EQ(expect_forged(
+                [](support::JsonValue& p) {
+                  std::vector<support::JsonValue>& rows =
+                      forge::at(p, "controllers").elements;
+                  rows.push_back(rows.at(0));
+                },
+                "rt-plan-mismatch"),
+            "controllers[1] differs from the 1 rebuilt controller modules");
+}
+
+TEST_F(ArtifactRejection, RenamedControllerIsPlanMismatch) {
+  EXPECT_EQ(expect_forged(
+                [](support::JsonValue& p) {
+                  forge::at(forge::at(p, "controllers").elements.at(0),
+                            "module")
+                      .string_value = "memorg_bram7";
+                },
+                "rt-plan-mismatch"),
+            "controllers[0] differs from the 1 rebuilt controller modules");
+}
+
+TEST_F(ArtifactRejection, DuplicatedPlacementIsPlanMismatch) {
+  expect_forged(
+      [](support::JsonValue& p) {
+        std::vector<support::JsonValue>& placements =
+            forge::at(bram0(p), "placements").elements;
+        placements.push_back(placements.at(0));
+      },
+      "rt-plan-mismatch");
+}
+
+TEST_F(ArtifactRejection, HugeWordsIsCorrupt) {
+  expect_forged(
+      [](support::JsonValue& p) {
+        set_number(forge::at(forge::at(bram0(p), "placements").elements.at(0),
+                             "words"),
+                   9223372036854775808.0);
+      },
+      "rt-corrupt");
+}
+
+TEST_F(ArtifactRejection, NegativeDepthOrPrimitivesIsPlanMismatch) {
+  for (const char* field : {"depth", "primitives"}) {
+    EXPECT_EQ(expect_forged(
+                  [&](support::JsonValue& p) {
+                    set_number(forge::at(bram0(p), field), -1);
+                  },
+                  "rt-plan-mismatch"),
+              "memory_map.brams[0] differs from the rebuilt memory map")
+        << field;
+  }
+}
+
+TEST_F(ArtifactRejection, BaseOutsideTheBramIsPlanMismatch) {
+  expect_forged(
+      [](support::JsonValue& p) {
+        set_number(forge::at(forge::at(bram0(p), "placements").elements.at(0),
+                             "base"),
+                   600);
+      },
+      "rt-plan-mismatch");
+}
+
+// parse_artifact reads integer fields through a range check: a double
+// outside int (or uint32) is never converted.
+TEST_F(ArtifactRejection, FractionalIntegerIsCorrupt) {
+  support::JsonValue payload = forge::payload_of(bytes_);
+  set_number(forge::at(client_on(payload, "C"), "pseudo_port"), 0.5);
+  Artifact art;
+  ArtifactError error;
+  EXPECT_FALSE(parse_artifact(forge::frame(payload), &art, &error));
+  EXPECT_EQ(error.code, "rt-corrupt");
+  EXPECT_EQ(error.message,
+            "field 'pseudo_port' in port_client is not an integer in "
+            "[-2147483648, 2147483647]");
+}
+
+TEST_F(ArtifactRejection, OutOfRangeIntegerIsCorrupt) {
+  for (double n : {1e300, -1e300, 2147483648.0, 9223372036854775808.0}) {
+    support::JsonValue payload = forge::payload_of(bytes_);
+    set_number(forge::at(bram0(payload), "depth"), n);
+    Artifact art;
+    ArtifactError error;
+    EXPECT_FALSE(parse_artifact(forge::frame(payload), &art, &error)) << n;
+    EXPECT_EQ(error.code, "rt-corrupt") << n;
+  }
+  support::JsonValue payload = forge::payload_of(bytes_);
+  set_number(forge::at(forge::at(payload, "controllers").elements.at(0),
+                       "luts"),
+             9223372036854775808.0);
+  Artifact art;
+  ArtifactError error;
+  EXPECT_FALSE(parse_artifact(forge::frame(payload), &art, &error));
+  EXPECT_EQ(error.code, "rt-corrupt");
+}
+
+TEST_F(ArtifactRejection, NegativeBaseOrWordsIsCorrupt) {
+  for (const char* field : {"base", "words"}) {
+    support::JsonValue payload = forge::payload_of(bytes_);
+    set_number(forge::at(forge::at(bram0(payload), "placements").elements.at(0),
+                         field),
+               -1);
+    Artifact art;
+    ArtifactError error;
+    EXPECT_FALSE(parse_artifact(forge::frame(payload), &art, &error))
+        << field;
+    EXPECT_EQ(error.code, "rt-corrupt") << field;
+    EXPECT_EQ(error.message,
+              std::string("field '") + field +
+                  "' in placement is not an integer in [0, 4294967295]");
+  }
 }
 
 TEST_F(ArtifactRejection, UnknownOrganizationIsCorrupt) {
