@@ -101,7 +101,7 @@ std::unique_ptr<CompileResult> Compiler::compile(
   r.diags_.set_source_name(options_.source_name);
 
   // hic-perf: each pass is bracketed below; with no profiler attached the
-  // brackets cost one branch each (bench_compile asserts this).
+  // brackets cost one branch each (Overhead.DisabledProfilerIsABranch).
   perf::PassTimer* prof = options_.profiler;
 
   // Front end. Lexing happens inside the parser, so "parse" covers both.

@@ -3,7 +3,7 @@
 // Same contract as trace::MetricsSink — attach it to the bus a SystemSim
 // publishes on and every declared behavior that occurs is recorded; when
 // no sink is attached the simulator pays one branch per cycle (the
-// zero-cost-when-off property bench_sim asserts). The sink owns the small
+// zero-cost-when-off property tests/overhead gates). The sink owns the small
 // amount of sequencing state coverage needs beyond single events:
 // previous FSM state per thread (transition bins), recent arbitration
 // winners per controller (ordered-pair and fairness-window bins), and the

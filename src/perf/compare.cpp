@@ -18,7 +18,7 @@ const char* to_string(Verdict v) {
 
 Direction default_direction(const std::string& key) {
   static const char* kHigherMarkers[] = {"fmax",       "_ok",  "ok_",
-                                         "pass",       "util", "iterations",
+                                         "pass",       "util",
                                          "handoff",    "in_paper_band",
                                          "monotonic",  "varies",
                                          "decreasing", "faster",

@@ -26,7 +26,7 @@ enum class Verdict {
 enum class Direction { LowerIsBetter, HigherIsBetter };
 
 /// Heuristic default: throughput/quality-style keys (fmax, *_ok, pass,
-/// utilization, iterations) are higher-is-better; everything else —
+/// utilization) are higher-is-better; everything else —
 /// times, areas, overheads, latencies — is lower-is-better.
 [[nodiscard]] Direction default_direction(const std::string& key);
 

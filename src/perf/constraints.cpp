@@ -89,11 +89,6 @@ std::vector<Constraint> paper_constraints() {
   t.push_back({"deplist.cam_monotonic", "deplist_scaling",
                "CAM LUTs grow monotonically with list size",
                ConstraintKind::FlagTrue, {"cam_lut_monotonic"}, {}, 0.0});
-  // hic-trace invariant (PR 2): disabled instrumentation stays ~free.
-  t.push_back({"trace.overhead_bounded", "sim_trace_overhead",
-               "unattached-trace overhead below the asserted limit",
-               ConstraintKind::AtMostRef, {"overhead_pct"}, {"limit_pct"},
-               0.0});
   // hic-rt telemetry invariant (PR 8): span capture stays off the hot
   // path — enabled telemetry costs < 5% service throughput.
   t.push_back({"rt.telemetry_overhead", "rt",

@@ -1,6 +1,7 @@
 #include "perf/history.h"
 
 #include <algorithm>
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -28,53 +29,6 @@ namespace {
 bool set_error(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
   return false;
-}
-
-/// google-benchmark times carry a unit; normalize to nanoseconds.
-double to_ns(double value, const std::string& unit) {
-  if (unit == "us") return value * 1e3;
-  if (unit == "ms") return value * 1e6;
-  if (unit == "s") return value * 1e9;
-  return value;  // "ns" or absent
-}
-
-bool parse_gbench(const JsonValue& doc, BenchRun* out, std::string* error) {
-  const JsonValue* benches = doc.find("benchmarks");
-  if (benches == nullptr || !benches->is_array()) {
-    return set_error(error, "gbench report without benchmarks array");
-  }
-  for (const JsonValue& b : benches->elements) {
-    const JsonValue* name = b.find("name");
-    if (name == nullptr || !name->is_string()) continue;
-    // Skip aggregate rows (mean/median/stddev of repetitions) — the raw
-    // iterations are what the MAD baseline wants.
-    if (const JsonValue* rt = b.find("run_type");
-        rt != nullptr && rt->is_string() && rt->string_value != "iteration") {
-      continue;
-    }
-    std::string unit = "ns";
-    if (const JsonValue* u = b.find("time_unit");
-        u != nullptr && u->is_string()) {
-      unit = u->string_value;
-    }
-    const std::string prefix = name->string_value + ".";
-    if (const JsonValue* v = b.find("real_time");
-        v != nullptr && v->is_number()) {
-      out->metrics[prefix + "real_time_ns"] = to_ns(v->number_value, unit);
-    }
-    if (const JsonValue* v = b.find("cpu_time");
-        v != nullptr && v->is_number()) {
-      out->metrics[prefix + "cpu_time_ns"] = to_ns(v->number_value, unit);
-    }
-    if (const JsonValue* v = b.find("iterations");
-        v != nullptr && v->is_number()) {
-      out->metrics[prefix + "iterations"] = v->number_value;
-    }
-  }
-  if (out->metrics.empty()) {
-    return set_error(error, "gbench report with no iteration entries");
-  }
-  return true;
 }
 
 bool parse_flat(const JsonValue& doc, BenchRun* out, std::string* error) {
@@ -107,7 +61,6 @@ bool parse_bench_json(std::string_view json_text, BenchRun* out,
     return set_error(error, "bad JSON: " + parse_error);
   }
   if (!doc.is_object()) return set_error(error, "top level is not an object");
-  if (doc.find("benchmarks") != nullptr) return parse_gbench(doc, out, error);
   return parse_flat(doc, out, error);
 }
 
@@ -142,6 +95,11 @@ bool HistoryStore::from_jsonl(std::string_view line, BenchRun* out,
   }
   if (!doc.is_object()) return set_error(error, "JSONL line is not an object");
   if (const JsonValue* v = doc.find("schema"); v != nullptr && v->is_number()) {
+    // Casting a double outside int's range is undefined; no such schema
+    // version exists.
+    if (!(v->number_value >= INT_MIN && v->number_value <= INT_MAX)) {
+      return set_error(error, "schema version out of range");
+    }
     out->schema = static_cast<int>(v->number_value);
   }
   if (const JsonValue* v = doc.find("bench"); v != nullptr && v->is_string()) {
@@ -251,11 +209,6 @@ int HistoryStore::ingest_directory(const std::string& dir,
         *error = file.filename().string() + ": " + parse_error;
       }
       return -1;
-    }
-    if (run.bench.empty()) {
-      // gbench reports carry no bench name; derive from the file name.
-      std::string stem = file.stem().string();  // BENCH_<name>
-      run.bench = stem.substr(std::string("BENCH_").size());
     }
     run.run_id = run_id;
     run.timestamp = timestamp;

@@ -1,13 +1,13 @@
 // hic-perf bench-history store: durable, append-only trajectory of every
 // benchmark run.
 //
-// Each bench binary drops a `BENCH_<name>.json` in its working directory —
-// either our flat JsonBenchReport format (one object, scalar values) or
-// google-benchmark's native report (a "benchmarks" array). HistoryStore
-// normalizes both into a BenchRun (flat string→double metric map) and
-// appends one JSON line per run to `<root>/<bench>.jsonl`, so the bench
-// trajectory survives the run that produced it and can be diffed
-// (perf::compare_runs) and rendered (hic-report) later.
+// Each bench binary drops a `BENCH_<name>.json` in its working directory
+// in the flat JsonBenchReport format (one object, scalar values, a "bench"
+// key naming it). HistoryStore normalizes it into a BenchRun (flat
+// string→double metric map) and appends one JSON line per run to
+// `<root>/<bench>.jsonl`, so the bench trajectory survives the run that
+// produced it and can be diffed (perf::compare_runs) and rendered
+// (hic-report) later.
 #pragma once
 
 #include <map>
@@ -37,10 +37,9 @@ struct BenchRun {
   [[nodiscard]] bool flag(std::string_view key) const;
 };
 
-/// Parses the contents of a `BENCH_<name>.json` file (either format) into
-/// `out` (bench name, metrics, labels; run_id/timestamp left empty).
-/// google-benchmark entries become `<name>.real_time_ns` / `.cpu_time_ns`
-/// / `.iterations` metrics with times normalized to nanoseconds.
+/// Parses the contents of a `BENCH_<name>.json` file into `out` (bench
+/// name, metrics, labels; run_id/timestamp left empty). A report without
+/// a string "bench" key is rejected.
 [[nodiscard]] bool parse_bench_json(std::string_view json_text, BenchRun* out,
                                     std::string* error = nullptr);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 
@@ -44,15 +45,25 @@ bool parse_u64(const std::string& s, std::uint64_t* out) {
   return true;
 }
 
+/// A JSON number in [0, 2^64), truncated to an integer; false otherwise
+/// (a cast from outside that range is undefined).
+bool number_u64(const support::JsonValue& v, std::uint64_t* out) {
+  if (!v.is_number() ||
+      !(v.number_value >= 0 && v.number_value < 18446744073709551616.0)) {
+    return false;
+  }
+  *out = static_cast<std::uint64_t>(v.number_value);
+  return true;
+}
+
 /// Session id from the request; false fills *resp with the error line.
 bool get_session(const support::JsonValue& req, std::uint64_t* session,
                  std::string* resp) {
   const support::JsonValue* v = req.find("session");
-  if (v == nullptr || !v->is_number() || v->number_value < 0) {
+  if (v == nullptr || !number_u64(*v, session)) {
     *resp = error_line("rt-bad-request: missing or invalid 'session'");
     return false;
   }
-  *session = static_cast<std::uint64_t>(v->number_value);
   return true;
 }
 
@@ -173,9 +184,8 @@ std::string handle_request_line(Service& service, std::string_view line) {
     for (std::size_t i = 0; i < words->elements.size(); ++i) {
       const support::JsonValue& e = words->elements[i];
       std::uint64_t v = 0;
-      if (e.is_number() && e.number_value >= 0) {
-        v = static_cast<std::uint64_t>(e.number_value);
-      } else if (!e.is_string() || !parse_u64(e.string_value, &v)) {
+      if (!number_u64(e, &v) &&
+          (!e.is_string() || !parse_u64(e.string_value, &v))) {
         return error_line(
             "rt-bad-request: 'words' entries must be decimal strings");
       }
@@ -189,8 +199,9 @@ std::string handle_request_line(Service& service, std::string_view line) {
     int passes = 0;
     const support::JsonValue* p = req.find("passes");
     if (p != nullptr) {
-      if (!p->is_number()) {
-        return error_line("rt-bad-request: 'passes' must be a number");
+      if (!p->is_number() || !(p->number_value >= INT_MIN &&
+                               p->number_value <= INT_MAX)) {
+        return error_line("rt-bad-request: 'passes' must be an int");
       }
       passes = static_cast<int>(p->number_value);
     }

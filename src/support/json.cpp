@@ -286,53 +286,69 @@ class Parser {
     return true;
   }
 
+  bool parse_object(JsonValue* out) {
+    ++pos_;
+    out->kind = JsonValue::Kind::Object;
+    skip_ws();
+    if (peek() == '}') {
+      ++pos_;
+      return true;
+    }
+    while (true) {
+      skip_ws();
+      std::string key;
+      if (!parse_string(&key)) return false;
+      skip_ws();
+      if (!consume(':')) return false;
+      JsonValue v;
+      if (!parse_value(&v)) return false;
+      out->members.emplace_back(std::move(key), std::move(v));
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      return consume('}');
+    }
+  }
+
+  bool parse_array(JsonValue* out) {
+    ++pos_;
+    out->kind = JsonValue::Kind::Array;
+    skip_ws();
+    if (peek() == ']') {
+      ++pos_;
+      return true;
+    }
+    while (true) {
+      JsonValue v;
+      if (!parse_value(&v)) return false;
+      out->elements.push_back(std::move(v));
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      return consume(']');
+    }
+  }
+
   bool parse_value(JsonValue* out) {
     skip_ws();
     switch (peek()) {
-      case '{': {
-        ++pos_;
-        out->kind = JsonValue::Kind::Object;
-        skip_ws();
-        if (peek() == '}') {
-          ++pos_;
-          return true;
-        }
-        while (true) {
-          skip_ws();
-          std::string key;
-          if (!parse_string(&key)) return false;
-          skip_ws();
-          if (!consume(':')) return false;
-          JsonValue v;
-          if (!parse_value(&v)) return false;
-          out->members.emplace_back(std::move(key), std::move(v));
-          skip_ws();
-          if (peek() == ',') {
-            ++pos_;
-            continue;
-          }
-          return consume('}');
-        }
-      }
+      case '{':
       case '[': {
-        ++pos_;
-        out->kind = JsonValue::Kind::Array;
-        skip_ws();
-        if (peek() == ']') {
-          ++pos_;
-          return true;
+        // Each open array or object is one stack frame of this parser
+        // (and of JsonValue's destructor): refuse input nested deeper than
+        // any document the tools write, before it exhausts the stack.
+        if (depth_ == kJsonMaxDepth) {
+          return fail("nesting deeper than kJsonMaxDepth (" +
+                      std::to_string(kJsonMaxDepth) + ")");
         }
-        while (true) {
-          JsonValue v;
-          if (!parse_value(&v)) return false;
-          out->elements.push_back(std::move(v));
-          skip_ws();
-          if (peek() == ',') {
-            ++pos_;
-            continue;
-          }
-          return consume(']');
-        }
+        ++depth_;
+        const bool ok = peek() == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
       }
       case '"':
         out->kind = JsonValue::Kind::String;
@@ -355,6 +371,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 

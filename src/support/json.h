@@ -2,10 +2,12 @@
 // bookkeeping) and a small recursive-descent parser.
 //
 // The writer replaces the hand-rolled serialization that used to live in
-// bench/bench_util.h; the parser exists so perf::HistoryStore can ingest
-// both our flat `BENCH_<name>.json` reports and google-benchmark's native
-// JSON without an external dependency. Numbers are held as double — every
-// producer in this repo stays well inside the 2^53 integer-exact range.
+// bench/bench_util.h; the parser reads every JSON input the tools take —
+// BENCH reports and histories, coverage DBs, diff bundles, hicbin payloads
+// and hic-rtd wire lines — without an external dependency. Much of that is
+// untrusted, so nesting is bounded (kJsonMaxDepth). Numbers are held as
+// double — every producer in this repo stays well inside the 2^53
+// integer-exact range.
 #pragma once
 
 #include <cstdint>
@@ -99,8 +101,14 @@ class JsonValue {
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
 };
 
+/// The deepest array/object nesting parse_json accepts. The parser recurses
+/// once per level, so unbounded input could exhaust the stack; the
+/// documents the tools write nest fewer than ten levels.
+inline constexpr int kJsonMaxDepth = 256;
+
 /// Parses one JSON document. Returns false (and fills `error`, if given)
-/// on malformed input or trailing garbage.
+/// on malformed input, trailing garbage or nesting deeper than
+/// kJsonMaxDepth.
 [[nodiscard]] bool parse_json(std::string_view text, JsonValue* out,
                               std::string* error = nullptr);
 

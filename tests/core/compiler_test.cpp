@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "netapp/scenarios.h"
+#include "perf/profile.h"
 
 namespace hicsync::core {
 namespace {
@@ -212,6 +213,26 @@ TEST(Compiler, IpForwardingCompilesWithThreeControllers) {
   // rx0, rx1, fwd each produce into their own BRAM cluster.
   EXPECT_EQ(r->bram_reports().size(), 3u);
   EXPECT_TRUE(r->deadlock_warnings().empty());
+}
+
+// hic-bound is strictly opt-in: a profiled lint-only compile has no
+// "bound" phase unless bound.enabled is set, and has one when it is.
+TEST(Compiler, BoundPhaseIsOptIn) {
+  for (bool enabled : {false, true}) {
+    perf::PassTimer timer;
+    CompileOptions options;
+    options.profiler = &timer;
+    options.lint.enabled = true;
+    options.lint.only = true;
+    options.bound.enabled = enabled;
+    auto r = Compiler(options).compile(netapp::figure1_source());
+    ASSERT_TRUE(r->ok()) << r->diags().str();
+    bool has_bound = false;
+    for (const perf::PassTimer::Phase& p : timer.phases()) {
+      has_bound = has_bound || p.name == "bound";
+    }
+    EXPECT_EQ(has_bound, enabled) << "bound.enabled=" << enabled;
+  }
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include "rt/store.h"
 #include "rt/workload.h"
 #include "rtl/verilog.h"
-#include "support/strings.h"
 
 #ifndef HICSYNC_EXAMPLES_DIR
 #error "HICSYNC_EXAMPLES_DIR must point at the examples/ directory"
@@ -311,6 +310,12 @@ TEST_F(ArtifactRejection, CorruptPayload) {
 
   // Trailing garbage after the declared payload.
   EXPECT_EQ(expect_rejected(bytes_ + "extra"), "rt-corrupt");
+
+  // A valid frame around a payload nested past kJsonMaxDepth.
+  std::string deep = bytes_.substr(bytes_.find('\n') + 1);
+  deep.insert(1, "\"deep\":" + std::string(100000, '[') +
+                     std::string(100000, ']') + ",");
+  EXPECT_EQ(expect_rejected(forge::frame_bytes(deep)), "rt-corrupt");
 }
 
 TEST_F(ArtifactRejection, StaleSourceIsSourceError) {
@@ -513,15 +518,9 @@ TEST_F(ArtifactRejection, UnknownOrganizationIsCorrupt) {
   const std::size_t at = payload.find("\"event-driven\"");
   ASSERT_NE(at, std::string::npos);
   payload.replace(at, std::string("\"event-driven\"").size(), "\"bogus\"");
-  const std::string forged =
-      support::format("HICBIN %d %zu %016llx\n", kArtifactVersion,
-                      payload.size(),
-                      static_cast<unsigned long long>(
-                          support::fnv1a64(payload))) +
-      payload;
   Artifact art;
   ArtifactError error;
-  EXPECT_FALSE(parse_artifact(forged, &art, &error));
+  EXPECT_FALSE(parse_artifact(forge::frame_bytes(payload), &art, &error));
   EXPECT_EQ(error.code, "rt-corrupt");
   EXPECT_EQ(error.message, "unknown organization 'bogus'");
 

@@ -74,16 +74,20 @@ inline void write(support::JsonWriter& w, const support::JsonValue& v) {
   }
 }
 
-/// `payload` encoded with `indent` and framed as a current-version hicbin.
-inline std::string frame(const support::JsonValue& payload, int indent = 0) {
-  support::JsonWriter w(indent);
-  write(w, payload);
-  const std::string& body = w.str();
+/// Payload bytes `body`, verbatim, framed as a current-version hicbin.
+inline std::string frame_bytes(const std::string& body) {
   return support::format("%s %d %zu %016llx\n", kArtifactMagic,
                          kArtifactVersion, body.size(),
                          static_cast<unsigned long long>(
                              support::fnv1a64(body))) +
          body;
+}
+
+/// `payload` encoded with `indent` and framed as a current-version hicbin.
+inline std::string frame(const support::JsonValue& payload, int indent = 0) {
+  support::JsonWriter w(indent);
+  write(w, payload);
+  return frame_bytes(w.str());
 }
 
 }  // namespace hicsync::rt::forge

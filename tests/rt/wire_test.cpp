@@ -189,6 +189,18 @@ TEST_F(WireProtocol, BadRequestsGetStableErrors) {
   expect_error(R"({"op":"produce","session":0})", "rt-bad-request:");
   expect_error(R"({"op":"produce","session":0,"words":[true]})",
                "rt-bad-request:");
+  // Numbers no integer cast can hold are refused, not cast.
+  expect_error(R"({"op":"run","session":1e300})", "rt-bad-request:");
+  expect_error(R"({"op":"run","session":0,"passes":1e300})",
+               "rt-bad-request:");
+  expect_error(R"({"op":"run","session":0,"passes":-3e9})",
+               "rt-bad-request:");
+  expect_error(R"({"op":"produce","session":0,"words":[1e300]})",
+               "rt-bad-request:");
+  // Nesting past the JSON parser's limit (kJsonMaxDepth).
+  expect_error(R"({"op":"ping","x":)" + std::string(100000, '[') +
+                   std::string(100000, ']') + "}",
+               "rt-bad-request: malformed JSON: nesting deeper than");
   // Well-formed request, service-level failure: stable rt-* code.
   expect_error(R"({"op":"run","session":12345})", "rt-no-session:");
 }

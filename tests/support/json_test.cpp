@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace hicsync::support {
 namespace {
 
@@ -94,6 +96,30 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_FALSE(parse_json("{\"a\": 1} trailing", &doc, &error));
   EXPECT_FALSE(parse_json("\"unterminated", &doc, &error));
   EXPECT_FALSE(error.empty());
+}
+
+std::string nested_arrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(JsonParse, AcceptsNestingUpToTheLimit) {
+  JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(parse_json(nested_arrays(kJsonMaxDepth), &doc, &error)) << error;
+  std::string objects;  // objects count toward the same limit
+  for (int i = 0; i < kJsonMaxDepth; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(static_cast<std::size_t>(kJsonMaxDepth), '}');
+  EXPECT_TRUE(parse_json(objects, &doc, &error)) << error;
+}
+
+TEST(JsonParse, RejectsNestingPastTheLimit) {
+  for (int depth : {kJsonMaxDepth + 1, 100000}) {
+    JsonValue doc;
+    std::string error;
+    EXPECT_FALSE(parse_json(nested_arrays(depth), &doc, &error)) << depth;
+    EXPECT_NE(error.find("kJsonMaxDepth"), std::string::npos) << error;
+  }
 }
 
 }  // namespace
