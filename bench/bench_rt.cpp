@@ -183,7 +183,7 @@ int main() {
   std::printf("%s\n", table.str().c_str());
 
   // Recorded, not asserted: on a single hardware thread the pool cannot
-  // scale; the history store tracks the trend where cores exist.
+  // scale; BENCH_rt.json carries the ratio where cores exist.
   double scaling = cmds_at_64[1] > 0 ? cmds_at_64[8] / cmds_at_64[1] : 0.0;
   std::printf("scaling (8 shards vs 1, 64 sessions): %.2fx\n", scaling);
   std::printf("differential vs single instance: %s\n",

@@ -19,10 +19,10 @@ namespace hicsync::bench {
 /// Flat key→value result file: `BENCH_<name>.json` in the working
 /// directory, one object, insertion-ordered keys. The human-readable table
 /// stays on stdout; this is the CI/plotting interface —
-/// `perf::HistoryStore` (and `hic-report`) ingest these files.
-/// Serialization and escaping live in support::JsonWriter, shared with the
-/// history store; values are kept preformatted so the emitted number
-/// format (%.4f doubles) stays stable across runs.
+/// `hic-report --bench-dir` reads these files (`perf::read_bench_dir`).
+/// Serialization and escaping live in support::JsonWriter; values are
+/// kept preformatted so the emitted number format (%.4f doubles) stays
+/// stable across runs.
 class JsonBenchReport {
  public:
   explicit JsonBenchReport(std::string name) : name_(std::move(name)) {}

@@ -98,31 +98,30 @@ std::vector<Constraint> paper_constraints() {
   return t;
 }
 
-ConstraintResult check_constraint(const Constraint& c,
-                                  const BenchRun* latest) {
+ConstraintResult check_constraint(const Constraint& c, const BenchRun* run) {
   ConstraintResult r;
   r.constraint = c;
-  if (latest == nullptr) {
+  if (run == nullptr) {
     r.status = ConstraintStatus::MissingData;
-    r.detail = "no history for bench '" + c.bench + "'";
+    r.detail = "no BENCH report for bench '" + c.bench + "'";
     return r;
   }
   std::vector<double> values;
   for (const std::string& key : c.keys) {
-    const double* v = latest->metric(key);
+    const double* v = run->metric(key);
     if (v == nullptr) {
       r.status = ConstraintStatus::MissingData;
-      r.detail = "metric '" + key + "' absent from latest run";
+      r.detail = "metric '" + key + "' absent from the report";
       return r;
     }
     values.push_back(*v);
   }
   std::vector<double> refs;
   for (const std::string& key : c.ref_keys) {
-    const double* v = latest->metric(key);
+    const double* v = run->metric(key);
     if (v == nullptr) {
       r.status = ConstraintStatus::MissingData;
-      r.detail = "metric '" + key + "' absent from latest run";
+      r.detail = "metric '" + key + "' absent from the report";
       return r;
     }
     refs.push_back(*v);
@@ -173,15 +172,13 @@ ConstraintResult check_constraint(const Constraint& c,
 }
 
 std::vector<ConstraintResult> check_constraints(
-    const std::map<std::string, BenchRun>& latest_by_bench,
-    const std::vector<Constraint>& constraints) {
+    const BenchRuns& runs, const std::vector<Constraint>& constraints) {
   std::vector<ConstraintResult> results;
   results.reserve(constraints.size());
   for (const Constraint& c : constraints) {
-    auto it = latest_by_bench.find(c.bench);
+    auto it = runs.find(c.bench);
     results.push_back(
-        check_constraint(c, it == latest_by_bench.end() ? nullptr
-                                                        : &it->second));
+        check_constraint(c, it == runs.end() ? nullptr : &it->second));
   }
   return results;
 }

@@ -8,7 +8,6 @@
 // them instead of a human re-reading the tables.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -27,7 +26,7 @@ enum class ConstraintKind {
 
 struct Constraint {
   std::string id;           // "table1.ff_constant"
-  std::string bench;        // history bench name the metrics live in
+  std::string bench;        // bench whose report holds the metrics
   std::string description;  // the paper sentence being checked
   ConstraintKind kind;
   std::vector<std::string> keys;
@@ -46,15 +45,14 @@ struct ConstraintResult {
 /// The built-in claim table covering every `BENCH_<name>.json` producer.
 [[nodiscard]] std::vector<Constraint> paper_constraints();
 
-/// Evaluates one constraint against the latest run of its bench (nullptr
-/// → MissingData).
+/// Evaluates one constraint against the run of its bench (nullptr →
+/// MissingData).
 [[nodiscard]] ConstraintResult check_constraint(const Constraint& c,
-                                                const BenchRun* latest);
+                                                const BenchRun* run);
 
-/// Evaluates `constraints` against `latest_by_bench`; results keep table
-/// order.
+/// Evaluates `constraints` against `runs`; results keep table order.
 [[nodiscard]] std::vector<ConstraintResult> check_constraints(
-    const std::map<std::string, BenchRun>& latest_by_bench,
+    const BenchRuns& runs,
     const std::vector<Constraint>& constraints = paper_constraints());
 
 }  // namespace hicsync::perf

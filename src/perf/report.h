@@ -1,35 +1,21 @@
 // hic-report emitters: the measured-vs-paper-constraint dashboard as
-// Markdown (including a byte-exact regeneration of EXPERIMENTS.md's
-// numeric tables) and as a single-file HTML report with inline sparkline
-// history per metric.
+// Markdown, and a byte-exact regeneration of EXPERIMENTS.md's numeric
+// tables.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "perf/compare.h"
 #include "perf/constraints.h"
 #include "perf/history.h"
 
 namespace hicsync::perf {
 
-/// Everything the emitters consume, loaded once from a HistoryStore.
-struct ReportInputs {
-  /// Full trajectory per bench, oldest first.
-  std::map<std::string, std::vector<BenchRun>> history;
-  /// history[bench].back() for convenience.
-  std::map<std::string, BenchRun> latest;
-
-  [[nodiscard]] static ReportInputs from_store(const HistoryStore& store);
-  [[nodiscard]] const BenchRun* latest_run(const std::string& bench) const;
-};
-
 /// Regenerates the numeric tables of EXPERIMENTS.md (Tables 1 and 2 and
-/// the §4 Fmax table) from the latest bench runs. The table rows are
+/// the §4 Fmax table) from the bench runs. The table rows are
 /// byte-identical to the committed document — `check_drift` and the
 /// `hic_report.experiments_md_in_sync` ctest depend on that.
-[[nodiscard]] std::string emit_experiments_md(const ReportInputs& inputs);
+[[nodiscard]] std::string emit_experiments_md(const BenchRuns& runs);
 
 /// Compares every `|`-prefixed table row of `generated` (the
 /// emit_experiments_md output) against `committed` (the EXPERIMENTS.md
@@ -38,18 +24,9 @@ struct ReportInputs {
 [[nodiscard]] std::vector<std::string> check_drift(
     const std::string& committed, const std::string& generated);
 
-/// The measured-vs-constraint dashboard as Markdown: constraint verdicts,
-/// then per-bench regression deltas.
+/// The measured-vs-constraint dashboard as Markdown: one row per
+/// constraint verdict.
 [[nodiscard]] std::string emit_dashboard_md(
-    const ReportInputs& inputs,
-    const std::vector<ConstraintResult>& constraints,
-    const std::map<std::string, CompareResult>& comparisons);
-
-/// Same content as a self-contained HTML page with an inline SVG
-/// sparkline of every metric's history.
-[[nodiscard]] std::string emit_html(
-    const ReportInputs& inputs,
-    const std::vector<ConstraintResult>& constraints,
-    const std::map<std::string, CompareResult>& comparisons);
+    const std::vector<ConstraintResult>& constraints);
 
 }  // namespace hicsync::perf

@@ -1,6 +1,7 @@
 #include "support/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -31,6 +32,7 @@ std::string json_escape(std::string_view s) {
 }
 
 std::string json_number(double value) {
+  if (!std::isfinite(value)) return "null";
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.10g", value);
   return buf;
@@ -283,6 +285,7 @@ class Parser {
     out->kind = JsonValue::Kind::Number;
     out->number_value = std::strtod(num.c_str(), &end);
     if (end == nullptr || *end != '\0') return fail("bad number");
+    if (!std::isfinite(out->number_value)) return fail("number out of range");
     return true;
   }
 

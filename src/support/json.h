@@ -3,11 +3,11 @@
 //
 // The writer replaces the hand-rolled serialization that used to live in
 // bench/bench_util.h; the parser reads every JSON input the tools take —
-// BENCH reports and histories, coverage DBs, diff bundles, hicbin payloads
-// and hic-rtd wire lines — without an external dependency. Much of that is
-// untrusted, so nesting is bounded (kJsonMaxDepth). Numbers are held as
-// double — every producer in this repo stays well inside the 2^53
-// integer-exact range.
+// BENCH reports, coverage DBs, diff bundles, hicbin payloads and hic-rtd
+// wire lines — without an external dependency. Much of that is untrusted,
+// so nesting is bounded (kJsonMaxDepth) and a number must be finite.
+// Numbers are held as double — every producer in this repo stays well
+// inside the 2^53 integer-exact range.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,8 @@ namespace hicsync::support {
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 /// Formats a double the way our JSON producers do: shortest of %.10g,
-/// with a guaranteed parseable result (no locale surprises).
+/// with a guaranteed parseable result (no locale surprises). A non-finite
+/// double, which JSON cannot spell, is written as null.
 [[nodiscard]] std::string json_number(double value);
 
 /// Incremental JSON writer. Handles quoting/escaping, commas and
@@ -35,8 +36,9 @@ namespace hicsync::support {
 ///    .end_object();
 ///   out << w.str();
 ///
-/// `indent <= 0` produces compact single-line output (the JSONL mode the
-/// history store uses); `indent > 0` pretty-prints with that many spaces.
+/// `indent <= 0` produces compact single-line output (the JSONL mode of
+/// the coverage DB and diff bundles); `indent > 0` pretty-prints with
+/// that many spaces.
 class JsonWriter {
  public:
   explicit JsonWriter(int indent = 2) : indent_(indent) {}
@@ -107,15 +109,14 @@ class JsonValue {
 inline constexpr int kJsonMaxDepth = 256;
 
 /// Parses one JSON document. Returns false (and fills `error`, if given)
-/// on malformed input, trailing garbage or nesting deeper than
-/// kJsonMaxDepth.
+/// on malformed input, a number past double's range, trailing garbage or
+/// nesting deeper than kJsonMaxDepth.
 [[nodiscard]] bool parse_json(std::string_view text, JsonValue* out,
                               std::string* error = nullptr);
 
 /// Parses a JSON-Lines document: one JSON value per line, blank lines
 /// skipped. Returns false on the first malformed line (`error` carries the
-/// 1-based line number). Used by the append-only stores (bench history,
-/// coverage DB).
+/// 1-based line number). Used by the coverage DB and diff bundles.
 [[nodiscard]] bool parse_jsonl(std::string_view text,
                                std::vector<JsonValue>* out,
                                std::string* error = nullptr);

@@ -8,11 +8,13 @@
 namespace hicsync::perf {
 namespace {
 
-std::string temp_root(const std::string& leaf) {
-  const std::string root =
+/// A fresh, empty directory under the test temp dir.
+std::string temp_dir(const std::string& leaf) {
+  const std::string dir =
       (std::filesystem::path(::testing::TempDir()) / leaf).string();
-  std::filesystem::remove_all(root);
-  return root;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
 }
 
 TEST(ParseBenchJson, FlatJsonBenchReportFormat) {
@@ -62,89 +64,35 @@ TEST(ParseBenchJson, RejectsGarbage) {
   EXPECT_FALSE(error.empty());
 }
 
-TEST(HistoryStore, AppendLoadRoundTrip) {
-  HistoryStore store(temp_root("hist_roundtrip"));
-  BenchRun run;
-  run.bench = "demo";
-  run.run_id = "r1";
-  run.timestamp = "2026-08-06T12:00:00Z";
-  run.metrics["x"] = 1.5;
-  run.labels["host"] = "ci";
-  ASSERT_TRUE(store.append(run));
-  run.run_id = "r2";
-  run.metrics["x"] = 2.5;
-  ASSERT_TRUE(store.append(run));
-
-  std::vector<BenchRun> loaded = store.load("demo");
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0].run_id, "r1");
-  EXPECT_DOUBLE_EQ(*loaded[0].metric("x"), 1.5);
-  EXPECT_EQ(loaded[1].run_id, "r2");
-  EXPECT_DOUBLE_EQ(*loaded[1].metric("x"), 2.5);
-  EXPECT_EQ(loaded[0].labels.at("host"), "ci");
-  EXPECT_EQ(loaded[0].schema, kHistorySchemaVersion);
-  EXPECT_EQ(store.benches(), std::vector<std::string>{"demo"});
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
 }
 
-TEST(HistoryStore, SkipsCorruptLines) {
-  const std::string root = temp_root("hist_corrupt");
-  HistoryStore store(root);
-  BenchRun run;
-  run.bench = "demo";
-  run.metrics["x"] = 1.0;
-  ASSERT_TRUE(store.append(run));
-  {
-    std::ofstream out(root + "/demo.jsonl", std::ios::app);
-    out << "{truncated garbage\n";
-    // A schema no int holds (casting it would be undefined).
-    out << R"({"schema": 1e300, "bench": "demo", "metrics": {}})" << "\n";
-  }
-  ASSERT_TRUE(store.append(run));
-  EXPECT_EQ(store.load("demo").size(), 2u);
-}
-
-TEST(HistoryStore, IngestDirectoryBothFormats) {
-  const std::string root = temp_root("hist_ingest");
-  const std::string bench_dir = temp_root("hist_ingest_benches");
-  std::filesystem::create_directories(bench_dir);
-  {
-    std::ofstream out(bench_dir + "/BENCH_flat.json");
-    out << R"({"bench": "flat", "v": 7})";
-  }
-  {
-    // A google-benchmark report: not ingested, and the error names it.
-    std::ofstream out(bench_dir + "/BENCH_gb.json");
-    out << R"({"benchmarks": [{"name": "BM_A", "run_type": "iteration",
-                 "real_time": 5, "time_unit": "ns", "iterations": 10}]})";
-  }
-  {
-    // Not a BENCH_ file: must be ignored.
-    std::ofstream out(bench_dir + "/other.json");
-    out << R"({"bench": "other", "v": 1})";
-  }
-  HistoryStore store(root);
+TEST(ReadBenchDir, ReadsEveryBenchFileByName) {
+  const std::string dir = temp_dir("read_bench_dir");
+  write_file(dir + "/BENCH_a.json", R"({"bench": "alpha", "v": 7})");
+  write_file(dir + "/BENCH_b.json", R"({"bench": "beta", "ok": true})");
+  // Not a BENCH_ file: ignored.
+  write_file(dir + "/other.json", R"({"bench": "other", "v": 1})");
+  BenchRuns runs;
   std::string error;
-  EXPECT_EQ(store.ingest_directory(bench_dir, "ci-42", "2026-08-06", &error),
-            -1);
-  EXPECT_EQ(error, "BENCH_gb.json: flat report without a \"bench\" key");
-  // Files go in name order, so the flat report before it was recorded.
-  std::vector<BenchRun> flat = store.load("flat");
-  ASSERT_EQ(flat.size(), 1u);
-  EXPECT_EQ(flat[0].run_id, "ci-42");
-  EXPECT_EQ(flat[0].timestamp, "2026-08-06");
-  EXPECT_EQ(store.benches(), std::vector<std::string>{"flat"});
+  ASSERT_TRUE(read_bench_dir(dir, &runs, &error)) << error;
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_DOUBLE_EQ(*runs.at("alpha").metric("v"), 7.0);
+  EXPECT_TRUE(runs.at("beta").flag("ok"));
 }
 
-TEST(HistoryStore, JsonlIsOneLinePerRun) {
-  BenchRun run;
-  run.bench = "demo";
-  run.metrics["a"] = 1.0;
-  const std::string line = HistoryStore::to_jsonl(run);
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-  BenchRun back;
-  ASSERT_TRUE(HistoryStore::from_jsonl(line, &back));
-  EXPECT_EQ(back.bench, "demo");
-  EXPECT_DOUBLE_EQ(*back.metric("a"), 1.0);
+TEST(ReadBenchDir, NamesTheFileThatDoesNotParse) {
+  const std::string dir = temp_dir("read_bench_dir_bad");
+  write_file(dir + "/BENCH_a.json", R"({"bench": "alpha", "v": 7})");
+  // A google-benchmark report has no "bench" key.
+  write_file(dir + "/BENCH_gb.json",
+             R"({"benchmarks": [{"name": "BM_A", "real_time": 5}]})");
+  BenchRuns runs;
+  std::string error;
+  EXPECT_FALSE(read_bench_dir(dir, &runs, &error));
+  EXPECT_EQ(error, "BENCH_gb.json: flat report without a \"bench\" key");
 }
 
 }  // namespace

@@ -50,17 +50,16 @@ BenchRun fmax_run() {
   return run;
 }
 
-ReportInputs synthetic_inputs() {
-  ReportInputs inputs;
+BenchRuns synthetic_runs() {
+  BenchRuns runs;
   for (const BenchRun& run : {table1_run(), table2_run(), fmax_run()}) {
-    inputs.latest.emplace(run.bench, run);
-    inputs.history[run.bench] = {run};
+    runs.emplace(run.bench, run);
   }
-  return inputs;
+  return runs;
 }
 
 TEST(EmitExperimentsMd, RendersTable1RowsByteExact) {
-  const std::string md = emit_experiments_md(synthetic_inputs());
+  const std::string md = emit_experiments_md(synthetic_runs());
   EXPECT_NE(md.find("| P/C | LUT (measured) | FF (measured) | Slices "
                     "(measured) | paper constraint |"),
             std::string::npos);
@@ -71,7 +70,7 @@ TEST(EmitExperimentsMd, RendersTable1RowsByteExact) {
 }
 
 TEST(EmitExperimentsMd, RendersTable2AndFmaxRows) {
-  const std::string md = emit_experiments_md(synthetic_inputs());
+  const std::string md = emit_experiments_md(synthetic_runs());
   EXPECT_NE(md.find("| 1/2 | 67 | 56 | 34 |"), std::string::npos);
   EXPECT_NE(md.find("| 1/8 | 134 | 56 | 67 |"), std::string::npos);
   // The arbitrated 8-consumer paper value carries the "~" lower-bound
@@ -82,16 +81,16 @@ TEST(EmitExperimentsMd, RendersTable2AndFmaxRows) {
 }
 
 TEST(EmitExperimentsMd, MissingBenchDegradesToPlaceholder) {
-  ReportInputs inputs;
-  const std::string md = emit_experiments_md(inputs);
-  EXPECT_NE(md.find("no bench history"), std::string::npos);
+  const std::string md = emit_experiments_md(BenchRuns());
+  EXPECT_NE(md.find("no BENCH_table1_arbitrated_area.json"),
+            std::string::npos);
   // A placeholder document has no table rows, so drift against any
   // committed file is vacuously empty.
   EXPECT_TRUE(check_drift("anything", md).empty());
 }
 
 TEST(CheckDrift, DetectsMissingAndChangedRows) {
-  const std::string generated = emit_experiments_md(synthetic_inputs());
+  const std::string generated = emit_experiments_md(synthetic_runs());
   // The generated document agrees with itself.
   EXPECT_TRUE(check_drift(generated, generated).empty());
   // A committed doc with one stale value: exactly the changed rows are
@@ -106,8 +105,7 @@ TEST(CheckDrift, DetectsMissingAndChangedRows) {
 }
 
 TEST(Constraints, AllPassOnHealthySyntheticMetrics) {
-  ReportInputs inputs = synthetic_inputs();
-  std::vector<ConstraintResult> results = check_constraints(inputs.latest);
+  std::vector<ConstraintResult> results = check_constraints(synthetic_runs());
   for (const ConstraintResult& r : results) {
     if (r.constraint.bench == "table1_arbitrated_area" ||
         r.constraint.bench == "table2_eventdriven_area" ||
@@ -122,9 +120,9 @@ TEST(Constraints, AllPassOnHealthySyntheticMetrics) {
 }
 
 TEST(Constraints, InjectedFfRegressionFailsTable1Constancy) {
-  ReportInputs inputs = synthetic_inputs();
-  inputs.latest["table1_arbitrated_area"].metrics["c8.ffs"] = 90;  // FF grew
-  std::vector<ConstraintResult> results = check_constraints(inputs.latest);
+  BenchRuns runs = synthetic_runs();
+  runs["table1_arbitrated_area"].metrics["c8.ffs"] = 90;  // FF grew
+  std::vector<ConstraintResult> results = check_constraints(runs);
   bool saw = false;
   for (const ConstraintResult& r : results) {
     if (r.constraint.id == "table1.ff_constant") {
@@ -137,10 +135,10 @@ TEST(Constraints, InjectedFfRegressionFailsTable1Constancy) {
 }
 
 TEST(Constraints, FmaxLadderShapeViolationFails) {
-  ReportInputs inputs = synthetic_inputs();
+  BenchRuns runs = synthetic_runs();
   // Make the event-driven ladder non-monotonic.
-  inputs.latest["timing_fmax"].metrics["c4.eventdriven_fmax_mhz"] = 200.0;
-  std::vector<ConstraintResult> results = check_constraints(inputs.latest);
+  runs["timing_fmax"].metrics["c4.eventdriven_fmax_mhz"] = 200.0;
+  std::vector<ConstraintResult> results = check_constraints(runs);
   for (const ConstraintResult& r : results) {
     if (r.constraint.id == "fmax.ev_decreasing") {
       EXPECT_EQ(r.status, ConstraintStatus::Fail);
@@ -152,48 +150,19 @@ TEST(Constraints, FmaxLadderShapeViolationFails) {
   }
 }
 
+// The injected FF regression shows up as a FAIL row.
 TEST(EmitDashboardMd, ListsConstraintsAndRegressions) {
-  ReportInputs inputs = synthetic_inputs();
-  inputs.latest["table1_arbitrated_area"].metrics["c8.ffs"] = 90;
-  std::vector<ConstraintResult> constraints =
-      check_constraints(inputs.latest);
-
-  std::vector<BenchRun> history;
-  for (double v : {100.0, 101.0, 99.0, 140.0}) {
-    BenchRun run;
-    run.bench = "table1_arbitrated_area";
-    run.metrics["t.real_time_ns"] = v;
-    history.push_back(run);
-  }
-  std::map<std::string, CompareResult> comparisons;
-  comparisons["table1_arbitrated_area"] = compare_runs(history);
-
-  const std::string md = emit_dashboard_md(inputs, constraints, comparisons);
-  EXPECT_NE(md.find("table1.ff_constant"), std::string::npos);
-  EXPECT_NE(md.find("FAIL"), std::string::npos);
-  EXPECT_NE(md.find("regression"), std::string::npos);
-  EXPECT_NE(md.find("t.real_time_ns"), std::string::npos);
-}
-
-TEST(EmitHtml, SelfContainedPageWithSparklines) {
-  ReportInputs inputs = synthetic_inputs();
-  // Two runs so the sparkline has a real trajectory.
-  BenchRun second = inputs.latest["timing_fmax"];
-  second.metrics["c2.eventdriven_fmax_mhz"] = 165.0;
-  inputs.history["timing_fmax"].push_back(second);
-  inputs.latest["timing_fmax"] = second;
-
-  std::vector<ConstraintResult> constraints =
-      check_constraints(inputs.latest);
-  const std::string html =
-      emit_html(inputs, constraints, {});
-  EXPECT_NE(html.find("<!DOCTYPE html>"), std::string::npos);
-  EXPECT_NE(html.find("<svg"), std::string::npos);
-  EXPECT_NE(html.find("polyline"), std::string::npos);
-  EXPECT_NE(html.find("timing_fmax"), std::string::npos);
-  // Single file: no external resource references.
-  EXPECT_EQ(html.find("href="), std::string::npos);
-  EXPECT_EQ(html.find("src="), std::string::npos);
+  BenchRuns runs = synthetic_runs();
+  runs["table1_arbitrated_area"].metrics["c8.ffs"] = 90;
+  const std::string md = emit_dashboard_md(check_constraints(runs));
+  EXPECT_NE(md.find("| table1.ff_constant | table1_arbitrated_area | FAIL | "
+                    "c2.ffs=71, c4.ffs=71, c8.ffs=90 |"),
+            std::string::npos)
+      << md;
+  EXPECT_NE(md.find("| table2.ff_constant | table2_eventdriven_area | pass |"),
+            std::string::npos);
+  EXPECT_NE(md.find("| rt.telemetry_overhead | rt | missing |"),
+            std::string::npos);
 }
 
 }  // namespace

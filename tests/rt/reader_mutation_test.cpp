@@ -1,6 +1,6 @@
 // Deterministic mutation lock for the JSON readers besides the hicbin
-// loader (fuzz_test.cpp covers that one): BENCH reports and history lines
-// read by hic-perf, and request lines read by hic-rtd's protocol engine.
+// loader (fuzz_test.cpp covers that one): BENCH reports read by hic-perf,
+// and request lines read by hic-rtd's protocol engine.
 // Every mutant makes one to three byte edits, or replaces one value, in a
 // committed input. The reader must answer it with an error or a valid
 // result, and never crash.
@@ -123,32 +123,31 @@ void for_each_mutant(const std::vector<std::string>& inputs,
   }
 }
 
-TEST(ReaderMutation, BenchReportsAndHistoryLinesParseOrFail) {
-  // Each BENCH report whole, and each history line; every mutant goes to
-  // both readers.
+TEST(ReaderMutation, BenchReportsParseOrFail) {
   std::vector<std::string> inputs;
   for (const char* file :
-       {"bench_reports/BENCH_demo.json", "bench_reports/BENCH_micro.json",
-        "history_constraint_fail/table1_arbitrated_area.jsonl",
-        "history_regression/demo.jsonl", "history_skew/demo.jsonl",
-        "history_stable/demo.jsonl"}) {
+       {"bench_constraint_fail/BENCH_table1_arbitrated_area.json",
+        "bench_duplicate/BENCH_table1_rerun.json"}) {
     std::ifstream in(std::string(HICSYNC_PERF_FIXTURES_DIR) + "/" + file);
     ASSERT_TRUE(in.good()) << file;
-    if (std::string(file).find(".jsonl") == std::string::npos) {
-      inputs.emplace_back(std::istreambuf_iterator<char>(in),
-                          std::istreambuf_iterator<char>());
-    }
-    for (std::string line; std::getline(in, line);) inputs.push_back(line);
+    inputs.emplace_back(std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>());
   }
   for_each_mutant(inputs, {}, [](const std::string& m) {
     perf::BenchRun run;
     std::string error;
     EXPECT_TRUE(perf::parse_bench_json(m, &run, &error) ? !run.bench.empty()
                                                         : !error.empty());
-    EXPECT_TRUE(perf::HistoryStore::from_jsonl(m, &run, &error)
-                    ? !run.bench.empty()
-                    : !error.empty());
   });
+  // A number past double's range never becomes a metric: -inf would pass
+  // every at-most constraint.
+  perf::BenchRun run;
+  std::string error;
+  EXPECT_FALSE(perf::parse_bench_json(
+      R"({"bench": "rt", "rt.telemetry.overhead_pct": -1e999,)"
+      R"( "rt.telemetry.limit_pct": 5})",
+      &run, &error));
+  EXPECT_NE(error.find("number out of range"), std::string::npos) << error;
 }
 
 TEST(ReaderMutation, WireRequestsGetAnAnswer) {

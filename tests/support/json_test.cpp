@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 namespace hicsync::support {
@@ -52,6 +53,22 @@ TEST(JsonWriter, RawSplicesVerbatim) {
   EXPECT_EQ(w.str(), "{\"x\": {\"pre\": 1}}");
 }
 
+TEST(JsonNumber, NonFiniteIsWrittenAsNull) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(json_number(inf), "null");
+  EXPECT_EQ(json_number(-inf), "null");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(json_number(-2.5), "-2.5");
+  // The writer's output stays parseable.
+  JsonWriter w(0);
+  w.begin_array().value(inf).value(1.5).end_array();
+  EXPECT_EQ(w.str(), "[null,1.5]");
+  JsonValue doc;
+  ASSERT_TRUE(parse_json(w.str(), &doc));
+  EXPECT_TRUE(doc.elements[0].is_null());
+}
+
 TEST(JsonParse, RoundTripsWriterOutput) {
   JsonWriter w;
   w.begin_object()
@@ -86,6 +103,21 @@ TEST(JsonParse, PreservesMemberOrderAndNumbers) {
   EXPECT_EQ(doc.members[1].first, "a");
   EXPECT_DOUBLE_EQ(doc.members[1].second.number_value, -250.0);
   EXPECT_DOUBLE_EQ(doc.members[2].second.number_value, 9007199254740992.0);
+}
+
+TEST(JsonParse, RejectsNumbersPastDoubleRange) {
+  for (const char* text : {"1e999", "-1e999", "[1, 1e400]",
+                           "{\"overhead_pct\": -1e999}"}) {
+    JsonValue doc;
+    std::string error;
+    EXPECT_FALSE(parse_json(text, &doc, &error)) << text;
+    EXPECT_NE(error.find("number out of range"), std::string::npos) << error;
+  }
+  // The largest finite doubles and underflow to zero are still numbers.
+  JsonValue doc;
+  ASSERT_TRUE(parse_json("[1.7976931348623157e308, -1e308, 1e-999]", &doc));
+  EXPECT_DOUBLE_EQ(doc.elements[0].number_value, 1.7976931348623157e308);
+  EXPECT_DOUBLE_EQ(doc.elements[2].number_value, 0.0);
 }
 
 TEST(JsonParse, RejectsMalformedInput) {
