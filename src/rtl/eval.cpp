@@ -430,11 +430,12 @@ int ModuleSim::find_net(const std::string& name) const {
   return it->second;
 }
 
-// run() is inlined into settle() and step(), and its dispatch loop is
-// sensitive to where it falls within a cache line: on a 4-core x86-64
-// machine, unrelated code elsewhere in the binary shifting both functions
-// by 16 bytes made sim-arb8 ~12 % slower per cycle. Starting both on a
-// 64-byte boundary keeps their cost independent of the rest of the binary.
+// run() is inlined into settle(), step() and step_edge(), and its dispatch
+// loop is sensitive to where it falls within a cache line: on a 4-core
+// x86-64 machine, unrelated code elsewhere in the binary shifting settle()
+// and step() by 16 bytes made sim-arb8 ~12 % slower per cycle. Starting
+// each on a 64-byte boundary keeps its cost independent of the rest of the
+// binary.
 [[gnu::aligned(64)]] void ModuleSim::settle() {
   run(comb_);
   dirty_ = false;
@@ -468,10 +469,15 @@ void ModuleSim::clock_edge() {
 }
 
 [[gnu::aligned(64)]] void ModuleSim::step() {
+  step_edge();
+  settle();
+}
+
+[[gnu::aligned(64)]] void ModuleSim::step_edge() {
   if (dirty_) settle();
   clock_edge();
   ++cycles_;
-  settle();
+  dirty_ = true;
 }
 
 void ModuleSim::reset() {

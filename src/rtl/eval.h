@@ -21,11 +21,14 @@
 // set_input()/get() take the id. The string overloads are thin wrappers for
 // tests and one-off probes.
 //
-// step() settles before its clock edge only when an input or memory word
-// changed since the last settle. Settling is a pure function of inputs,
-// registers and memories, so otherwise it could change nothing: a caller
-// that settles, reads outputs and then steps (what SystemSim does every
-// cycle) pays for two settles per cycle, not three.
+// A clock edge settles first only when an input or memory word changed
+// since the last settle. Settling is a pure function of inputs, registers
+// and memories, so otherwise it could change nothing. step() settles again
+// after the edge, so every net reflects the new state. step_edge() does
+// not: registers and memories are current, combinational nets are stale
+// until the next settle(). A caller that settles, reads outputs and then
+// calls step_edge() every cycle — what SystemSim does — pays for one
+// settle per cycle.
 //
 // Instances are not elaborated — generators emit flat controller modules.
 #pragma once
@@ -97,6 +100,13 @@ class ModuleSim {
   /// settle), commit registers and memory ports, then settle again so
   /// outputs reflect the new state.
   void step();
+
+  /// The clock edge alone: settle only if something changed since the
+  /// last settle, then commit registers and memory ports. Registers
+  /// (including output registers) and memories read current; other nets
+  /// hold their pre-edge values until the next settle(), which the module
+  /// is marked as needing. step_edge() then settle() is step().
+  void step_edge();
 
   /// Applies reset for one cycle (rst=1, step, rst=0).
   void reset();

@@ -1,6 +1,7 @@
 #include "rtl/netlist.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -109,26 +110,39 @@ int expr_width(const RtlExpr& e) { return e.width; }
 
 // ---------------------------------------------------------------------------
 
-std::string Module::unique_name(const std::string& base) {
-  bool taken = false;
-  for (const Net& n : nets_) {
-    if (n.name == base) {
-      taken = true;
-      break;
-    }
+namespace {
+
+std::size_t name_hash(const std::string& name) {
+  return std::hash<std::string>{}(name);
+}
+
+}  // namespace
+
+bool Module::name_taken(const std::string& name) const {
+  if (name_index_.empty()) return false;
+  const std::size_t mask = name_index_.size() - 1;
+  for (std::size_t i = name_hash(name) & mask; name_index_[i] != 0;
+       i = (i + 1) & mask) {
+    if (nets_[name_index_[i] - 1].name == name) return true;
   }
-  if (!taken) return base;
-  int suffix = 1;
+  return false;
+}
+
+void Module::index_net(std::size_t id) {
+  const std::size_t mask = name_index_.size() - 1;
+  std::size_t i = name_hash(nets_[id].name) & mask;
+  while (name_index_[i] != 0) i = (i + 1) & mask;
+  name_index_[i] = static_cast<std::uint32_t>(id + 1);
+}
+
+std::string Module::unique_name(const std::string& base) {
+  if (!name_taken(base)) return base;
+  // Every `base_k` below next_suffix_[base] is taken (names are never
+  // removed), so the first free one is found where the last search ended.
+  int& suffix = next_suffix_.try_emplace(base, 1).first->second;
   while (true) {
     std::string candidate = base + "_" + std::to_string(suffix++);
-    bool clash = false;
-    for (const Net& n : nets_) {
-      if (n.name == candidate) {
-        clash = true;
-        break;
-      }
-    }
-    if (!clash) return candidate;
+    if (!name_taken(candidate)) return candidate;
   }
 }
 
@@ -139,6 +153,13 @@ int Module::add_net(const std::string& name, int width, NetKind kind) {
   n.width = width;
   n.kind = kind;
   nets_.push_back(std::move(n));
+  // Keep the index at most half full: double it and re-add every net.
+  if (2 * nets_.size() > name_index_.size()) {
+    name_index_.assign(std::max<std::size_t>(64, 2 * name_index_.size()), 0);
+    for (std::size_t id = 0; id < nets_.size(); ++id) index_net(id);
+  } else {
+    index_net(nets_.size() - 1);
+  }
   return nets_.back().id;
 }
 

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace hicsync::rtl {
@@ -192,10 +193,18 @@ class Module {
 
  private:
   int add_net(const std::string& name, int width, NetKind kind);
+  /// `base`, or the first of base_1, base_2, ... no net is named yet.
   std::string unique_name(const std::string& base);
+  [[nodiscard]] bool name_taken(const std::string& name) const;
+  /// Adds nets_[id] to name_index_.
+  void index_net(std::size_t id);
 
   std::string name_;
   std::vector<Net> nets_;
+  // Open-addressed hash index of nets_ by name: each slot holds a net id
+  // plus one (0 = empty); a power of two in size, at most half full.
+  std::vector<std::uint32_t> name_index_;
+  std::unordered_map<std::string, int> next_suffix_;  // per reused base
   std::vector<Port> ports_;
   std::vector<ContAssign> assigns_;
   std::vector<SeqAssign> seqs_;

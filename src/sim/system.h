@@ -10,6 +10,19 @@
 // compiler, or hic-rt's artifact loader), so scheduling, the CAM choice and
 // hic-bound pruning are simulated exactly as compiled.
 //
+// Construction lowers every thread FSM once. Each state becomes a plan in
+// which every statement's controller, placement, access role, dependency,
+// pseudo-port and event-driven slot are resolved; registers live in a
+// dense slot vector, and value, condition and index expressions are
+// postfix tapes over it. Externs are still called by name through
+// ExternFuncs at evaluation time, so they can be re-bound between runs.
+//
+// One cycle: clear the controllers' request inputs, let every thread drive
+// its in-flight access, settle each controller once, let every thread
+// observe grants and data, then clock each controller's edge without
+// re-settling (rtl::ModuleSim::step_edge) — nothing reads a combinational
+// net before the next cycle's settle.
+//
 // Substitute for running the bitstream on a Virtex-II Pro (see DESIGN.md):
 // the functional and latency claims of §3/§4 are cycle-level properties of
 // the controllers, which this executes faithfully.
@@ -17,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -145,6 +157,9 @@ class SystemSim {
   [[nodiscard]] ThreadExec* find_thread(const std::string& name) const;
   void drive_phase();
   void observe_phase();
+  /// Advances the thread's in-flight memory operation by what the settled
+  /// controller shows this cycle.
+  void observe_op(ThreadExec& t, bool tracing);
 
   const hic::Sema& sema_;
   SystemOptions options_;
@@ -152,7 +167,9 @@ class SystemSim {
   std::vector<std::unique_ptr<Controller>> controllers_;
   std::vector<std::unique_ptr<ThreadExec>> threads_;
   std::vector<DepRound> rounds_;
-  std::map<std::string, std::size_t> open_round_;  // dep id -> rounds_ index
+  // Per dependency id (numbered at construction): the rounds_ index of its
+  // open round.
+  std::vector<std::size_t> open_round_;
   std::uint64_t cycle_ = 0;
   trace::TraceBus* trace_ = nullptr;
 };

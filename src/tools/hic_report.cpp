@@ -18,7 +18,8 @@
 //   2  usage error, unreadable --bench-dir or BENCH file, or two BENCH
 //      files naming the same bench
 //   3  --check has a constraint without data (missing bench or metric),
-//      or --check-drift finds no BENCH file in --bench-dir
+//      or --check-drift is missing one of the three table benches
+//      (table1_arbitrated_area, table2_eventdriven_area, timing_fmax)
 //   5  --check-drift found committed tables diverging from regenerated
 
 #include <cstdio>
@@ -87,10 +88,16 @@ int main(int argc, char** argv) {
   if (!drift_file.empty()) {
     const std::optional<cli::Source> committed = cli::read_source(drift_file);
     if (!committed) return 2;
-    if (runs.empty()) {
-      std::fprintf(stderr, "--check-drift: no BENCH_*.json in %s\n",
-                   bench_dir.c_str());
-      return 3;
+    // A missing table bench would drop its rows from the regenerated
+    // tables and let the rest "match": fail closed, as --check does.
+    for (const char* bench :
+         {"table1_arbitrated_area", "table2_eventdriven_area",
+          "timing_fmax"}) {
+      if (runs.count(bench) == 0) {
+        std::fprintf(stderr, "--check-drift: no bench '%s' in %s\n", bench,
+                     bench_dir.c_str());
+        return 3;
+      }
     }
     const std::vector<std::string> missing = perf::check_drift(
         committed->text, perf::emit_experiments_md(runs));

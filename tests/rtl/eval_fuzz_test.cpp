@@ -349,6 +349,100 @@ TEST_P(EvalFuzzEdge, ClockEdgeMatchesReference) {
   EXPECT_GT(resets, 0) << "seed " << GetParam() << " never reset";
 }
 
+/// step_edge() then settle() is step(): two instances of one random module
+/// (registers, wires, outputs and a two-port memory whose address, write
+/// enable and write data come through logic), driven alike, one stepped
+/// and one edge-stepped then settled, agree on every net and memory word
+/// every cycle. Right after step_edge(), before the settle, every register
+/// already holds its post-edge value.
+TEST_P(EvalFuzzEdge, EdgeOnlyThenSettleMatchesStep) {
+  Gen gen(static_cast<std::uint64_t>(GetParam()) * 2246822519u + 3);
+  Module m("fuzz_edge_only");
+  (void)m.clk();
+  const int rst = m.rst();
+  const int widths[] = {1, 3, 8, 13, 32, 33};
+  for (int i = 0; i < 3; ++i) {
+    const int w = widths[gen.rng.next_below(6)];
+    gen.inputs.emplace_back(m.add_input("in" + std::to_string(i), w), w);
+  }
+  const std::size_t num_inputs = gen.inputs.size();
+  std::vector<int> regs;
+  for (int i = 0; i < 4; ++i) {
+    const int w = widths[gen.rng.next_below(6)];
+    regs.push_back(m.add_reg("r" + std::to_string(i), w));
+    gen.inputs.emplace_back(regs.back(), w);
+  }
+  constexpr int kWidth = 11;
+  constexpr int kDepth = 6;
+  Memory& mem = m.add_memory("ram", kWidth, kDepth);
+  for (int p = 0; p < 2; ++p) {
+    const int rdata = m.add_reg("rdata" + std::to_string(p), kWidth);
+    regs.push_back(rdata);
+    gen.inputs.emplace_back(rdata, kWidth);
+  }
+  for (int k = 0; k < 3; ++k) {
+    const int w = widths[gen.rng.next_below(6)];
+    const int net = m.add_wire("w" + std::to_string(k), w);
+    m.assign(net, gen.expr(2, w));
+    gen.inputs.emplace_back(net, w);
+  }
+  for (std::size_t i = 0; i + 2 < regs.size(); ++i) {
+    const int w = m.net(regs[i]).width;
+    RtlExprPtr enable = gen.rng.next_bool(0.5) ? gen.expr(2, 1) : nullptr;
+    m.seq(regs[i], gen.expr(3, w), std::move(enable),
+          mask_w(gen.rng.next_u64(), w), gen.rng.next_bool(0.7));
+  }
+  for (int p = 0; p < 2; ++p) {
+    MemoryPort port;
+    port.addr = gen.expr(2, 3);
+    port.write_enable = gen.expr(1, 1);
+    port.write_data = gen.expr(2, kWidth);
+    port.read_data = regs[regs.size() - 2 + static_cast<std::size_t>(p)];
+    mem.ports.push_back(std::move(port));
+  }
+  for (int o = 0; o < 3; ++o) {
+    const int w = widths[gen.rng.next_below(6)];
+    m.assign(m.add_output("out" + std::to_string(o), w), gen.expr(3, w));
+  }
+
+  ModuleSim stepped(m);
+  ModuleSim edged(m);
+  const auto nets = static_cast<int>(m.nets().size());
+  for (int cycle = 0; cycle < 60; ++cycle) {
+    for (std::size_t i = 0; i < num_inputs; ++i) {
+      const auto [net, w] = gen.inputs[i];
+      const std::uint64_t v = mask_w(gen.rng.next_u64(), w);
+      stepped.set_input(net, v);
+      edged.set_input(net, v);
+    }
+    const std::uint64_t in_reset = gen.rng.next_bool(0.1) ? 1 : 0;
+    stepped.set_input(rst, in_reset);
+    edged.set_input(rst, in_reset);
+    if (gen.rng.next_bool(0.5)) {
+      stepped.settle();
+      edged.settle();
+    }
+    stepped.step();
+    edged.step_edge();
+    for (int r : regs) {
+      ASSERT_EQ(edged.get(r), stepped.get(r))
+          << "seed " << GetParam() << " cycle " << cycle << " "
+          << m.net(r).name << " before the settle";
+    }
+    edged.settle();
+    for (int net = 0; net < nets; ++net) {
+      ASSERT_EQ(edged.get(net), stepped.get(net))
+          << "seed " << GetParam() << " cycle " << cycle << " "
+          << m.net(net).name;
+    }
+    for (std::size_t a = 0; a < kDepth; ++a) {
+      ASSERT_EQ(edged.read_mem("ram", a), stepped.read_mem("ram", a))
+          << "seed " << GetParam() << " cycle " << cycle << " word " << a;
+    }
+  }
+  EXPECT_EQ(edged.cycles(), stepped.cycles());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EvalFuzzEdge, ::testing::Range(1, 13));
 
 /// A two-port memory against a reference BRAM: both ports read the

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace hicsync::rtl {
 namespace {
 
@@ -12,6 +15,23 @@ TEST(Netlist, NetCreationAndUniquing) {
   EXPECT_NE(m.net(a).name, m.net(b).name);
   EXPECT_EQ(m.net(a).width, 8);
   EXPECT_EQ(m.net(b).width, 4);
+}
+
+TEST(Netlist, UniqueNameSuffixSequence) {
+  // Reused names take the first free base_1, base_2, ...; a suffixed name
+  // that was itself taken explicitly is skipped, and reusing such a name
+  // suffixes it in turn (x_1 -> x_1_1), exactly as a scan of every net
+  // would.
+  Module m("t");
+  std::vector<std::string> names;
+  for (const char* name : {"x", "x", "x_1", "x_3", "x", "x", "x_1", "y",
+                           "x_1_1", "x_2"}) {
+    names.push_back(m.net(m.add_wire(name, 1)).name);
+  }
+  const std::vector<std::string> want = {"x",   "x_1",   "x_1_1", "x_3",
+                                         "x_2", "x_4",   "x_1_2", "y",
+                                         "x_1_1_1", "x_2_1"};
+  EXPECT_EQ(names, want);
 }
 
 TEST(Netlist, PortsRecorded) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "../hic/hic_test_util.h"
 #include "memalloc/portplan.h"
 #include "sim/system.h"
@@ -203,6 +207,47 @@ TEST(SystemSimEdge, UnionMemberThroughRegisters) {
   ASSERT_TRUE(w.sim->run_until_passes(1, 200));
   // 70000 = 0x11170; the 16-bit member view masks to 0x1170.
   EXPECT_EQ(w.sim->register_value("t", "x"), 70000u & 0xFFFFu);
+}
+
+TEST(SystemSimEdge, EventDrivenSlotIsCurrentAfterEdgeOnly) {
+  // SystemSim ends each cycle with rtl::ModuleSim::step_edge(), leaving
+  // the controller's combinational nets stale, and reads the event-driven
+  // `slot` before the next cycle's settle. That is sound because `slot` is
+  // an output register: committed by the edge itself. Two instances of
+  // the compiled controller, one stepped and one edge-stepped, agree on
+  // it every cycle while the schedule walks through its slots.
+  World w = make_world(hic::testing::kFigure1, OrgKind::EventDriven);
+  ASSERT_EQ(w.controllers.size(), 1u);
+  const rtl::Module& module = *w.controllers[0].module;
+  rtl::ModuleSim stepped(module);
+  rtl::ModuleSim edged(module);
+  stepped.reset();
+  edged.reset();
+  const int slot = stepped.find_net("slot");
+  ASSERT_EQ(module.net(slot).kind, rtl::NetKind::Reg);
+  // The producer and every consumer request in turn, so the schedule
+  // keeps moving.
+  std::vector<int> reqs;
+  for (int j = 0; j < w.plans[0].producer_pseudo_ports(); ++j) {
+    reqs.push_back(stepped.find_net("p_req" + std::to_string(j)));
+  }
+  for (int i = 0; i < w.plans[0].consumer_pseudo_ports(); ++i) {
+    reqs.push_back(stepped.find_net("c_req" + std::to_string(i)));
+  }
+  std::set<std::uint64_t> seen;
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    for (int req : reqs) {
+      stepped.set_input(req, cycle % 3 != 2 ? 1 : 0);
+      edged.set_input(req, cycle % 3 != 2 ? 1 : 0);
+    }
+    stepped.settle();
+    edged.settle();
+    stepped.step();
+    edged.step_edge();
+    ASSERT_EQ(edged.get(slot), stepped.get(slot)) << "cycle " << cycle;
+    seen.insert(edged.get(slot));
+  }
+  EXPECT_GT(seen.size(), 1u);
 }
 
 }  // namespace
