@@ -3,6 +3,7 @@
 // the machine-readable result file every bench emits.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -34,7 +35,16 @@ class JsonBenchReport {
   void set(const std::string& key, const char* value) {
     set(key, std::string(value));
   }
+  /// A non-finite value is written as null (hic-report then reads the
+  /// metric as absent) and named on stderr.
   void set(const std::string& key, double value) {
+    if (!std::isfinite(value)) {
+      std::fprintf(stderr,
+                   "bench %s: non-finite value for '%s' written as null\n",
+                   name_.c_str(), key.c_str());
+      entries_.emplace_back(key, "null");
+      return;
+    }
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.4f", value);
     entries_.emplace_back(key, buf);

@@ -58,8 +58,12 @@ struct BlockingStaticBound {
   std::vector<std::string> provenance;  // fixpoint trace (--explain)
 };
 
-/// Runs the blocking client for every consumer endpoint of `model`.
+/// Runs the blocking client for every consumer endpoint of `model`. Each
+/// thread's cycle analysis runs once per usable-op signature and is shared
+/// across endpoints and fixpoint rounds; `cycle_scans`, when given,
+/// receives the number of those runs.
 [[nodiscard]] std::vector<BlockingStaticBound> blocking_bounds(
-    const verify::ProgramModel& model, bool explain);
+    const verify::ProgramModel& model, bool explain,
+    std::uint64_t* cycle_scans = nullptr);
 
 }  // namespace hicsync::bound

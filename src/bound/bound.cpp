@@ -47,7 +47,7 @@ BoundResult run_bound(const hic::Program& program, const hic::Sema& sema,
   r.occupancy = std::move(occ.controllers);
   if (options.apply_sizing) r.sizing_hints = std::move(occ.hints);
 
-  r.blocking = blocking_bounds(model, options.explain);
+  r.blocking = blocking_bounds(model, options.explain, &r.cycle_scans);
   r.dead_ports = dead_ports(model, plans, counters);
   return r;
 }

@@ -56,6 +56,9 @@ struct BoundResult {
 
   /// Total worklist iterations across every per-thread solve (profiling).
   std::uint64_t worklist_steps = 0;
+  /// Per-thread cycle analyses the blocking client ran, one per distinct
+  /// (thread, usable-op signature) (profiling; not rendered).
+  std::uint64_t cycle_scans = 0;
   /// Any per-thread solve hit the widening threshold.
   bool widened = false;
 

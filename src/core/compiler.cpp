@@ -198,6 +198,7 @@ std::unique_ptr<CompileResult> Compiler::compile(
       prof->set_count("bound.controllers", br.occupancy.size());
       prof->set_count("bound.endpoints", br.blocking.size());
       prof->set_count("bound.worklist_steps", br.worklist_steps);
+      prof->set_count("bound.cycle_scans", br.cycle_scans);
     }
     r.bound_results_.push_back(std::move(br));
   }

@@ -1,6 +1,7 @@
 #include "nlint/netgraph.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace hicsync::nlint {
 namespace {
@@ -29,18 +30,18 @@ void NetGraph::index_drivers() {
       inf.is_output = true;
     }
   }
-  auto count_reads = [&](const rtl::RtlExpr* e) {
-    if (e == nullptr) return;
-    std::vector<int> refs;
-    collect_refs(*e, refs);
-    for (int r : refs) ++infos_[static_cast<std::size_t>(r)].reads;
-  };
+  // Continuous assigns keep their references (the comb graph, folding and
+  // cone queries walk them); every other site only counts reads.
   const auto& assigns = module_.assigns();
+  ref_begin_.reserve(assigns.size() + 1);
   for (std::size_t i = 0; i < assigns.size(); ++i) {
     infos_[static_cast<std::size_t>(assigns[i].target)].cont_drivers.push_back(
         static_cast<int>(i));
-    count_reads(assigns[i].value.get());
+    ref_begin_.push_back(refs_.size());
+    if (assigns[i].value != nullptr) collect_refs(*assigns[i].value, refs_);
   }
+  ref_begin_.push_back(refs_.size());
+  for (int r : refs_) ++infos_[static_cast<std::size_t>(r)].reads;
   const auto& seqs = module_.seqs();
   for (std::size_t i = 0; i < seqs.size(); ++i) {
     infos_[static_cast<std::size_t>(seqs[i].target)].seq_drivers.push_back(
@@ -60,6 +61,21 @@ void NetGraph::index_drivers() {
   }
 }
 
+void NetGraph::count_reads(const rtl::RtlExpr* e) {
+  if (e == nullptr) return;
+  if (e->op == rtl::RtlOp::Ref) {
+    ++infos_[static_cast<std::size_t>(e->net)].reads;
+  }
+  for (const auto& a : e->args) count_reads(a.get());
+}
+
+std::span<const int> NetGraph::comb_refs(int net) const {
+  const NetInfo& inf = info(net);
+  if (inf.cont_drivers.empty()) return {};
+  const auto a = static_cast<std::size_t>(inf.cont_drivers.front());
+  return {refs_.data() + ref_begin_[a], refs_.data() + ref_begin_[a + 1]};
+}
+
 bool NetGraph::driven(int net) const {
   const NetInfo& inf = info(net);
   return inf.is_input || inf.mem_read || !inf.cont_drivers.empty() ||
@@ -77,21 +93,41 @@ void NetGraph::find_cycles() {
   // Net-level dependency graph restricted to continuously driven nets:
   // edge u -> v when v's driver reads u. Iterative Tarjan.
   const int n = net_count();
-  std::vector<std::vector<int>> out_edges(static_cast<std::size_t>(n));
+  // Edges in (v ascending, u ascending) order, then bucketed by u with a
+  // stable counting sort: out-edges of u are listed in ascending v.
+  std::vector<std::pair<int, int>> edges;  // (u, v)
   std::vector<char> has_self(static_cast<std::size_t>(n), 0);
+  std::vector<int> refs;
   for (int v = 0; v < n; ++v) {
-    const rtl::RtlExpr* drv = comb_driver(v);
-    if (drv == nullptr) continue;
-    std::vector<int> refs;
-    collect_refs(*drv, refs);
+    if (comb_driver(v) == nullptr) continue;
+    const std::span<const int> drv_refs = comb_refs(v);
+    refs.assign(drv_refs.begin(), drv_refs.end());
     std::sort(refs.begin(), refs.end());
     refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
     for (int u : refs) {
       if (comb_driver(u) == nullptr && u != v) continue;
-      out_edges[static_cast<std::size_t>(u)].push_back(v);
+      edges.emplace_back(u, v);
       if (u == v) has_self[static_cast<std::size_t>(u)] = 1;
     }
   }
+  std::vector<std::size_t> edge_begin(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& [u, v] : edges) {
+    ++edge_begin[static_cast<std::size_t>(u) + 1];
+  }
+  for (std::size_t u = 0; u < static_cast<std::size_t>(n); ++u) {
+    edge_begin[u + 1] += edge_begin[u];
+  }
+  std::vector<int> edge_to(edges.size());
+  {
+    std::vector<std::size_t> fill(edge_begin.begin(), edge_begin.end() - 1);
+    for (const auto& [u, v] : edges) {
+      edge_to[fill[static_cast<std::size_t>(u)]++] = v;
+    }
+  }
+  auto out_edges = [&](std::size_t u) {
+    return std::span<const int>(edge_to.data() + edge_begin[u],
+                                edge_to.data() + edge_begin[u + 1]);
+  };
 
   std::vector<int> index(static_cast<std::size_t>(n), -1);
   std::vector<int> lowlink(static_cast<std::size_t>(n), 0);
@@ -119,8 +155,9 @@ void NetGraph::find_cycles() {
         on_stack[uv] = 1;
       }
       bool descended = false;
-      while (f.edge < out_edges[uv].size()) {
-        int w = out_edges[uv][f.edge++];
+      const std::span<const int> succs = out_edges(uv);
+      while (f.edge < succs.size()) {
+        int w = succs[f.edge++];
         auto uw = static_cast<std::size_t>(w);
         if (index[uw] == -1) {
           call.push_back(Frame{w, 0});
@@ -168,7 +205,7 @@ void NetGraph::find_cycles() {
       visited[static_cast<std::size_t>(cur)] = 1;
       ordered.push_back(cur);
       int next = -1;
-      for (int w : out_edges[static_cast<std::size_t>(cur)]) {
+      for (int w : out_edges(static_cast<std::size_t>(cur))) {
         if (in_scc[static_cast<std::size_t>(w)]) {
           next = w;
           break;
@@ -219,9 +256,7 @@ void NetGraph::fold_constants() {
         }
         expanding[un] = 1;
         work.push_back(Item{it.net, false});
-        std::vector<int> refs;
-        collect_refs(*drv, refs);
-        for (int r : refs) {
+        for (int r : comb_refs(it.net)) {
           if (state[static_cast<std::size_t>(r)] == 0) {
             work.push_back(Item{r, true});
           }
@@ -381,9 +416,7 @@ std::vector<int> NetGraph::cone_support(const std::vector<int>& roots) const {
       support.push_back(v);
       continue;
     }
-    std::vector<int> refs;
-    collect_refs(*drv, refs);
-    for (int r : refs) work.push_back(r);
+    for (int r : comb_refs(v)) work.push_back(r);
   }
   std::sort(support.begin(), support.end());
   return support;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,11 +84,19 @@ class NetGraph {
 
  private:
   void index_drivers();
+  void count_reads(const rtl::RtlExpr* e);
   void find_cycles();
   void fold_constants();
+  /// References of the net's comb_driver() in expression order (empty
+  /// without a continuous driver).
+  [[nodiscard]] std::span<const int> comb_refs(int net) const;
 
   const rtl::Module& module_;
   std::vector<NetInfo> infos_;
+  // References of every continuous assign's value, flat: assign i's are
+  // refs_[ref_begin_[i], ref_begin_[i + 1]).
+  std::vector<int> refs_;
+  std::vector<std::size_t> ref_begin_;
   std::vector<std::vector<int>> cycles_;
   std::vector<char> on_cycle_;
   // Folding memo: has_const_[net] != 0 iff const_[net] is meaningful.

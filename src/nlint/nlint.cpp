@@ -111,26 +111,31 @@ class Checker {
   void check_multiple_drivers() {
     for (int n = 0; n < g_.net_count(); ++n) {
       const auto& inf = g_.info(n);
-      std::vector<std::string> drivers;
-      for (int a : inf.cont_drivers) {
-        drivers.push_back("continuous assign #" + std::to_string(a));
-      }
-      for (int s : inf.seq_drivers) {
-        drivers.push_back("sequential assign #" + std::to_string(s));
-      }
-      if (inf.mem_read) drivers.push_back("memory read port");
-      if (inf.is_input) drivers.push_back("input port");
-      if (drivers.size() < 2) continue;
+      const std::size_t drivers = inf.cont_drivers.size() +
+                                  inf.seq_drivers.size() +
+                                  (inf.mem_read ? 1 : 0) +
+                                  (inf.is_input ? 1 : 0);
+      if (drivers < 2) continue;
       // A reg with several seq drivers in distinct enable regions is the
       // only benign-looking shape, and even that is last-write-wins in
       // rtl::eval — report everything with >1 driver.
       std::ostringstream msg;
-      msg << "net '" << g_.net_name(n) << "' has " << drivers.size()
+      msg << "net '" << g_.net_name(n) << "' has " << drivers
           << " drivers: ";
-      for (std::size_t i = 0; i < drivers.size(); ++i) {
-        if (i != 0) msg << ", ";
-        msg << drivers[i];
+      const char* sep = "";
+      for (int a : inf.cont_drivers) {
+        msg << sep << "continuous assign #" << a;
+        sep = ", ";
       }
+      for (int s : inf.seq_drivers) {
+        msg << sep << "sequential assign #" << s;
+        sep = ", ";
+      }
+      if (inf.mem_read) {
+        msg << sep << "memory read port";
+        sep = ", ";
+      }
+      if (inf.is_input) msg << sep << "input port";
       report("nlint-multiple-drivers", msg.str());
     }
   }
@@ -200,11 +205,15 @@ class Checker {
 
   // --- widths -------------------------------------------------------------
 
-  void width_error(const std::string& site, const std::string& what) {
-    report("nlint-width-mismatch", site + ": " + what);
+  // A site is a callable returning the location text ("assign to 'x'"),
+  // so the string is only built for a finding.
+  template <typename Site>
+  void width_error(const Site& site, const std::string& what) {
+    report("nlint-width-mismatch", site() + ": " + what);
   }
 
-  void check_expr_widths(const RtlExpr& e, const std::string& site) {
+  template <typename Site>
+  void check_expr_widths(const RtlExpr& e, const Site& site) {
     for (const auto& a : e.args) check_expr_widths(*a, site);
     auto wstr = [](int w) { return std::to_string(w) + "-bit"; };
     switch (e.op) {
@@ -311,7 +320,7 @@ class Checker {
 
   void check_widths() {
     for (const rtl::ContAssign& a : m_.assigns()) {
-      const std::string site = "assign to '" + g_.net_name(a.target) + "'";
+      auto site = [&] { return "assign to '" + g_.net_name(a.target) + "'"; };
       check_expr_widths(*a.value, site);
       if (a.value->width != m_.net(a.target).width) {
         width_error(site, "value is " + std::to_string(a.value->width) +
@@ -321,7 +330,9 @@ class Checker {
       }
     }
     for (const rtl::SeqAssign& s : m_.seqs()) {
-      const std::string site = "next-state of '" + g_.net_name(s.target) + "'";
+      auto site = [&] {
+        return "next-state of '" + g_.net_name(s.target) + "'";
+      };
       check_expr_widths(*s.value, site);
       if (s.value->width != m_.net(s.target).width) {
         width_error(site, "value is " + std::to_string(s.value->width) +
@@ -330,7 +341,7 @@ class Checker {
                               "-bit register");
       }
       if (s.enable != nullptr) {
-        check_expr_widths(*s.enable, site + " (enable)");
+        check_expr_widths(*s.enable, [&] { return site() + " (enable)"; });
         if (s.enable->width != 1) {
           width_error(site, "enable is " + std::to_string(s.enable->width) +
                                 "-bit (must be 1-bit)");
@@ -340,11 +351,13 @@ class Checker {
     for (const rtl::Memory& mem : m_.memories()) {
       for (std::size_t i = 0; i < mem.ports.size(); ++i) {
         const rtl::MemoryPort& p = mem.ports[i];
-        const std::string site =
-            "memory '" + mem.name + "' port " + std::to_string(i);
-        check_expr_widths(*p.addr, site + " (address)");
+        auto site = [&] {
+          return "memory '" + mem.name + "' port " + std::to_string(i);
+        };
+        check_expr_widths(*p.addr, [&] { return site() + " (address)"; });
         if (p.write_enable != nullptr) {
-          check_expr_widths(*p.write_enable, site + " (write enable)");
+          check_expr_widths(*p.write_enable,
+                            [&] { return site() + " (write enable)"; });
           if (p.write_enable->width != 1) {
             width_error(site, "write enable is " +
                                   std::to_string(p.write_enable->width) +
@@ -352,7 +365,8 @@ class Checker {
           }
         }
         if (p.write_data != nullptr) {
-          check_expr_widths(*p.write_data, site + " (write data)");
+          check_expr_widths(*p.write_data,
+                            [&] { return site() + " (write data)"; });
           if (p.write_data->width != mem.width) {
             width_error(site, "write data is " +
                                   std::to_string(p.write_data->width) +
@@ -367,9 +381,11 @@ class Checker {
   // --- one-hot claims -----------------------------------------------------
 
   void check_onehot() {
+    if (m_.onehot_claims().empty()) return;
+    OneHotProver prover(g_);
     for (const rtl::OneHotClaim& claim : m_.onehot_claims()) {
       ++summary_.claims_total;
-      OneHotOutcome outcome = prove_onehot(g_, claim.nets, opt_.onehot);
+      OneHotOutcome outcome = prover.prove(claim.nets, opt_.onehot);
       summary_.facts_derived += outcome.facts_derived;
       if (opt_.explain) {
         std::ostringstream ex;

@@ -1,8 +1,10 @@
 #include "nlint/onehot.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 namespace hicsync::nlint {
 
@@ -35,7 +37,10 @@ class FactStore {
         epoch_(static_cast<std::size_t>(nets), 0) {}
 
   void reset() {
-    ++cur_;
+    if (++cur_ == 0) {  // epoch wrapped: forget every stamp
+      std::fill(epoch_.begin(), epoch_.end(), 0);
+      cur_ = 1;
+    }
     trail_.clear();
   }
 
@@ -280,7 +285,10 @@ class Propagator {
 
 class PairMatrix {
  public:
-  PairMatrix(int k, bool ones) : k_(k), words_((k + 63) / 64) {
+  /// Resizes to k members, every pair set (ones) or clear; keeps storage.
+  void reset(int k, bool ones) {
+    k_ = k;
+    words_ = static_cast<std::size_t>((k + 63) / 64);
     bits_.assign(static_cast<std::size_t>(k_) * words_,
                  ones ? ~0ULL : 0ULL);
   }
@@ -319,28 +327,38 @@ class PairMatrix {
   [[nodiscard]] int words() const { return static_cast<int>(words_); }
 
  private:
-  int k_;
-  std::size_t words_;
+  int k_ = 0;
+  std::size_t words_ = 0;
   std::vector<std::uint64_t> bits_;
 };
 
-// Per-net value groups accumulated during one case.
+// Per-net value groups accumulated during one case. clear() keeps the
+// member vectors' storage for the next case.
 struct NetGroups {
   // Parallel arrays: distinct values seen, and the members that derived
-  // each value. Nearly always two groups, one a singleton.
+  // each value; the first `count` entries are live. Nearly always two
+  // groups, one a singleton.
   std::vector<std::uint64_t> values;
   std::vector<std::vector<int>> members;
+  std::size_t count = 0;
 
   void add(std::uint64_t v, int member) {
-    for (std::size_t i = 0; i < values.size(); ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
       if (values[i] == v) {
         members[i].push_back(member);
         return;
       }
     }
-    values.push_back(v);
-    members.push_back({member});
+    if (count == values.size()) {
+      values.emplace_back();
+      members.emplace_back();
+    }
+    values[count] = v;
+    members[count].assign(1, member);
+    ++count;
   }
+
+  void clear() { count = 0; }
 };
 
 // ---------------------------------------------------------------------------
@@ -495,8 +513,135 @@ EnumResult enumerate_pair(const NetGraph& g, int a, int b, int max_bits) {
 
 // ---------------------------------------------------------------------------
 
-OneHotOutcome prove_onehot(const NetGraph& g, const std::vector<int>& members,
-                           const OneHotOptions& opt) {
+/// Everything prove() allocates, sized to one module's graph and reused
+/// across cases and claims.
+struct OneHotProver::Scratch {
+  explicit Scratch(const NetGraph& g)
+      : store(g.net_count()),
+        groups(static_cast<std::size_t>(g.net_count())) {}
+
+  FactStore store;
+  std::vector<NetGroups> groups;  // per net, this case's value groups
+  std::vector<int> touched;       // nets with a nonempty group this case
+  PairMatrix covered;    // pairs separated in every case of the last round
+  PairMatrix all_cases;  // this round's running intersection
+  PairMatrix case_cov;   // pairs separated in this case
+  std::vector<char> impossible;  // per member: assuming it contradicts
+  std::vector<std::pair<int, std::uint64_t>> seed_facts;
+  std::vector<std::uint64_t> row;
+};
+
+OneHotProver::OneHotProver(const NetGraph& g)
+    : g_(g), s_(std::make_unique<Scratch>(g)) {}
+
+OneHotProver::~OneHotProver() = default;
+
+std::vector<int> OneHotProver::run_round(const std::vector<int>& ms,
+                                         const std::vector<int>& splits,
+                                         OneHotOutcome& out) {
+  Scratch& sc = *s_;
+  const int k = static_cast<int>(ms.size());
+  const int ncases = 1 << splits.size();
+  sc.all_cases.reset(k, /*ones=*/true);
+  std::vector<int> next_candidates;
+  for (int c = 0; c < ncases; ++c) {
+    sc.case_cov.reset(k, /*ones=*/false);
+    // Seed facts defining this case.
+    sc.store.reset();
+    Propagator seed_prop(g_, sc.store);
+    bool case_possible = true;
+    for (std::size_t b = 0; b < splits.size(); ++b) {
+      if (!seed_prop.assume_net(splits[b], (c >> b) & 1ULL)) {
+        case_possible = false;
+        break;
+      }
+    }
+    out.facts_derived += seed_prop.facts;
+    if (!case_possible) continue;  // vacuous: everything stays covered
+    sc.seed_facts.clear();
+    for (int net : sc.store.trail()) {
+      sc.seed_facts.emplace_back(net, sc.store.value(net));
+    }
+
+    for (int net : sc.touched) sc.groups[static_cast<std::size_t>(net)].clear();
+    sc.touched.clear();
+    sc.impossible.assign(static_cast<std::size_t>(k), 0);
+    for (int i = 0; i < k; ++i) {
+      sc.store.reset();
+      bool ok = true;
+      for (const auto& [net, v] : sc.seed_facts) {
+        // Replaying recorded closures: plain inserts, no re-derivation.
+        if (sc.store.record(net, v) == FactStore::Record::Contradiction) {
+          ok = false;
+          break;
+        }
+      }
+      Propagator prop(g_, sc.store);
+      ok = ok && prop.assume_net(ms[static_cast<std::size_t>(i)], 1);
+      out.facts_derived += prop.facts;
+      for (int cand : prop.split_candidates) {
+        if (std::find(next_candidates.begin(), next_candidates.end(), cand) ==
+            next_candidates.end()) {
+          next_candidates.push_back(cand);
+        }
+      }
+      if (!ok) {
+        sc.impossible[static_cast<std::size_t>(i)] = 1;
+        continue;
+      }
+      // The first seed_facts.size() trail entries are the replayed seeds;
+      // everything after is this member's own closure.
+      const std::vector<int>& trail = sc.store.trail();
+      for (std::size_t t = sc.seed_facts.size(); t < trail.size(); ++t) {
+        const int net = trail[t];
+        NetGroups& ng = sc.groups[static_cast<std::size_t>(net)];
+        if (ng.count == 0) sc.touched.push_back(net);
+        ng.add(sc.store.value(net), i);
+      }
+    }
+
+    // Conflicts: members deriving different values of the same net.
+    sc.row.assign(static_cast<std::size_t>(sc.case_cov.words()), 0);
+    for (int net : sc.touched) {
+      const NetGroups& ng = sc.groups[static_cast<std::size_t>(net)];
+      if (ng.count < 2) continue;
+      for (std::size_t a = 0; a < ng.count; ++a) {
+        for (std::size_t b = a + 1; b < ng.count; ++b) {
+          const auto& ga = ng.members[a];
+          const auto& gb = ng.members[b];
+          const auto& small = ga.size() <= gb.size() ? ga : gb;
+          const auto& large = ga.size() <= gb.size() ? gb : ga;
+          if (small.size() == 1) {
+            const int s = small.front();
+            std::fill(sc.row.begin(), sc.row.end(), 0);
+            for (int o : large) {
+              sc.row[static_cast<std::size_t>(o / 64)] |= 1ULL << (o % 64);
+              sc.case_cov.set(o, s);
+            }
+            sc.case_cov.or_into_row(s, sc.row);
+          } else {
+            for (int x : small) {
+              for (int y : large) sc.case_cov.set(x, y);
+            }
+          }
+        }
+      }
+    }
+    for (int i = 0; i < k; ++i) {
+      if (sc.impossible[static_cast<std::size_t>(i)] != 0) {
+        sc.case_cov.set_row(i);
+      }
+    }
+    sc.all_cases.and_with(sc.case_cov);
+  }
+  std::swap(sc.covered, sc.all_cases);
+  out.cases_used += ncases;
+  return next_candidates;
+}
+
+OneHotOutcome OneHotProver::prove(const std::vector<int>& members,
+                                  const OneHotOptions& opt) {
+  const NetGraph& g = g_;
   OneHotOutcome out;
 
   // Deduplicate while preserving order; a literally repeated net can
@@ -519,111 +664,10 @@ OneHotOutcome prove_onehot(const NetGraph& g, const std::vector<int>& members,
     return out;
   }
 
-  FactStore store(g.net_count());
   std::vector<int> split_nets;  // grows after a failed round
-
   // covered(i,j) once a contradiction separates the pair in EVERY case.
-  PairMatrix covered(k, /*ones=*/false);
-
-  auto run_round = [&](const std::vector<int>& splits) {
-    const int ncases = 1 << splits.size();
-    PairMatrix all_cases(k, /*ones=*/true);
-    std::vector<int> next_candidates;
-    for (int c = 0; c < ncases; ++c) {
-      PairMatrix case_cov(k, /*ones=*/false);
-      // Seed facts defining this case.
-      store.reset();
-      Propagator seed_prop(g, store);
-      bool case_possible = true;
-      for (std::size_t b = 0; b < splits.size(); ++b) {
-        if (!seed_prop.assume_net(splits[b], (c >> b) & 1ULL)) {
-          case_possible = false;
-          break;
-        }
-      }
-      out.facts_derived += seed_prop.facts;
-      if (!case_possible) continue;  // vacuous: everything stays covered
-      std::vector<std::pair<int, std::uint64_t>> seed_facts;
-      for (int net : store.trail()) {
-        seed_facts.emplace_back(net, store.value(net));
-      }
-
-      std::vector<NetGroups> groups(static_cast<std::size_t>(g.net_count()));
-      std::vector<int> touched;
-      std::vector<char> impossible(static_cast<std::size_t>(k), 0);
-      for (int i = 0; i < k; ++i) {
-        store.reset();
-        bool ok = true;
-        for (const auto& [net, v] : seed_facts) {
-          // Replaying recorded closures: plain inserts, no re-derivation.
-          if (store.record(net, v) == FactStore::Record::Contradiction) {
-            ok = false;
-            break;
-          }
-        }
-        Propagator prop(g, store);
-        ok = ok && prop.assume_net(ms[static_cast<std::size_t>(i)], 1);
-        out.facts_derived += prop.facts;
-        for (int cand : prop.split_candidates) {
-          if (std::find(next_candidates.begin(), next_candidates.end(),
-                        cand) == next_candidates.end()) {
-            next_candidates.push_back(cand);
-          }
-        }
-        if (!ok) {
-          impossible[static_cast<std::size_t>(i)] = 1;
-          continue;
-        }
-        // The first seed_facts.size() trail entries are the replayed seeds;
-        // everything after is this member's own closure.
-        const std::vector<int>& trail = store.trail();
-        for (std::size_t t = seed_facts.size(); t < trail.size(); ++t) {
-          const int net = trail[t];
-          NetGroups& ng = groups[static_cast<std::size_t>(net)];
-          if (ng.values.empty()) touched.push_back(net);
-          ng.add(store.value(net), i);
-        }
-      }
-
-      // Conflicts: members deriving different values of the same net.
-      std::vector<std::uint64_t> row(static_cast<std::size_t>(
-          covered.words()));
-      for (int net : touched) {
-        const NetGroups& ng = groups[static_cast<std::size_t>(net)];
-        if (ng.values.size() < 2) continue;
-        for (std::size_t a = 0; a < ng.values.size(); ++a) {
-          for (std::size_t b = a + 1; b < ng.values.size(); ++b) {
-            const auto& ga = ng.members[a];
-            const auto& gb = ng.members[b];
-            const auto& small = ga.size() <= gb.size() ? ga : gb;
-            const auto& large = ga.size() <= gb.size() ? gb : ga;
-            if (small.size() == 1) {
-              const int s = small.front();
-              std::fill(row.begin(), row.end(), 0);
-              for (int o : large) {
-                row[static_cast<std::size_t>(o / 64)] |= 1ULL << (o % 64);
-                case_cov.set(o, s);
-              }
-              case_cov.or_into_row(s, row);
-            } else {
-              for (int x : small) {
-                for (int y : large) case_cov.set(x, y);
-              }
-            }
-          }
-        }
-      }
-      for (int i = 0; i < k; ++i) {
-        if (impossible[static_cast<std::size_t>(i)] != 0) case_cov.set_row(i);
-      }
-      all_cases.and_with(case_cov);
-    }
-    covered = all_cases;
-    out.cases_used += ncases;
-    return next_candidates;
-  };
-
-  std::vector<int> candidates = run_round(split_nets);
+  const PairMatrix& covered = s_->covered;
+  std::vector<int> candidates = run_round(ms, split_nets, out);
 
   auto all_covered = [&]() {
     for (int i = 0; i < k; ++i) {
@@ -639,7 +683,7 @@ OneHotOutcome prove_onehot(const NetGraph& g, const std::vector<int>& members,
       if (static_cast<int>(split_nets.size()) >= opt.max_split_nets) break;
       split_nets.push_back(cand);
     }
-    run_round(split_nets);
+    run_round(ms, split_nets, out);
   }
 
   // Count implication-proved pairs, then hand leftovers to enumeration.
@@ -700,6 +744,11 @@ OneHotOutcome prove_onehot(const NetGraph& g, const std::vector<int>& members,
     out.detail = d.str();
   }
   return out;
+}
+
+OneHotOutcome prove_onehot(const NetGraph& g, const std::vector<int>& members,
+                           const OneHotOptions& opt) {
+  return OneHotProver(g).prove(members, opt);
 }
 
 }  // namespace hicsync::nlint

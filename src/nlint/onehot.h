@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,8 +59,36 @@ struct OneHotOutcome {
   std::uint64_t facts_derived = 0;
 };
 
-/// Proves that at most one of `members` (1-bit nets of g's module) can be 1
-/// in any single cycle, for any values of the cone's free variables.
+/// Proves one-hot claims over one module's graph. The prover's scratch
+/// (fact store, per-net value groups, pair matrices) is sized to the graph
+/// once and reused across cases and claims; results do not depend on what
+/// it proved before.
+class OneHotProver {
+ public:
+  explicit OneHotProver(const NetGraph& g);
+  ~OneHotProver();
+  OneHotProver(const OneHotProver&) = delete;
+  OneHotProver& operator=(const OneHotProver&) = delete;
+
+  /// Proves that at most one of `members` (1-bit nets of g's module) can
+  /// be 1 in any single cycle, for any values of the cone's free variables.
+  [[nodiscard]] OneHotOutcome prove(const std::vector<int>& members,
+                                    const OneHotOptions& opt = {});
+
+ private:
+  struct Scratch;
+  /// One implication round over every case of `splits`; leaves the pairs
+  /// separated in every case in the scratch's coverage matrix and returns
+  /// the next split candidates.
+  std::vector<int> run_round(const std::vector<int>& ms,
+                             const std::vector<int>& splits,
+                             OneHotOutcome& out);
+
+  const NetGraph& g_;
+  std::unique_ptr<Scratch> s_;
+};
+
+/// One claim with a fresh prover.
 [[nodiscard]] OneHotOutcome prove_onehot(const NetGraph& g,
                                          const std::vector<int>& members,
                                          const OneHotOptions& opt = {});

@@ -4,6 +4,8 @@
 // any reasonable state budget.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "bound/bound.h"
 #include "bound_test_util.h"
 #include "netapp/scenarios.h"
@@ -37,6 +39,27 @@ TEST_P(ScalingTest, FanoutBoundsProvedAtEveryWidth) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, ScalingTest, ::testing::Values(64, 256, 1024));
+
+TEST(ScalingTest, CycleScansGrowLinearly) {
+  // The blocking client's work counter: one cycle analysis per distinct
+  // (thread, usable-op signature). Four times the consumers may cost at
+  // most five times the scans; rerunning every thread's analysis for every
+  // endpoint would cost about sixteen.
+  for (sim::OrgKind org :
+       {sim::OrgKind::Arbitrated, sim::OrgKind::EventDriven}) {
+    std::uint64_t previous = 0;
+    for (int n : {64, 256, 1024}) {
+      auto c = compile_for_bound(netapp::fanout_source(n), "fanout.hic");
+      ASSERT_TRUE(c->ok());
+      const std::uint64_t scans = bound_source(*c, org).cycle_scans;
+      EXPECT_GE(scans, static_cast<std::uint64_t>(n)) << n;
+      if (previous != 0) {
+        EXPECT_LE(scans, 5 * previous) << n;
+      }
+      previous = scans;
+    }
+  }
+}
 
 TEST(ScalingTest, VerifyBudgetExhaustedWhereBoundCompletes) {
   // The acceptance witness: on the very program hic-bound just proved,

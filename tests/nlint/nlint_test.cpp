@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/compiler.h"
 #include "netapp/scenarios.h"
@@ -195,6 +196,59 @@ TEST(NlintCheckTest, CheckSelectionFilters) {
   NlintResult r = run_module(m, only_width);
   EXPECT_TRUE(has_finding(r, "nlint-width-mismatch"));
   EXPECT_FALSE(has_finding(r, "nlint-undriven-net"));
+}
+
+TEST(NlintCheckTest, FindingsNameDriversAndWidthSites) {
+  // Every driver kind and every width-check site, message for message.
+  Module m("t");
+  const int a = m.add_input("a", 8);
+  const int e2 = m.add_input("e2", 2);
+  const int b = m.add_input("b", 4);
+  const int out = m.add_output("out", 16);
+  m.assign(out, eref(a, 8));
+  const int q = m.add_reg("q", 4);
+  m.seq(q, eref(a, 8), eref(a, 1));
+  const int r = m.add_reg("r", 4);
+  m.seq(r, eref(b, 4), eref(e2, 2));
+  rtl::Memory& mem = m.add_memory("ram", 8, 4);
+  const int rd = m.add_wire("rd", 8);
+  mem.ports.push_back({eref(a, 2), eref(e2, 2), eref(b, 4), rd});
+  mem.ports.push_back({eref(b, 2), eref(b, 1), eref(b, 8), -1});
+  m.assign(rd, eref(a, 8));
+  const int d = m.add_wire("d", 1);
+  m.assign(d, econst(0, 1));
+  m.assign(d, econst(1, 1));
+  m.assign(q, eref(b, 4));
+  m.assign(a, econst(3, 8));
+  const int o2 = m.add_output("o2", 1);
+  m.assign(o2, eref(d, 1));
+  NlintOptions opts;
+  opts.checks = {"nlint-width-mismatch", "nlint-multiple-drivers"};
+  NlintResult res = run_module(m, opts);
+  std::vector<std::string> got;
+  for (const Finding& f : res.findings) got.push_back(f.message);
+  const std::vector<std::string> want = {
+      "net 'a' has 2 drivers: continuous assign #5, input port",
+      "net 'q' has 2 drivers: continuous assign #4, sequential assign #0",
+      "net 'rd' has 2 drivers: continuous assign #1, memory read port",
+      "net 'd' has 2 drivers: continuous assign #2, continuous assign #3",
+      "assign to 'out': value is 8-bit for a 16-bit net",
+      "next-state of 'q': value is 8-bit for a 4-bit register",
+      "next-state of 'q' (enable): reference to 8-bit net 'a' typed as "
+      "1-bit",
+      "next-state of 'r': enable is 2-bit (must be 1-bit)",
+      "memory 'ram' port 0 (address): reference to 8-bit net 'a' typed as "
+      "2-bit",
+      "memory 'ram' port 0: write enable is 2-bit (must be 1-bit)",
+      "memory 'ram' port 0: write data is 4-bit for a 8-bit memory",
+      "memory 'ram' port 1 (address): reference to 4-bit net 'b' typed as "
+      "2-bit",
+      "memory 'ram' port 1 (write enable): reference to 4-bit net 'b' "
+      "typed as 1-bit",
+      "memory 'ram' port 1 (write data): reference to 4-bit net 'b' typed "
+      "as 8-bit",
+  };
+  EXPECT_EQ(got, want);
 }
 
 TEST(NlintResultTest, TextAndJsonRenderFindings) {
