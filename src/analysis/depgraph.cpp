@@ -7,7 +7,10 @@ namespace hicsync::analysis {
 ThreadDepGraph ThreadDepGraph::build(
     const hic::Program& program, const std::vector<hic::Dependency>& deps) {
   ThreadDepGraph g;
-  for (const auto& t : program.threads) g.threads_.push_back(t.name);
+  for (const auto& t : program.threads) {
+    g.thread_ids_.emplace(t.name, static_cast<int>(g.threads_.size()));
+    g.threads_.push_back(t.name);
+  }
   g.adjacency_.assign(g.threads_.size(), {});
   for (const auto& dep : deps) {
     int from = g.thread_index(dep.producer_thread);
@@ -23,10 +26,8 @@ ThreadDepGraph ThreadDepGraph::build(
 }
 
 int ThreadDepGraph::thread_index(const std::string& name) const {
-  for (std::size_t i = 0; i < threads_.size(); ++i) {
-    if (threads_[i] == name) return static_cast<int>(i);
-  }
-  return -1;
+  auto it = thread_ids_.find(name);
+  return it == thread_ids_.end() ? -1 : it->second;
 }
 
 std::vector<std::vector<int>> ThreadDepGraph::deadlock_cycles() const {

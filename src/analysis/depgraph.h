@@ -8,6 +8,7 @@
 #pragma once
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "hic/sema.h"
@@ -50,6 +51,7 @@ class ThreadDepGraph {
 
  private:
   std::vector<std::string> threads_;
+  std::unordered_map<std::string, int> thread_ids_;  // name -> first thread
   std::vector<Edge> edges_;
   std::vector<std::vector<int>> adjacency_;
 };

@@ -1,5 +1,7 @@
 #include "bound/deadport.h"
 
+#include <algorithm>
+
 #include "support/bits.h"
 #include "support/strings.h"
 
@@ -22,39 +24,53 @@ int dep_index(const verify::ProgramModel& model, const hic::Dependency* dep) {
   return -1;
 }
 
-bool produce_reachable(const verify::ProgramModel& model,
-                       const std::vector<ThreadCounters>& counters, int di) {
-  const verify::DepModel& dm = model.deps()[static_cast<std::size_t>(di)];
-  if (dm.producer_thread < 0) return false;
-  const OpCount* oc =
-      counters[static_cast<std::size_t>(dm.producer_thread)].find(
-          verify::SyncOp::Kind::Produce, di, -1);
-  return oc != nullptr && oc->reachable;
-}
+/// Which sync sites of each dependency can execute, computed once for all
+/// port clients rather than rescanned per client.
+struct SiteLiveness {
+  std::vector<char> produce;      // per dependency: its produce site
+  std::vector<char> any_consume;  // per dependency: some consume site
+  /// Per thread, the (ascending) dependencies with a reachable consume
+  /// site in that thread.
+  std::vector<std::vector<int>> consumes;
 
-bool consume_reachable(const verify::ProgramModel& model,
-                       const std::vector<ThreadCounters>& counters, int di,
-                       int thread) {
-  const verify::DepModel& dm = model.deps()[static_cast<std::size_t>(di)];
-  for (std::size_t k = 0; k < dm.consume_sites.size(); ++k) {
-    if (dm.consume_sites[k].thread != thread) continue;
-    const OpCount* oc = counters[static_cast<std::size_t>(thread)].find(
-        verify::SyncOp::Kind::Consume, di, static_cast<int>(k));
-    if (oc != nullptr && oc->reachable) return true;
+  SiteLiveness(const verify::ProgramModel& model,
+               const std::vector<ThreadCounters>& counters)
+      : produce(model.deps().size(), 0),
+        any_consume(model.deps().size(), 0),
+        consumes(model.threads().size()) {
+    for (std::size_t di = 0; di < model.deps().size(); ++di) {
+      const verify::DepModel& dm = model.deps()[di];
+      const int d = static_cast<int>(di);
+      if (dm.producer_thread >= 0) {
+        const OpCount* oc =
+            counters[static_cast<std::size_t>(dm.producer_thread)].find(
+                verify::SyncOp::Kind::Produce, d, -1);
+        produce[di] = oc != nullptr && oc->reachable;
+      }
+      for (std::size_t k = 0; k < dm.consume_sites.size(); ++k) {
+        const int thread = dm.consume_sites[k].thread;
+        if (thread < 0) continue;
+        const OpCount* oc = counters[static_cast<std::size_t>(thread)].find(
+            verify::SyncOp::Kind::Consume, d, static_cast<int>(k));
+        if (oc == nullptr || !oc->reachable) continue;
+        any_consume[di] = 1;
+        std::vector<int>& live = consumes[static_cast<std::size_t>(thread)];
+        if (live.empty() || live.back() != d) live.push_back(d);
+      }
+    }
   }
-  return false;
-}
 
-bool any_consume_reachable(const verify::ProgramModel& model,
-                           const std::vector<ThreadCounters>& counters,
-                           int di) {
-  const verify::DepModel& dm = model.deps()[static_cast<std::size_t>(di)];
-  for (const verify::DepModel::ConsumeSite& site : dm.consume_sites) {
-    if (site.thread < 0) continue;
-    if (consume_reachable(model, counters, di, site.thread)) return true;
+  [[nodiscard]] bool produces(int di) const {
+    return produce[static_cast<std::size_t>(di)] != 0;
   }
-  return false;
-}
+  [[nodiscard]] bool fully_dead(int di) const {
+    return !produces(di) && any_consume[static_cast<std::size_t>(di)] == 0;
+  }
+  [[nodiscard]] bool consumes_in(int di, int thread) const {
+    const std::vector<int>& live = consumes[static_cast<std::size_t>(thread)];
+    return std::binary_search(live.begin(), live.end(), di);
+  }
+};
 
 }  // namespace
 
@@ -63,6 +79,7 @@ std::vector<DeadPortReport> dead_ports(
     const std::vector<memalloc::BramPortPlan>& plans,
     const std::vector<ThreadCounters>& counters) {
   std::vector<DeadPortReport> out;
+  const SiteLiveness live(model, counters);
   for (const memalloc::BramPortPlan& plan : plans) {
     DeadPortReport rep;
     rep.bram_id = plan.bram_id;
@@ -81,8 +98,7 @@ std::vector<DeadPortReport> dead_ports(
                   .bram_id != plan.bram_id) {
         continue;
       }
-      if (!produce_reachable(model, counters, static_cast<int>(di)) &&
-          !any_consume_reachable(model, counters, static_cast<int>(di))) {
+      if (live.fully_dead(static_cast<int>(di))) {
         // Countdown register + valid bit of the §3.1 dependency list.
         dead_entry_bits +=
             static_cast<std::uint64_t>(support::clog2_at_least1(
@@ -110,15 +126,12 @@ std::vector<DeadPortReport> dead_ports(
         }
         bool site_live =
             client.port == memalloc::LogicalPort::C
-                ? consume_reachable(model, counters, di, ti)
-                : produce_reachable(model, counters, di) &&
+                ? live.consumes_in(di, ti)
+                : live.produces(di) &&
                       model.deps()[static_cast<std::size_t>(di)]
                               .producer_thread == ti;
         if (site_live) any_live = true;
-        if (produce_reachable(model, counters, di) ||
-            any_consume_reachable(model, counters, di)) {
-          all_fully_dead = false;
-        }
+        if (!live.fully_dead(di)) all_fully_dead = false;
       }
       if (any_live) continue;
 

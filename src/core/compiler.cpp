@@ -187,7 +187,7 @@ std::unique_ptr<CompileResult> Compiler::compile(
   // dead ports (docs/ANALYSIS.md). Runs before the lint-only early exit so
   // `--bound --lint-only` composes (the clients need no RTL, only the
   // memory map and port plans). Exceeded bounds surface as bound-* check
-  // IDs; like lint and verify they do not flip ok().
+  // IDs; like lint findings they do not flip ok().
   if (options_.bound.enabled) {
     perf::ScopedPhase phase(prof, "bound");
     bound::BoundResult br =
@@ -203,30 +203,10 @@ std::unique_ptr<CompileResult> Compiler::compile(
     r.bound_results_.push_back(std::move(br));
   }
 
-  // The lint-only early exit. With --nlint the flow continues: the netlist
-  // checks need generated controllers, so generation (and nlint) still run
-  // while verification stays skipped below.
-  const bool lint_only = options_.lint.enabled && options_.lint.only;
-  if (lint_only && !options_.nlint.enabled) {
+  // The lint-only early exit: no controllers are generated.
+  if (options_.lint.enabled && options_.lint.only) {
     r.ok_ = true;
     return result;
-  }
-
-  // hic-verify: explicit-state model checking of the synchronization
-  // behavior under the selected organization (docs/VERIFICATION.md).
-  // Refutations surface as diagnostics with verify-* check IDs; like lint
-  // findings they do not flip ok() — the design still generates.
-  if (options_.verify.enabled && !lint_only) {
-    perf::ScopedPhase phase(prof, "verify");
-    verify::VerifyResult vr =
-        verify::run_verify(r.program_, *r.sema_, r.map_, r.plans_,
-                           options_.organization, options_.verify);
-    r.verify_errors_ += verify::report_findings(vr, *r.sema_, r.diags_);
-    if (prof != nullptr) {
-      prof->set_count("verify.states", vr.states);
-      prof->set_count("verify.transitions", vr.transitions);
-    }
-    r.verify_results_.push_back(std::move(vr));
   }
 
   // Generate one controller per BRAM and map it.
@@ -291,7 +271,7 @@ std::unique_ptr<CompileResult> Compiler::compile(
   // each module's census expectations taken from its own BramReport (so
   // the netlist is held to the same numbers the area model and any
   // DepListHint pruning reported). Findings surface as nlint-* check IDs;
-  // like lint/verify/bound they do not flip ok() (hicc exits 7).
+  // like lint and bound findings they do not flip ok().
   if (options_.nlint.enabled) {
     perf::ScopedPhase phase(prof, "nlint");
     std::map<std::string, nlint::Expectations> expectations;

@@ -24,7 +24,6 @@
 #include "sim/system.h"
 #include "support/diagnostics.h"
 #include "synth/scheduler.h"
-#include "verify/checker.h"
 
 namespace hicsync::core {
 
@@ -42,12 +41,6 @@ struct CompileOptions {
   /// PreGenerate checks run after port planning, before RTL generation;
   /// `lint.only` stops the flow there (no controllers are generated).
   analysis::lint::LintOptions lint;
-  /// hic-verify: explicit-state model checking of the synchronization
-  /// behavior (deadlock-freedom, consume-before-produce, blocking bounds,
-  /// CAM occupancy; docs/VERIFICATION.md). When enabled, runs after port
-  /// planning for the selected organization; refutations surface as
-  /// diagnostics (hicc exits 5) without flipping ok().
-  verify::VerifyOptions verify;
   /// hic-bound: abstract-interpretation dataflow bounds (occupancy vs CAM
   /// capacity, worst-case blocking, dead ports; docs/ANALYSIS.md). Runs
   /// after port planning — before the lint-only early exit, so
@@ -60,10 +53,9 @@ struct CompileOptions {
   /// controllers (comb loops, driver conflicts, width consistency, one-hot
   /// mutual-exclusion proofs for every recorded claim, reset coverage, and
   /// the census cross-check against each BramReport; docs/ANALYSIS.md).
-  /// Runs after generation as a profiled phase; findings surface as
-  /// nlint-* diagnostics (hicc exits 7) without flipping ok(). Composes
-  /// with `lint.only`: when both are set, verification is still skipped
-  /// but the controllers are generated so the netlist checks can run.
+  /// Runs after generation as a profiled phase, so not under `lint.only`;
+  /// findings surface as nlint-* diagnostics (hic-nlint exits 7) without
+  /// flipping ok().
   nlint::NlintOptions nlint;
   /// Name stamped onto diagnostics (and json output); typically the path
   /// the driver read the source from.
@@ -138,19 +130,9 @@ class CompileResult {
   [[nodiscard]] std::size_t lint_warning_count() const {
     return lint_warnings_;
   }
-  /// hic-verify results (empty unless options.verify.enabled; one entry
-  /// for the compiled organization). Like lint, refutations do not flip
-  /// ok(); drivers should fail on them (hicc exits 5).
-  [[nodiscard]] const std::vector<verify::VerifyResult>& verify_results()
-      const {
-    return verify_results_;
-  }
-  [[nodiscard]] std::size_t verify_error_count() const {
-    return verify_errors_;
-  }
   /// hic-bound results (empty unless options.bound.enabled; one entry for
-  /// the compiled organization). Like lint and verify, exceeded bounds do
-  /// not flip ok(); drivers should fail on them (hicc exits 6).
+  /// the compiled organization). Like lint, exceeded bounds do not flip
+  /// ok(); drivers should fail on them (hicc exits 6).
   [[nodiscard]] const std::vector<bound::BoundResult>& bound_results() const {
     return bound_results_;
   }
@@ -159,8 +141,8 @@ class CompileResult {
   }
   /// hic-nlint result (empty unless options.nlint.enabled; covers every
   /// generated controller module). Like the other analyses, netlist
-  /// findings do not flip ok(); drivers should fail on them (hicc exits
-  /// 7).
+  /// findings do not flip ok(); drivers should fail on them (hic-nlint
+  /// exits 7).
   [[nodiscard]] const nlint::NlintResult& nlint_result() const {
     return nlint_result_;
   }
@@ -205,8 +187,6 @@ class CompileResult {
   std::vector<std::string> deadlock_warnings_;
   std::size_t lint_errors_ = 0;
   std::size_t lint_warnings_ = 0;
-  std::vector<verify::VerifyResult> verify_results_;
-  std::size_t verify_errors_ = 0;
   std::vector<bound::BoundResult> bound_results_;
   std::size_t bound_errors_ = 0;
   nlint::NlintResult nlint_result_;

@@ -21,8 +21,8 @@
 // The one-hot checks discharge the structural claims the rtl builders
 // record (arbiter single-grant, decoder exclusivity, every build_onehot_mux
 // select set) with a bounded bit-level abstract interpretation — see
-// nlint/onehot.h. Wired into core::Compiler as a profiled opt-in phase
-// (`hicc --nlint`, exit code 7) and the standalone `hic-nlint` tool.
+// nlint/onehot.h. Wired into core::Compiler as a profiled opt-in phase,
+// which the `hic-nlint` tool enables (exit code 7).
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,6 @@
 //   --chain                         enable operation chaining in synthesis
 //   --no-cam                        serial-scan dependency list (arbitrated)
 //   --infer                         infer producer/consumer pragmas (use-def)
-//   --dump-fsm                      print each thread's synthesized FSM
 //   --target-mhz <f>                timing target for the report
 //   --max-cycles <n>                simulation budget (default 100000)
 //
@@ -55,34 +54,17 @@
 //   --diag-format text|json         diagnostic rendering; json is the CI
 //                                   interface (machine-readable, stdout)
 //
-// Verification (hic-verify; see docs/VERIFICATION.md — the standalone
-// hic-verify tool adds counterexample replay and both-organization runs):
-//   --verify                        model-check the program: deadlock-freedom,
-//                                   consume-before-produce, blocking bounds,
-//                                   CAM occupancy for the selected --org
-//   --verify-max-states <n>         state budget (default 1000000); exhausting
-//                                   it makes unproved properties inconclusive
-//
 // Static bounds (hic-bound; see docs/ANALYSIS.md — the standalone hic-bound
-// tool adds --explain provenance traces and both-organization runs):
+// tool reports without sizing, adds --explain provenance traces and runs
+// both organizations):
 //   --bound                         abstract-interpretation bounds: dependency-
 //                                   list occupancy vs CAM capacity, worst-case
 //                                   blocking, dead ports. Composes with
 //                                   --lint-only (no RTL needed) and feeds
 //                                   sizing hints to the generators
-//   --no-bound-sizing               report bounds but leave the generated
-//                                   dependency lists untouched
 //
-// Netlist checks (hic-nlint; see docs/ANALYSIS.md — the standalone
-// hic-nlint tool adds --check selection, --explain proof narration, --json
-// and the seeded bug fixtures):
-//   --nlint                         structural checks over the generated
-//                                   controllers: comb loops, driver
-//                                   conflicts, width consistency, one-hot
-//                                   mutual-exclusion proofs, reset coverage,
-//                                   census vs the area model. Composes with
-//                                   --lint-only (the controllers are still
-//                                   generated so the netlist pass can run)
+// Model checking and netlist checks have their own front doors: hic-verify
+// (docs/VERIFICATION.md) and hic-nlint (docs/ANALYSIS.md).
 //
 // Exit status:
 //   0  success
@@ -91,10 +73,10 @@
 //      an output that could not be written or generated
 //   3  simulation did not converge within the cycle budget
 //   4  lint findings at error severity (including -W/--Werror promotions)
-//   5  verify refuted a property (reported with a verify-* check ID)
 //   6  a hic-bound bound was exceeded (reported with a bound-* check ID)
-//   7  hic-nlint found a structural defect (reported with an nlint-* check
-//      ID)
+// Codes 3-7 mean the same in hic-verify, hic-bound and hic-nlint; 5
+// (verify refuted) and 7 (nlint violation) only those tools emit (README,
+// "Exit codes").
 
 #include <cstdio>
 #include <exception>
@@ -132,18 +114,15 @@ constexpr const char* kUsageBody =
     "  --chain\n"
     "  --no-cam\n"
     "  --infer\n"
-    "  --dump-fsm\n"
     "  --target-mhz <f>\n"
     "  --max-cycles <n>\n"
     "  --lint | --lint-only\n"
     "  -W<check> | -Wno-<check> | --Werror\n"
-    "  --verify [--verify-max-states <n>]\n"
-    "  --bound [--no-bound-sizing]\n"
-    "  --nlint\n"
+    "  --bound\n"
     "  --diag-format text|json\n"
     // NOLINTNEXTLINE(whitespace/line_length) — kept on one line so the
     // usage_docs_in_sync test can grep the whole table verbatim.
-    "exit codes: 0 ok, 1 compile error, 2 usage, 3 sim timeout, 4 lint errors, 5 verify refuted, 6 bound exceeded, 7 nlint findings\n";
+    "exit codes: 0 ok, 1 compile error, 2 usage, 3 sim timeout, 4 lint errors, 6 bound exceeded\n";
 
 void list_checks() {
   std::fprintf(stderr, "known lint checks:\n");
@@ -164,7 +143,6 @@ int main(int argc, char** argv) {
   std::string artifact_out;
   bool report = true;
   bool report_explicit = false;
-  bool dump_fsm = false;
   bool json_diags = false;
   int simulate_passes = 0;
   std::uint64_t max_cycles = 100000;
@@ -221,21 +199,10 @@ int main(int argc, char** argv) {
       options.use_cam = false;
     } else if (cli.flag("--infer")) {
       options.infer_dependencies = true;
-    } else if (cli.flag("--dump-fsm")) {
-      dump_fsm = true;
     } else if (cli.real("--target-mhz", &options.target_clock_mhz)) {
     } else if (cli.count("--max-cycles", &max_cycles)) {
-    } else if (cli.flag("--verify")) {
-      options.verify.enabled = true;
-    } else if (cli.count("--verify-max-states", &options.verify.max_states)) {
-      options.verify.enabled = true;
     } else if (cli.flag("--bound")) {
       options.bound.enabled = true;
-    } else if (cli.flag("--no-bound-sizing")) {
-      options.bound.enabled = true;
-      options.bound.apply_sizing = false;
-    } else if (cli.flag("--nlint")) {
-      options.nlint.enabled = true;
     } else if (cli.flag("--lint")) {
       options.lint.enabled = true;
     } else if (cli.flag("--lint-only")) {
@@ -309,30 +276,16 @@ int main(int argc, char** argv) {
     std::printf("%s", core::render_report(*result).c_str());
   }
 
-  if (dump_fsm) {
-    for (const auto& fsm : result->fsms()) {
-      std::printf("%s\n", fsm.str().c_str());
-    }
-  }
-
-  // Verify summary on stdout (human form only; --diag-format json keeps
+  // Bound summary on stdout (human form only; --diag-format json keeps
   // stdout machine-readable and the findings already carry the verdicts).
   if (!json_diags) {
-    for (const auto& vr : result->verify_results()) {
-      std::printf("%s", vr.text().c_str());
-    }
     for (const auto& br : result->bound_results()) {
       std::printf("%s", br.text().c_str());
-    }
-    if (options.nlint.enabled) {
-      std::printf("%s", result->nlint_result().text().c_str());
     }
   }
 
   if (result->lint_error_count() > 0) return 4;
-  if (result->verify_error_count() > 0) return 5;
   if (result->bound_error_count() > 0) return 6;
-  if (result->nlint_error_count() > 0) return 7;
   if (options.lint.only) return 0;
 
   if (!verilog_out.empty() &&

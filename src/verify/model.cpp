@@ -50,6 +50,7 @@ ProgramModel ProgramModel::build(
         nm.succs.push_back(tm.cfg.entry());
       }
     }
+    m.thread_ids_.emplace(tm.name, static_cast<int>(m.threads_.size()));
     m.threads_.push_back(std::move(tm));
   }
 
@@ -145,10 +146,8 @@ ProgramModel ProgramModel::build(
 }
 
 int ProgramModel::thread_index(const std::string& name) const {
-  for (std::size_t i = 0; i < threads_.size(); ++i) {
-    if (threads_[i].name == name) return static_cast<int>(i);
-  }
-  return -1;
+  auto it = thread_ids_.find(name);
+  return it == thread_ids_.end() ? -1 : it->second;
 }
 
 std::string ProgramModel::op_str(const SyncOp& op) const {

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/cfg.h"
@@ -132,6 +133,7 @@ class ProgramModel {
  private:
   sim::OrgKind organization_ = sim::OrgKind::Arbitrated;
   std::vector<ThreadModel> threads_;
+  std::unordered_map<std::string, int> thread_ids_;  // name -> first thread
   std::vector<DepModel> deps_;
   std::vector<ControllerModel> controllers_;
 };

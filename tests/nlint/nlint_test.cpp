@@ -295,19 +295,18 @@ TEST(NlintCompilerTest, FindingsFlowIntoDiagnosticsUnderCheckIds) {
   EXPECT_EQ(result->nlint_error_count(), 0u);
 }
 
-TEST(NlintCompilerTest, ComposesWithLintOnly) {
-  // --lint-only --nlint: verification is skipped but the controllers are
-  // still generated so the netlist pass can run.
+TEST(NlintCompilerTest, LintOnlyStopsBeforeGeneration) {
+  // lint.only ends the flow after port planning even with nlint enabled:
+  // no controllers are generated, so the netlist pass has nothing to see.
   core::CompileOptions opts;
   opts.nlint.enabled = true;
   opts.lint.enabled = true;
   opts.lint.only = true;
-  opts.verify.enabled = true;  // must be skipped under lint-only
   core::Compiler compiler(opts);
   auto result = compiler.compile(netapp::fanout_source(2));
   ASSERT_TRUE(result->ok());
-  EXPECT_FALSE(result->nlint_result().modules.empty());
-  EXPECT_TRUE(result->verify_results().empty());
+  EXPECT_TRUE(result->controllers().empty());
+  EXPECT_TRUE(result->nlint_result().modules.empty());
 }
 
 TEST(NlintCompilerTest, ExamplesCorpusCleanBothOrgs) {
