@@ -68,10 +68,10 @@ class DeadSharedVariableCheck final : public LintPass {
     // guarded read may never be issued at all.
     for (const hic::Dependency& dep : ctx.sema().dependencies()) {
       for (const hic::DepConsumer& c : dep.consumers) {
-        const UseDefAnalysis* ud = ctx.usedef(c.thread);
-        if (ud == nullptr) continue;
+        const std::vector<Access>* accesses = ctx.accesses(c.thread);
+        if (accesses == nullptr) continue;
         bool reads = false;
-        for (const Access& a : ud->accesses()) {
+        for (const Access& a : *accesses) {
           if (a.stmt == c.stmt && a.symbol == dep.shared_var && !a.is_def) {
             reads = true;
             break;
@@ -95,13 +95,13 @@ class DeadSharedVariableCheck final : public LintPass {
     // array can only be read by its owner thread; zero uses means every
     // word the allocator reserves for it is wasted.
     for (const hic::ThreadDecl& thread : ctx.program().threads) {
-      const UseDefAnalysis* ud = ctx.usedef(thread.name);
+      const std::vector<Access>* accesses = ctx.accesses(thread.name);
       const hic::SymbolTable* table = ctx.sema().thread_table(thread.name);
-      if (ud == nullptr || table == nullptr) continue;
+      if (accesses == nullptr || table == nullptr) continue;
       for (hic::Symbol* sym : table->symbols()) {
         if (!sym->is_array() || sym->is_shared()) continue;
         bool used = false;
-        for (const Access& a : ud->accesses()) {
+        for (const Access& a : *accesses) {
           if (a.symbol == sym && !a.is_def) {
             used = true;
             break;

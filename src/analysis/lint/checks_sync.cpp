@@ -61,10 +61,10 @@ class RaceUnsyncedAccessCheck final : public LintPass {
 
   void run(const LintContext& ctx, const Sink& sink) const override {
     for (const hic::ThreadDecl& thread : ctx.program().threads) {
-      const UseDefAnalysis* ud = ctx.usedef(thread.name);
-      if (ud == nullptr) continue;
+      const std::vector<Access>* accesses = ctx.accesses(thread.name);
+      if (accesses == nullptr) continue;
       std::set<std::pair<const hic::Stmt*, const hic::Symbol*>> reported;
-      for (const Access& a : ud->accesses()) {
+      for (const Access& a : *accesses) {
         if (a.symbol == nullptr || a.stmt == nullptr) continue;
         if (a.symbol->thread() == thread.name) continue;  // local access
         if (is_bound_consume(ctx.sema(), thread.name, a.stmt, a.symbol)) {
@@ -202,12 +202,12 @@ class DuplicateProducerWriteCheck final : public LintPass {
 
   void run(const LintContext& ctx, const Sink& sink) const override {
     for (const hic::Dependency& dep : ctx.sema().dependencies()) {
-      const UseDefAnalysis* ud = ctx.usedef(dep.producer_thread);
+      const std::vector<Access>* accesses = ctx.accesses(dep.producer_thread);
       const Cfg* cfg = ctx.cfg(dep.producer_thread);
-      if (ud == nullptr || cfg == nullptr) continue;
+      if (accesses == nullptr || cfg == nullptr) continue;
 
       std::set<const hic::Stmt*> reported;
-      for (const Access& a : ud->accesses()) {
+      for (const Access& a : *accesses) {
         if (!a.is_def || a.symbol != dep.shared_var) continue;
         if (a.stmt == dep.producer_stmt) continue;
         if (!reported.insert(a.stmt).second) continue;

@@ -29,12 +29,8 @@ LintContext::LintContext(const hic::Program& program, const hic::Sema& sema)
   for (const hic::ThreadDecl& t : program.threads) {
     cfgs_.push_back(Cfg::build(t));
   }
-  // Use-def analyses hold references into cfgs_, which is fully built and
-  // never resized from here on.
-  usedefs_.reserve(cfgs_.size());
-  for (const Cfg& cfg : cfgs_) {
-    usedefs_.push_back(std::make_unique<UseDefAnalysis>(cfg));
-  }
+  accesses_.reserve(cfgs_.size());
+  for (const Cfg& cfg : cfgs_) accesses_.push_back(collect_accesses(cfg));
 }
 
 const Cfg* LintContext::cfg(const std::string& thread) const {
@@ -44,9 +40,10 @@ const Cfg* LintContext::cfg(const std::string& thread) const {
   return nullptr;
 }
 
-const UseDefAnalysis* LintContext::usedef(const std::string& thread) const {
+const std::vector<Access>* LintContext::accesses(
+    const std::string& thread) const {
   for (std::size_t i = 0; i < cfgs_.size(); ++i) {
-    if (cfgs_[i].thread_name() == thread) return usedefs_[i].get();
+    if (cfgs_[i].thread_name() == thread) return &accesses_[i];
   }
   return nullptr;
 }

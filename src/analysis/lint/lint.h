@@ -3,9 +3,9 @@
 // The paper's central promise (§1) is that inter-thread memory dependencies
 // are explicit, so hazards "are identified statically". This subsystem makes
 // that checkable as a first-class compiler stage: a registry of lint passes
-// runs over the checked program (CFGs, use-def chains, the thread dependence
-// graph, and — late — the memory map and port plans) and reports findings
-// with stable check IDs through the shared DiagnosticEngine.
+// runs over the checked program (CFGs, variable accesses, the thread
+// dependence graph, and — late — the memory map and port plans) and reports
+// findings with stable check IDs through the shared DiagnosticEngine.
 //
 // Stages:
 //  * PostSema    — right after semantic analysis, before behavioural
@@ -28,9 +28,9 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/access.h"
 #include "analysis/cfg.h"
 #include "analysis/depgraph.h"
-#include "analysis/usedef.h"
 #include "hic/sema.h"
 #include "memalloc/allocator.h"
 #include "memalloc/portplan.h"
@@ -64,7 +64,7 @@ struct LintOptions {
   bool werror = false;
 };
 
-/// Everything a check may inspect. Per-thread CFGs and use-def analyses are
+/// Everything a check may inspect. Per-thread CFGs and access lists are
 /// built once here and shared by all passes; the memory map and port plans
 /// are attached by the compiler before the PreGenerate stage runs.
 class LintContext {
@@ -77,9 +77,10 @@ class LintContext {
   [[nodiscard]] const hic::Sema& sema() const { return sema_; }
   [[nodiscard]] const ThreadDepGraph& depgraph() const { return depgraph_; }
   [[nodiscard]] const std::vector<Cfg>& cfgs() const { return cfgs_; }
-  /// CFG / use-def of one thread; nullptr for unknown names.
+  /// CFG / variable accesses of one thread; nullptr for unknown names.
   [[nodiscard]] const Cfg* cfg(const std::string& thread) const;
-  [[nodiscard]] const UseDefAnalysis* usedef(const std::string& thread) const;
+  [[nodiscard]] const std::vector<Access>* accesses(
+      const std::string& thread) const;
 
   void attach_memory(const memalloc::MemoryMap* map,
                      const std::vector<memalloc::BramPortPlan>* plans) {
@@ -97,7 +98,7 @@ class LintContext {
   const hic::Program& program_;
   const hic::Sema& sema_;
   std::vector<Cfg> cfgs_;  // one per thread, program order
-  std::vector<std::unique_ptr<UseDefAnalysis>> usedefs_;
+  std::vector<std::vector<Access>> accesses_;  // parallel to cfgs_
   ThreadDepGraph depgraph_;
   const memalloc::MemoryMap* map_ = nullptr;
   const std::vector<memalloc::BramPortPlan>* plans_ = nullptr;

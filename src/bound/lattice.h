@@ -44,10 +44,8 @@ struct Interval {
   [[nodiscard]] static Interval range(std::uint64_t lo, std::uint64_t hi) {
     return {lo, hi};
   }
-  [[nodiscard]] static Interval top() { return {0, kInf}; }
 
   [[nodiscard]] bool is_bottom() const { return lo > hi; }
-  [[nodiscard]] bool is_top() const { return lo == 0 && hi == kInf; }
   [[nodiscard]] bool contains(std::uint64_t v) const {
     return !is_bottom() && lo <= v && v <= hi;
   }

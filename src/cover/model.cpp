@@ -77,17 +77,6 @@ bool CoverageModel::hit(const std::string& group_name, const std::string& bin,
   return it->second->hit(bin, n);
 }
 
-void CoverageModel::merge_from(const CoverageModel& other) {
-  for (const auto& [name, src] : other.groups_) {
-    Covergroup& dst = group(name, src->description());
-    for (const auto& b : src->bins()) {
-      dst.declare(b.name);
-      if (b.hits > 0) dst.hit(b.name, b.hits);
-    }
-    dst.add_unexpected(src->unexpected());
-  }
-}
-
 std::size_t CoverageModel::total_bins() const {
   std::size_t n = 0;
   for (const auto& [name, g] : groups_) n += g->bins().size();

@@ -83,9 +83,6 @@ class CoverageModel {
   bool hit(const std::string& group_name, const std::string& bin,
            std::uint64_t n = 1);
 
-  /// Union of groups and bins; hits and unexpected counts sum.
-  void merge_from(const CoverageModel& other);
-
   [[nodiscard]] std::size_t total_bins() const;
   [[nodiscard]] std::size_t total_hit() const;
   [[nodiscard]] double coverage_pct() const;

@@ -45,8 +45,7 @@ class TechMapper {
   explicit TechMapper(const Virtex2ProDevice& device = xc2vp20())
       : device_(device) {}
 
-  /// Maps one module (instances are not elaborated; generators emit flat
-  /// modules). Throws std::runtime_error on unsupported constructs
+  /// Maps one module. Throws std::runtime_error on unsupported constructs
   /// (non-constant shift amounts).
   [[nodiscard]] MapResult map(const rtl::Module& module) const;
 

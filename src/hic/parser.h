@@ -58,7 +58,6 @@ class Parser {
   StmtPtr parse_while();
   StmtPtr parse_block();
   StmtPtr parse_assign(bool expect_semicolon);
-  std::vector<StmtPtr> parse_stmt_list_until(TokenKind terminator);
 
   ExprPtr parse_expr();
   ExprPtr parse_binary_rhs(int min_prec, ExprPtr lhs);

@@ -40,11 +40,6 @@ class Symbol {
     return thread_ + "." + name_;
   }
 
-  /// Total storage in bits.
-  [[nodiscard]] std::uint64_t storage_bits() const {
-    return element_count() * static_cast<std::uint64_t>(type_->bit_width());
-  }
-
   [[nodiscard]] bool is_shared() const { return shared_; }
   void mark_shared() { shared_ = true; }
 

@@ -1,38 +1,13 @@
 #include "memalloc/sizing.h"
 
+#include <cstdint>
+
 #include "memalloc/bram.h"
 
 namespace hicsync::memalloc {
 
 bool is_memory_resident(const hic::Symbol& sym) {
   return sym.is_array() || sym.is_shared();
-}
-
-std::vector<ThreadSizing> analyze_sizes(const hic::Sema& sema) {
-  std::vector<ThreadSizing> out;
-  for (const auto& thread : sema.program().threads) {
-    ThreadSizing ts;
-    ts.thread = thread.name;
-    const auto* table = sema.thread_table(thread.name);
-    if (table == nullptr) {
-      out.push_back(ts);
-      continue;
-    }
-    for (const hic::Symbol* sym : table->symbols()) {
-      std::uint64_t bits = sym->storage_bits();
-      ts.total_bits += bits;
-      if (is_memory_resident(*sym)) {
-        ts.memory_bits += bits;
-        ++ts.memory_symbols;
-        if (sym->is_shared()) ts.shared_bits += bits;
-      } else {
-        ts.register_bits += bits;
-        ++ts.register_symbols;
-      }
-    }
-    out.push_back(ts);
-  }
-  return out;
 }
 
 PrunedBram apply_dep_list_hint(const BramInstance& bram,

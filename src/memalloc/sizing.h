@@ -1,13 +1,13 @@
-// Memory size analysis.
+// Memory residency and dependency-list sizing.
 //
 // §3: "the memory allocation process takes into account available physical
 // memory size (eg: BRAM size of 18 Kb) and number of ports (eg: dual ports
-// on each BRAM)" and is driven by "memory size analysis and a partial order
-// of operations." This module computes per-thread storage requirements,
-// splitting register candidates from memory-resident data.
+// on each BRAM)". This module decides which symbols live in BRAM rather than
+// registers (the allocator, the simulator and the rt artifact all ask), and
+// applies hic-bound's sizing hints to a BRAM's dependency list before the
+// memory-organization generators build its controller.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,35 +17,22 @@
 
 namespace hicsync::memalloc {
 
-/// Storage requirement of one thread.
-struct ThreadSizing {
-  std::string thread;
-  std::uint64_t total_bits = 0;        // sum of all declared storage
-  std::uint64_t register_bits = 0;     // scalars private to the thread
-  std::uint64_t memory_bits = 0;       // arrays + shared variables
-  std::uint64_t shared_bits = 0;       // subset of memory: shared variables
-  int memory_symbols = 0;
-  int register_symbols = 0;
-};
-
 /// Whether a symbol is memory-resident (BRAM) rather than a register:
 /// arrays always; scalars when they participate in an inter-thread
 /// dependency (the producer's value must be observable by other threads).
 [[nodiscard]] bool is_memory_resident(const hic::Symbol& sym);
-
-/// Sizing of every thread in the program.
-[[nodiscard]] std::vector<ThreadSizing> analyze_sizes(const hic::Sema& sema);
 
 /// Total BRAM primitives a naive one-symbol-per-BRAM mapping would use —
 /// the upper bound the allocator must beat.
 [[nodiscard]] int naive_bram_bound(const hic::Sema& sema);
 
 /// Machine-readable sizing hint for one BRAM's dependency list, produced
-/// by hic-bound's occupancy analysis and consumed here: `occupancy_hi` is
-/// a *sound* static upper bound on simultaneously open dependency-list
-/// entries, and `dead_deps` names the dependencies whose produce *and*
-/// every consume are unreachable — their CAM entries (and, event-driven,
-/// schedule slots) are dead weight the generators can drop.
+/// by hic-bound's occupancy analysis and applied by apply_dep_list_hint,
+/// which memorg::build_controller calls: `occupancy_hi` is a *sound*
+/// static upper bound on simultaneously open dependency-list entries, and
+/// `dead_deps` names the dependencies whose produce *and* every consume are
+/// unreachable — their CAM entries (and, event-driven, schedule slots) are
+/// dead weight the generators can drop.
 struct DepListHint {
   int bram_id = -1;
   /// Entries memalloc would bake in without the hint (= |dependencies|).

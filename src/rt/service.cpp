@@ -23,6 +23,13 @@ const char* to_string(CommandKind k) {
   return "?";
 }
 
+namespace {
+
+const std::vector<std::uint64_t> kLatencyBoundsUs = {
+    1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 50000};
+
+}  // namespace
+
 struct Service::Work {
   CommandKind kind = CommandKind::Run;
   std::uint64_t session = 0;
@@ -56,9 +63,8 @@ struct Service::Shard {
   int index = -1;
   std::thread thread;
 
-  // Queue + counters, guarded by mu. Everything below `sessions` is
-  // touched only on the shard's worker thread (stats readers see the
-  // counters through mu; the sink through drain()'s happens-before).
+  // Queue + counters, guarded by mu. The simulator and the sessions are
+  // touched only on the shard's worker thread.
   std::mutex mu;
   std::condition_variable cv;
   std::deque<std::unique_ptr<Work>> queue;
@@ -70,7 +76,8 @@ struct Service::Shard {
   std::uint64_t sim_cycles = 0;
   std::uint64_t max_queue_depth = 0;
   std::uint64_t open_sessions = 0;
-  trace::MetricsRegistry metrics;  // service-level series, guarded by mu
+  // Completion latency (µs, queue push to complete), guarded by mu.
+  trace::Histogram latency_us{kLatencyBoundsUs};
   // Internally synchronized (its own mutex, uncontended on the worker):
   // span capture never holds `mu`, so it cannot stretch a submitter's
   // enqueue. The pointer is set at construction and never changes
@@ -79,17 +86,8 @@ struct Service::Shard {
 
   // Worker-thread-only state.
   std::unique_ptr<sim::SystemSim> sim;
-  trace::TraceBus bus;
-  std::unique_ptr<trace::MetricsSink> sink;
   std::map<std::uint64_t, Session> sessions;
 };
-
-namespace {
-
-const std::vector<std::uint64_t> kLatencyBoundsUs = {
-    1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 50000};
-
-}  // namespace
 
 Service::Service(std::shared_ptr<const LoadedProgram> program,
                  ServiceOptions options)
@@ -182,7 +180,6 @@ std::future<CommandResult> Service::submit(std::unique_ptr<Work> work) {
       *shards_[work->session % static_cast<std::uint64_t>(shards_.size())];
   std::future<CommandResult> future = work->promise.get_future();
   if (options_.telemetry.enabled) work->t_submit = TelemetryClock::now();
-  work->enqueued = std::chrono::steady_clock::now();
 
   {
     std::lock_guard<std::mutex> lock(drain_mu_);
@@ -204,6 +201,9 @@ std::future<CommandResult> Service::submit(std::unique_ptr<Work> work) {
     std::lock_guard<std::mutex> lock(shard.mu);
     work->sequence = shard.next_sequence[work->session]++;
     work->queue_depth = static_cast<std::uint64_t>(shard.queue.size());
+    // The enqueue edge: after the drain and shard locks, so a submitter's
+    // lock wait counts as submit time, not queue time.
+    work->enqueued = std::chrono::steady_clock::now();
     shard.queue.push_back(std::move(work));
     shard.max_queue_depth =
         std::max(shard.max_queue_depth,
@@ -285,11 +285,6 @@ void Service::execute(Shard& shard, Work& work, CommandResult* result) {
         // Lazy: the simulator is built on the worker thread that will own
         // it, so its whole lifetime stays on one thread.
         shard.sim = program_->make_simulator();
-        if (options_.collect_sim_metrics) {
-          shard.sink = std::make_unique<trace::MetricsSink>();
-          shard.bus.attach(shard.sink.get());
-          shard.sim->set_trace(&shard.bus);
-        }
       }
       int passes = work.passes > 0 ? work.passes : options_.default_passes;
       WorkloadResult r =
@@ -370,9 +365,7 @@ void Service::complete(Shard& shard, std::unique_ptr<Work> work,
         shard.next_sequence.erase(it);
       }
     }
-    shard.metrics.counter("rt.commands").add();
-    shard.metrics.histogram("rt.latency_us", kLatencyBoundsUs)
-        .record(latency_us);
+    shard.latency_us.record(latency_us);
   }
   completed_.fetch_add(1, std::memory_order_relaxed);
   if (!result.ok) failed_.fetch_add(1, std::memory_order_relaxed);
@@ -470,13 +463,10 @@ Service::Stats Service::stats() const {
     ss.max_queue_depth = shard->max_queue_depth;
     ss.sessions = shard->open_sessions;
     ss.sequence_counters = shard->next_sequence.size();
-    if (const trace::Histogram* h =
-            shard->metrics.find_histogram("rt.latency_us")) {
-      ss.latency_p50_us = h->percentile(50);
-      ss.latency_p95_us = h->percentile(95);
-      ss.latency_p99_us = h->percentile(99);
-      merged.merge(*h);
-    }
+    ss.latency_p50_us = shard->latency_us.percentile(50);
+    ss.latency_p95_us = shard->latency_us.percentile(95);
+    ss.latency_p99_us = shard->latency_us.percentile(99);
+    merged.merge(shard->latency_us);
     s.runs += ss.runs;
     s.sim_cycles += ss.sim_cycles;
     s.shards.push_back(ss);
@@ -581,20 +571,6 @@ std::string Service::stats_json() const {
   w.end_object();
   w.end_object();
   return w.str();
-}
-
-std::string Service::shard_trace_report(int shard) const {
-  if (shard < 0 || shard >= shards()) return "";
-  Shard& s = *shards_[static_cast<std::size_t>(shard)];
-  std::string out;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    out = s.metrics.text();
-  }
-  if (s.sink != nullptr) {
-    out += s.sink->report_text();
-  }
-  return out;
 }
 
 std::string Service::telemetry_json() const {

@@ -5,9 +5,9 @@
 // sessions against a loaded program, submit produce/run/consume commands
 // into per-session FIFO queues, and collect completions through futures or
 // callbacks. Sessions are sharded across N worker threads (session id mod
-// shards); each shard owns one recycled sim::SystemSim plus its own
-// TraceBus/MetricsSink, so no simulator state is ever touched from two
-// threads and the whole engine is clean under TSan by construction.
+// shards); each shard owns one recycled sim::SystemSim, so no simulator
+// state is ever touched from two threads and the whole engine is clean
+// under TSan by construction.
 //
 // Command semantics (deterministic by design — docs/RUNTIME.md):
 //   produce  folds the payload words into the session's input seed
@@ -46,10 +46,6 @@ struct ServiceOptions {
   int default_passes = 1;
   /// Cycle budget per run; exceeding it fails the command (rt-timeout).
   std::uint64_t max_cycles = 200000;
-  /// Attach a per-shard trace::MetricsSink to the shard's simulator
-  /// (port utilization, stall attribution; slower). Read the report with
-  /// shard_trace_report() after drain().
-  bool collect_sim_metrics = false;
   /// Request telemetry (rt/telemetry.h): per-command spans, stage
   /// histograms, slow-request forensics, Chrome-trace export. Disabled by
   /// default; disabled telemetry costs one branch per command.
@@ -143,8 +139,8 @@ class Service {
     /// Per-session sequence counters held: one per session not yet closed
     /// (an accepted Close drops its session's counter).
     std::uint64_t sequence_counters = 0;
-    /// Completion-latency percentiles (µs) of the shard's rt.latency_us
-    /// histogram — zeros until the shard completes its first command.
+    /// Completion-latency percentiles (µs, queue push to completion) of
+    /// the shard — zeros until the shard completes its first command.
     std::uint64_t latency_p50_us = 0;
     std::uint64_t latency_p95_us = 0;
     std::uint64_t latency_p99_us = 0;
@@ -158,7 +154,7 @@ class Service {
     std::uint64_t runs = 0;
     std::uint64_t sim_cycles = 0;
     /// Service-level completion-latency percentiles (µs): every shard's
-    /// rt.latency_us histogram folded together with Histogram::merge
+    /// latency histogram folded together with Histogram::merge
     /// (identical bucket layouts, so the merge is exact).
     std::uint64_t latency_samples = 0;
     std::uint64_t latency_p50_us = 0;
@@ -169,11 +165,6 @@ class Service {
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::string stats_text() const;
   [[nodiscard]] std::string stats_json() const;
-
-  /// The shard's MetricsSink report (options.collect_sim_metrics) plus the
-  /// service-level latency histogram. Only meaningful while the service is
-  /// idle — call after drain().
-  [[nodiscard]] std::string shard_trace_report(int shard) const;
 
   // --- Telemetry surface (rt/telemetry.h). All readers lock each shard
   // briefly; safe to call concurrently with traffic (that is the point of

@@ -28,6 +28,12 @@ const std::vector<std::uint64_t> kStageBoundsUs = {
 const std::vector<std::uint64_t> kCycleBounds = {
     64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 65536, 262144};
 
+/// Per-session span history carried into a forensics record.
+constexpr std::size_t kHistoryDepth = 8;
+/// Recent slow-span summaries kept per shard (the `telemetry` op's
+/// slow_recent list).
+constexpr std::size_t kSlowRecent = 16;
+
 }  // namespace
 
 void SessionHistory::push(SpanBrief brief, std::size_t depth) {
@@ -124,15 +130,14 @@ bool ShardTelemetry::record(Span span,
   if (slow) {
     ++slow_;
     slow_recent_.push_back(brief);
-    while (slow_recent_.size() > options_.slow_recent) {
+    while (slow_recent_.size() > kSlowRecent) {
       slow_recent_.pop_front();
     }
     if (slow_json != nullptr) {
       render_slow_line(span, queue_snapshot, history, slow_json);
     }
   }
-  history.push(std::move(brief),
-               static_cast<std::size_t>(std::max(options_.history_depth, 1)));
+  history.push(std::move(brief), kHistoryDepth);
 
   if (ring_.size() < options_.ring_capacity) {
     ring_.push_back(std::move(span));

@@ -54,11 +54,6 @@ struct TelemetryOptions {
   /// JSONL file the promoted forensics records append to. Empty: records
   /// are counted and kept in the in-memory recent list only.
   std::string slow_log_path;
-  /// Per-session span history carried into a forensics record.
-  int history_depth = 8;
-  /// In-memory recent slow-span summaries kept per shard (for the
-  /// `telemetry` op's slow_recent list).
-  std::size_t slow_recent = 16;
 };
 
 using TelemetryClock = std::chrono::steady_clock;

@@ -197,42 +197,4 @@ RtlExprPtr build_onehot_mux(Module& m, const std::vector<int>& selects,
   return eor_tree(std::move(masked), width);
 }
 
-CamNets build_cam_match(Module& m, const std::vector<int>& entry_addr,
-                        const std::vector<int>& entry_valid, int key_net,
-                        const std::string& prefix) {
-  CamNets nets;
-  const int kw = m.net(key_net).width;
-  RtlExprPtr any;
-  for (std::size_t i = 0; i < entry_addr.size(); ++i) {
-    int match = m.add_wire(prefix + "_match" + std::to_string(i), 1);
-    RtlExprPtr eq = ebin(RtlOp::Eq, eref(entry_addr[i], kw),
-                         eref(key_net, kw));
-    RtlExprPtr term =
-        ebin(RtlOp::And, eref(entry_valid[i], 1), std::move(eq));
-    m.assign(match, std::move(term));
-    nets.match.push_back(match);
-    RtlExprPtr mref = eref(match, 1);
-    any = any == nullptr ? std::move(mref)
-                         : ebin(RtlOp::Or, std::move(any), std::move(mref));
-  }
-  nets.any_match = m.add_wire(prefix + "_any_match", 1);
-  m.assign(nets.any_match,
-           any != nullptr ? std::move(any) : econst(0, 1));
-  return nets;
-}
-
-CounterNets build_counter(Module& m, int width, RtlExprPtr load_enable,
-                          RtlExprPtr load_value, RtlExprPtr dec_enable,
-                          const std::string& prefix) {
-  CounterNets nets;
-  nets.reg = m.add_reg(prefix + "_count", width);
-  RtlExprPtr dec = ebin(RtlOp::Sub, eref(nets.reg, width),
-                        econst(1, width));
-  RtlExprPtr next = emux(std::move(dec_enable), std::move(dec),
-                         eref(nets.reg, width));
-  next = emux(std::move(load_enable), std::move(load_value), std::move(next));
-  m.seq(nets.reg, std::move(next), /*enable=*/nullptr, /*reset=*/0);
-  return nets;
-}
-
 }  // namespace hicsync::rtl

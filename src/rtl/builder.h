@@ -2,7 +2,7 @@
 // mux trees (the pseudo-port multiplexing layers of Figs. 2 and 3),
 // a round-robin arbiter (§3.1 "we have implemented a simple round robin
 // arbitration scheme"), fixed-priority grant logic (§3.1 port priorities
-// D > C > B), and the CAM-style comparator bank over the dependency list.
+// D > C > B) and the one-hot AND-OR multiplexer.
 #pragma once
 
 #include <string>
@@ -56,29 +56,5 @@ struct ArbiterNets {
                                           const std::vector<int>& selects,
                                           std::vector<RtlExprPtr> values,
                                           int width);
-
-struct CamNets {
-  std::vector<int> match;  // 1-bit wire per entry
-  int any_match = -1;      // 1-bit wire
-};
-
-/// Comparator bank: match[i] = valid[i] && (entry_addr[i] == key).
-/// This is the "content addressable memory (CAM) like structure ... for
-/// performing comparisons on all the addresses in the dependency list".
-[[nodiscard]] CamNets build_cam_match(Module& m,
-                                      const std::vector<int>& entry_addr,
-                                      const std::vector<int>& entry_valid,
-                                      int key_net, const std::string& prefix);
-
-/// Up/down counter register with load. Returns the register net; the caller
-/// supplies enable/step expressions via the returned builder handle.
-struct CounterNets {
-  int reg = -1;
-};
-[[nodiscard]] CounterNets build_counter(Module& m, int width,
-                                        RtlExprPtr load_enable,
-                                        RtlExprPtr load_value,
-                                        RtlExprPtr dec_enable,
-                                        const std::string& prefix);
 
 }  // namespace hicsync::rtl

@@ -68,57 +68,6 @@ std::size_t scan_root(const RtlExpr* e,
   return std::max<std::size_t>(scan_expr(*e, constants), 1);
 }
 
-/// Strict-mode scan: every net read anywhere must have some driver.
-void check_undriven_reads(const Module& module) {
-  std::vector<bool> driven(module.nets().size(), false);
-  for (const Port& p : module.ports()) {
-    if (p.dir == PortDir::Input) driven[static_cast<std::size_t>(p.net)] = true;
-  }
-  for (const ContAssign& a : module.assigns()) {
-    driven[static_cast<std::size_t>(a.target)] = true;
-  }
-  for (const SeqAssign& s : module.seqs()) {
-    driven[static_cast<std::size_t>(s.target)] = true;
-  }
-  for (const Memory& m : module.memories()) {
-    for (const MemoryPort& p : m.ports) {
-      if (p.read_data >= 0) driven[static_cast<std::size_t>(p.read_data)] = true;
-    }
-  }
-  std::vector<int> refs;
-  auto check = [&](const RtlExpr* e, const std::string& site) {
-    if (e == nullptr) return;
-    refs.clear();
-    collect_refs(*e, refs);
-    sort_unique(refs);
-    for (int r : refs) {
-      if (!driven[static_cast<std::size_t>(r)]) {
-        throw std::runtime_error("ModuleSim: read of undriven net '" +
-                                 module.net(r).name + "' in " + site + " (" +
-                                 module.name() + ", strict mode)");
-      }
-    }
-  };
-  for (const ContAssign& a : module.assigns()) {
-    check(a.value.get(), "continuous assign to '" + module.net(a.target).name +
-                             "'");
-  }
-  for (const SeqAssign& s : module.seqs()) {
-    check(s.value.get(), "next-state of '" + module.net(s.target).name + "'");
-    check(s.enable.get(), "enable of '" + module.net(s.target).name + "'");
-  }
-  for (const Memory& m : module.memories()) {
-    for (std::size_t i = 0; i < m.ports.size(); ++i) {
-      const MemoryPort& p = m.ports[i];
-      const std::string where =
-          "memory '" + m.name + "' port " + std::to_string(i);
-      check(p.addr.get(), "address of " + where);
-      check(p.write_enable.get(), "write enable of " + where);
-      check(p.write_data.get(), "write data of " + where);
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<int> topological_order(const Module& module) {
@@ -177,14 +126,7 @@ std::vector<int> topological_order(const Module& module) {
   return order;
 }
 
-ModuleSim::ModuleSim(const Module& module) : ModuleSim(module, SimOptions{}) {}
-
-ModuleSim::ModuleSim(const Module& module, const SimOptions& options) {
-  if (options.strict_undriven) check_undriven_reads(module);
-  if (!module.instances().empty()) {
-    throw std::runtime_error("ModuleSim: instances are not supported (" +
-                             module.name() + ")");
-  }
+ModuleSim::ModuleSim(const Module& module) {
   for (const Net& n : module.nets()) names_[n.name] = n.id;
   lower(module);
   settle();
@@ -393,7 +335,13 @@ void ModuleSim::lower_root(const RtlExpr& e, std::uint32_t dst,
   }
 }
 
-void ModuleSim::run(const std::vector<Instr>& tape) {
+// The tape interpreter's dispatch loop is sensitive to where it falls
+// within a cache line: on a 4-core x86-64 machine, unrelated code elsewhere
+// in the binary shifting it by 16 bytes made sim-arb8 ~12 % slower per
+// cycle. Starting it (and settle(), step() and step_edge(), which may
+// inline it) on a 64-byte boundary keeps its cost independent of the rest
+// of the binary.
+[[gnu::aligned(64)]] void ModuleSim::run(const std::vector<Instr>& tape) {
   std::uint64_t* s = slots_.data();
   for (const Instr& in : tape) {
     const std::uint64_t a = s[in.a];
@@ -430,12 +378,7 @@ int ModuleSim::find_net(const std::string& name) const {
   return it->second;
 }
 
-// run() is inlined into settle(), step() and step_edge(), and its dispatch
-// loop is sensitive to where it falls within a cache line: on a 4-core
-// x86-64 machine, unrelated code elsewhere in the binary shifting settle()
-// and step() by 16 bytes made sim-arb8 ~12 % slower per cycle. Starting
-// each on a 64-byte boundary keeps its cost independent of the rest of the
-// binary.
+// Aligned for the same reason as run().
 [[gnu::aligned(64)]] void ModuleSim::settle() {
   run(comb_);
   dirty_ = false;

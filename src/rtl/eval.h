@@ -29,8 +29,6 @@
 // until the next settle(). A caller that settles, reads outputs and then
 // calls step_edge() every cycle — what SystemSim does — pays for one
 // settle per cycle.
-//
-// Instances are not elaborated — generators emit flat controller modules.
 #pragma once
 
 #include <cstdint>
@@ -49,23 +47,12 @@ namespace hicsync::rtl {
 /// combinational cycle.
 [[nodiscard]] std::vector<int> topological_order(const Module& module);
 
-struct SimOptions {
-  /// When set, construction scans every expression site (continuous assign
-  /// values, sequential next-state/enable expressions, memory port address/
-  /// write-enable/write-data) for references to nets that nothing drives —
-  /// not an input port, not a continuous or sequential target, not a memory
-  /// read port. Such reads silently evaluate as 0 in the default mode,
-  /// masking exactly the wiring bugs hic-nlint reports statically; strict
-  /// mode throws std::runtime_error naming the net and the reading site.
-  bool strict_undriven = false;
-};
-
 class ModuleSim {
  public:
   /// Lowers the module to its tapes. Throws std::runtime_error on
-  /// combinational cycles or unsupported features (instances).
+  /// combinational cycles. A read of a net nothing drives evaluates as 0;
+  /// hic-nlint's nlint-undriven-net reports such reads statically.
   explicit ModuleSim(const Module& module);
-  ModuleSim(const Module& module, const SimOptions& options);
 
   /// Handle of a named net (its id in the module). Throws
   /// std::runtime_error if the module has no such net.

@@ -106,8 +106,6 @@ RtlExprPtr ereduce_and(RtlExprPtr v) {
   return e;
 }
 
-int expr_width(const RtlExpr& e) { return e.width; }
-
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -230,15 +228,6 @@ void Module::claim_onehot(std::vector<int> nets, std::string origin) {
   onehot_claims_.push_back(OneHotClaim{std::move(nets), std::move(origin)});
 }
 
-Instance& Module::add_instance(const std::string& name,
-                               const std::string& module) {
-  Instance inst;
-  inst.name = name;
-  inst.module = module;
-  instances_.push_back(std::move(inst));
-  return instances_.back();
-}
-
 int Module::clk() {
   if (clk_ < 0) clk_ = add_input("clk", 1);
   return clk_;
@@ -328,22 +317,7 @@ bool Module::validate(std::string* error) const {
 
 Module& Design::add_module(std::string name) {
   modules_.push_back(std::make_unique<Module>(std::move(name)));
-  if (top_.empty()) top_ = modules_.back()->name();
   return *modules_.back();
-}
-
-Module* Design::find(const std::string& name) {
-  for (auto& m : modules_) {
-    if (m->name() == name) return m.get();
-  }
-  return nullptr;
-}
-
-const Module* Design::find(const std::string& name) const {
-  for (const auto& m : modules_) {
-    if (m->name() == name) return m.get();
-  }
-  return nullptr;
 }
 
 }  // namespace hicsync::rtl

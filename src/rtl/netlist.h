@@ -8,8 +8,9 @@
 //
 // Model: a Module owns nets (wires/regs), continuous assignments,
 // synchronous register assignments (single clock domain, synchronous active-
-// high reset), inferred memories (BRAM candidates), and instances of other
-// modules. Expressions are owned trees over net references and constants.
+// high reset) and inferred memories (BRAM candidates). Modules are flat: a
+// design is a list of modules that never instantiate one another.
+// Expressions are owned trees over net references and constants.
 #pragma once
 
 #include <cstdint>
@@ -126,17 +127,6 @@ struct OneHotClaim {
   std::string origin;  // e.g. "round-robin arbiter 'c_arb'"
 };
 
-/// Instantiation of another module.
-struct Instance {
-  std::string name;
-  std::string module;  // module name resolved within the Design
-  struct Binding {
-    std::string port;
-    RtlExprPtr expr;   // for inputs; outputs must bind a plain Ref
-  };
-  std::vector<Binding> bindings;
-};
-
 class Module {
  public:
   explicit Module(std::string name) : name_(std::move(name)) {}
@@ -154,7 +144,6 @@ class Module {
   void seq(int target, RtlExprPtr value, RtlExprPtr enable = nullptr,
            std::uint64_t reset_value = 0, bool has_reset = true);
   Memory& add_memory(const std::string& name, int width, int depth);
-  Instance& add_instance(const std::string& name, const std::string& module);
 
   /// The conventional clock/reset inputs; created on first use.
   int clk();
@@ -171,9 +160,6 @@ class Module {
   [[nodiscard]] const std::vector<SeqAssign>& seqs() const { return seqs_; }
   [[nodiscard]] const std::vector<Memory>& memories() const {
     return memories_;
-  }
-  [[nodiscard]] const std::vector<Instance>& instances() const {
-    return instances_;
   }
 
   /// Records a mutual-exclusion claim over 1-bit nets (deduplicated on the
@@ -209,30 +195,21 @@ class Module {
   std::vector<ContAssign> assigns_;
   std::vector<SeqAssign> seqs_;
   std::vector<Memory> memories_;
-  std::vector<Instance> instances_;
   std::vector<OneHotClaim> onehot_claims_;
   int clk_ = -1;
   int rst_ = -1;
 };
 
-/// A set of modules with a designated top.
+/// The modules of one compile, in creation order. The first is the top.
 class Design {
  public:
   Module& add_module(std::string name);
-  [[nodiscard]] Module* find(const std::string& name);
-  [[nodiscard]] const Module* find(const std::string& name) const;
-  void set_top(const std::string& name) { top_ = name; }
-  [[nodiscard]] const std::string& top() const { return top_; }
   [[nodiscard]] const std::vector<std::unique_ptr<Module>>& modules() const {
     return modules_;
   }
 
  private:
   std::vector<std::unique_ptr<Module>> modules_;
-  std::string top_;
 };
-
-/// Width of an expression (already stored, exposed for checking).
-[[nodiscard]] int expr_width(const RtlExpr& e);
 
 }  // namespace hicsync::rtl

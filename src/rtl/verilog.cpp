@@ -118,20 +118,6 @@ std::string emit_module(const Module& m) {
   }
   if (!m.assigns().empty()) out += "\n";
 
-  // Instances.
-  for (const Instance& inst : m.instances()) {
-    out += "  " + inst.module + " " + inst.name + " (\n";
-    for (std::size_t i = 0; i < inst.bindings.size(); ++i) {
-      const auto& b = inst.bindings[i];
-      out += "    ." + b.port + "(" +
-             (b.expr != nullptr ? emit_expr(m, *b.expr) : std::string()) +
-             ")";
-      out += (i + 1 == inst.bindings.size()) ? "\n" : ",\n";
-    }
-    out += "  );\n";
-  }
-  if (!m.instances().empty()) out += "\n";
-
   // One always block for all sequential logic.
   const bool has_seq = !m.seqs().empty();
   if (has_seq) {
@@ -194,14 +180,12 @@ std::string emit_module(const Module& m) {
 std::string emit_design(const Design& d) {
   std::string out =
       "// Generated by hicsync (memory-centric thread synchronization)\n\n";
-  // Emit non-top modules first so readers meet leaves before the top.
-  for (const auto& m : d.modules()) {
-    if (m->name() == d.top()) continue;
-    out += emit_module(*m) + "\n";
+  const auto& modules = d.modules();
+  if (modules.empty()) return out;
+  for (std::size_t i = 1; i < modules.size(); ++i) {
+    out += emit_module(*modules[i]) + "\n";
   }
-  if (const Module* top = d.find(d.top())) {
-    out += emit_module(*top);
-  }
+  out += emit_module(*modules.front());
   return out;
 }
 

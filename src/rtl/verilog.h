@@ -15,7 +15,7 @@ namespace hicsync::rtl {
 /// Emits one module.
 [[nodiscard]] std::string emit_module(const Module& module);
 
-/// Emits every module of the design, top last.
+/// Emits every module of the design, the top (first) module last.
 [[nodiscard]] std::string emit_design(const Design& design);
 
 /// Renders an expression as a Verilog rvalue (exposed for tests).

@@ -40,19 +40,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-bool is_identifier(std::string_view s) {
-  if (s.empty()) return false;
-  if (!(std::isalpha(static_cast<unsigned char>(s[0])) || s[0] == '_')) {
-    return false;
-  }
-  for (char c : s.substr(1)) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_')) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string indent(std::string_view s, int n) {
   std::string pad(static_cast<std::size_t>(n), ' ');
   std::string out;

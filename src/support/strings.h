@@ -18,9 +18,6 @@ namespace hicsync::support {
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
                                std::string_view sep);
 
-/// True if `s` is a valid identifier: [A-Za-z_][A-Za-z0-9_]*.
-[[nodiscard]] bool is_identifier(std::string_view s);
-
 /// Indent every line of `s` by `n` spaces.
 [[nodiscard]] std::string indent(std::string_view s, int n);
 

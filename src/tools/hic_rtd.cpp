@@ -30,7 +30,6 @@
 //   --passes <n>          pass target per run command (default 1)
 //   --produces <n>        produce commands per session in run mode (def. 1)
 //   --max-cycles <n>      per-run cycle budget (default 200000)
-//   --metrics             attach per-shard trace metrics (serve/run)
 //   --session <id>        session id for submit ops
 //   --tag <s>             trace-context tag on submit ops (echoed + spans)
 //   --telemetry           enable request telemetry (serve/run)
@@ -75,7 +74,7 @@ constexpr const char* kUsage =
     "  serve  --artifact <prog.hicbin> --socket <path> [--shards N]\n"
     "         [--telemetry] [--slow-us N] [--slow-log F] [--trace-out F]\n"
     "  run    --artifact <prog.hicbin> [--sessions N] [--shards N]\n"
-    "         [--passes N] [--produces N] [--metrics]\n"
+    "         [--passes N] [--produces N]\n"
     "         [--telemetry] [--slow-us N] [--slow-log F] [--trace-out F]\n"
     "  submit --socket <path> [--open] [--session ID] [--produce w,w,...]\n"
     "         [--run N] [--consume a,b,...] [--close] [--tag S]\n"
@@ -95,7 +94,6 @@ struct Args {
   int passes = 1;
   int produces = 1;
   std::uint64_t max_cycles = 200000;
-  bool metrics = false;
   // telemetry (serve/run):
   bool telemetry = false;
   std::uint64_t slow_us = 100000;
@@ -143,7 +141,6 @@ rt::ServiceOptions service_options(const Args& args) {
   options.shards = args.shards;
   options.default_passes = args.passes;
   options.max_cycles = args.max_cycles;
-  options.collect_sim_metrics = args.metrics;
   options.telemetry.enabled = args.telemetry;
   options.telemetry.slow_threshold_us = args.slow_us;
   options.telemetry.slow_log_path = args.slow_log;
@@ -474,8 +471,6 @@ int main(int argc, char** argv) {
     } else if (cli.count("--passes", &args.passes)) {
     } else if (cli.count("--produces", &args.produces)) {
     } else if (cli.count("--max-cycles", &args.max_cycles)) {
-    } else if (cli.flag("--metrics")) {
-      args.metrics = true;
     } else if (cli.flag("--telemetry")) {
       args.telemetry = true;
     } else if (cli.count("--slow-us", &args.slow_us)) {

@@ -85,31 +85,6 @@ TEST(CoverageModelTest, HitConvenienceAndTotals) {
   EXPECT_NEAR(m.coverage_pct(), 100.0 / 3.0, 1e-9);
 }
 
-TEST(CoverageModelTest, MergeSumsHitsAndUnionsBins) {
-  CoverageModel a;
-  a.group("g", "desc").declare("x");
-  a.group("g").declare("y");
-  EXPECT_TRUE(a.hit("g", "x", 2));
-
-  CoverageModel b;
-  b.group("g").declare("x");
-  b.group("g").declare("z");  // new bin for the union
-  EXPECT_TRUE(b.hit("g", "x", 3));
-  EXPECT_FALSE(b.hit("g", "stray"));
-  b.group("other").declare("w");
-
-  a.merge_from(b);
-  const Covergroup* g = a.find("g");
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->bins().size(), 3u);
-  EXPECT_EQ(g->find("x")->hits, 5u);
-  EXPECT_EQ(g->find("y")->hits, 0u);  // the hole survives the merge
-  EXPECT_EQ(g->find("z")->hits, 0u);
-  EXPECT_EQ(g->unexpected(), 1u);
-  ASSERT_NE(a.find("other"), nullptr);
-  EXPECT_EQ(a.total_bins(), 4u);
-}
-
 TEST(OrgPrefixTest, BothOrganizations) {
   EXPECT_STREQ(org_prefix(sim::OrgKind::Arbitrated), "arbitrated");
   EXPECT_STREQ(org_prefix(sim::OrgKind::EventDriven), "eventdriven");

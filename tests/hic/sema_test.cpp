@@ -339,10 +339,15 @@ TEST(Sema, SymbolStorageBits) {
     }
   )");
   ASSERT_TRUE(c->ok) << c->diags.str();
-  EXPECT_EQ(c->sema->lookup("t", "a")->storage_bits(), 32u);
-  EXPECT_EQ(c->sema->lookup("t", "ch")->storage_bits(), 8u);
-  EXPECT_EQ(c->sema->lookup("t", "b")->storage_bits(), 12u);
-  EXPECT_EQ(c->sema->lookup("t", "arr")->storage_bits(), 512u);
+  auto bits = [&](const char* name) {
+    const Symbol* s = c->sema->lookup("t", name);
+    return s->element_count() *
+           static_cast<std::uint64_t>(s->type()->bit_width());
+  };
+  EXPECT_EQ(bits("a"), 32u);
+  EXPECT_EQ(bits("ch"), 8u);
+  EXPECT_EQ(bits("b"), 12u);
+  EXPECT_EQ(bits("arr"), 512u);
 }
 
 TEST(Sema, LookupUnknownReturnsNull) {

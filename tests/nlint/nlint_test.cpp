@@ -53,12 +53,40 @@ TEST(NlintRegistryTest, EveryCheckHasIdSeverityAndDescription) {
 }
 
 TEST(NlintCheckTest, UndrivenNetIsAnError) {
+  // One undriven net read at each expression site kind: assign value,
+  // next-state, enable, memory address, write enable and write data.
   Module m("t");
   const int ghost = m.add_wire("ghost", 1);
   const int out = m.add_output("out", 1);
   m.assign(out, eref(ghost, 1));
+  const int g_next = m.add_wire("g_next", 8);
+  const int q = m.add_reg("q", 8);
+  m.seq(q, eref(g_next, 8));
+  const int a = m.add_input("a", 8);
+  const int g_en = m.add_wire("g_en", 1);
+  const int p = m.add_reg("p", 8);
+  m.seq(p, eref(a, 8), eref(g_en, 1));
+  const int g_addr = m.add_wire("g_addr", 4);
+  const int g_we = m.add_wire("g_we", 1);
+  const int g_wdata = m.add_wire("g_wdata", 8);
+  rtl::Memory& mem = m.add_memory("buf", 8, 16);
+  rtl::MemoryPort port;
+  port.addr = eref(g_addr, 4);
+  port.write_enable = eref(g_we, 1);
+  port.write_data = eref(g_wdata, 8);
+  mem.ports.push_back(std::move(port));
   NlintResult r = run_module(m, NlintOptions{});
-  EXPECT_TRUE(has_finding(r, "nlint-undriven-net")) << r.text();
+  for (const char* net : {"ghost", "g_next", "g_en", "g_addr", "g_we",
+                          "g_wdata"}) {
+    bool named = false;
+    for (const Finding& f : r.findings) {
+      if (f.check_id == "nlint-undriven-net" &&
+          f.message.find("'" + std::string(net) + "'") != std::string::npos) {
+        named = true;
+      }
+    }
+    EXPECT_TRUE(named) << net << "\n" << r.text();
+  }
   EXPECT_GT(r.errors(), 0);
 }
 

@@ -400,17 +400,5 @@ TEST(Service, DestructorDrainsInFlightWork) {
   }
 }
 
-TEST(Service, TraceMetricsPerShard) {
-  ServiceOptions options;
-  options.collect_sim_metrics = true;
-  Service service(load_fig1(), options);
-  std::uint64_t session = service.open_session();
-  ASSERT_TRUE(service.run(session).get().ok);
-  service.drain();
-  std::string report = service.shard_trace_report(0);
-  EXPECT_FALSE(report.empty());
-  EXPECT_NE(report.find("utilization"), std::string::npos) << report;
-}
-
 }  // namespace
 }  // namespace hicsync::rt

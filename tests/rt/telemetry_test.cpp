@@ -112,7 +112,6 @@ TEST(ShardTelemetryTest, RecordFillsHistogramsAndPromotesSlowSpans) {
   options.enabled = true;
   options.ring_capacity = 8;
   options.slow_threshold_us = 1000;
-  options.history_depth = 4;
   const TelemetryClock::time_point epoch{};
   ShardTelemetry telemetry(0, options, epoch);
 
@@ -319,7 +318,6 @@ TEST(ServiceTelemetry, SlowThresholdZeroPromotesEverySpanToJsonl) {
   ServiceOptions options = telemetry_options(1);
   options.telemetry.slow_threshold_us = 0;  // every span is "slow"
   options.telemetry.slow_log_path = log_path;
-  options.telemetry.history_depth = 8;
   std::uint64_t completed = 0;
   {
     Service service(load_fig1(), options);

@@ -187,73 +187,5 @@ TEST(Builder, RoundRobinSingleRequesterAlwaysGranted) {
   }
 }
 
-TEST(Builder, CamMatchesValidEntries) {
-  Module m("t");
-  (void)m.clk();
-  (void)m.rst();
-  int key = m.add_input("key", 8);
-  std::vector<int> addrs;
-  std::vector<int> valids;
-  for (int i = 0; i < 3; ++i) {
-    int a = m.add_reg("addr" + std::to_string(i), 8);
-    m.seq(a, econst(static_cast<std::uint64_t>(0x10 * (i + 1)), 8));
-    addrs.push_back(a);
-    int v = m.add_input("valid" + std::to_string(i), 1);
-    valids.push_back(v);
-  }
-  auto cam = build_cam_match(m, addrs, valids, key, "cam");
-  int any = m.add_output("hit", 1);
-  m.assign(any, eref(cam.any_match, 1));
-  int m1 = m.add_output("m1", 1);
-  m.assign(m1, eref(cam.match[1], 1));
-
-  ModuleSim sim(m);
-  sim.reset();
-  sim.step();  // latch the entry addresses (0x10, 0x20, 0x30)
-  sim.set_input("valid0", 1);
-  sim.set_input("valid1", 1);
-  sim.set_input("valid2", 0);
-  sim.set_input("key", 0x20);
-  sim.settle();
-  EXPECT_EQ(sim.get("hit"), 1u);
-  EXPECT_EQ(sim.get("m1"), 1u);
-  // Invalid entry does not match even with equal address.
-  sim.set_input("key", 0x30);
-  sim.settle();
-  EXPECT_EQ(sim.get("hit"), 0u);
-  // No entry with this address.
-  sim.set_input("key", 0x44);
-  sim.settle();
-  EXPECT_EQ(sim.get("hit"), 0u);
-}
-
-TEST(Builder, CounterLoadsAndDecrements) {
-  Module m("t");
-  (void)m.clk();
-  (void)m.rst();
-  int load = m.add_input("load", 1);
-  int dec = m.add_input("dec", 1);
-  auto counter = build_counter(m, 4, eref(load, 1), econst(5, 4),
-                               eref(dec, 1), "c");
-  int out = m.add_output("count", 4);
-  m.assign(out, eref(counter.reg, 4));
-
-  ModuleSim sim(m);
-  sim.reset();
-  EXPECT_EQ(sim.get("count"), 0u);
-  sim.set_input("load", 1);
-  sim.step();
-  sim.set_input("load", 0);
-  EXPECT_EQ(sim.get("count"), 5u);
-  sim.set_input("dec", 1);
-  sim.step();
-  sim.step();
-  EXPECT_EQ(sim.get("count"), 3u);
-  // Load wins over decrement.
-  sim.set_input("load", 1);
-  sim.step();
-  EXPECT_EQ(sim.get("count"), 5u);
-}
-
 }  // namespace
 }  // namespace hicsync::rtl

@@ -41,6 +41,18 @@ TEST(Eval, CombinationalCycleRejected) {
   EXPECT_THROW(ModuleSim sim(m), std::runtime_error);
 }
 
+TEST(Eval, UndrivenNetReadsAsZero) {
+  Module m("t");
+  const int ghost = m.add_wire("ghost", 1);
+  const int a = m.add_input("a", 1);
+  const int out = m.add_output("out", 1);
+  m.assign(out, ebin(RtlOp::Or, eref(a, 1), eref(ghost, 1)));
+  ModuleSim sim(m);
+  sim.set_input("a", 0);
+  sim.settle();
+  EXPECT_EQ(sim.get("out"), 0u);
+}
+
 TEST(Eval, RegisterUpdatesOnStep) {
   Module m("t");
   (void)m.clk();

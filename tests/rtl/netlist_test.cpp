@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "rtl/verilog.h"
+
 namespace hicsync::rtl {
 namespace {
 
@@ -125,10 +127,12 @@ TEST(Netlist, DesignTopDefaultsToFirst) {
   Design d;
   d.add_module("first");
   d.add_module("second");
-  EXPECT_EQ(d.top(), "first");
-  d.set_top("second");
-  EXPECT_NE(d.find("second"), nullptr);
-  EXPECT_EQ(d.find("missing"), nullptr);
+  d.add_module("third");
+  const std::string v = emit_design(d);
+  // The first module is the top: emitted after every other module.
+  EXPECT_LT(v.find("module second ("), v.find("module third ("));
+  EXPECT_LT(v.find("module third ("), v.find("module first ("));
+  EXPECT_NE(v.find("module first ("), std::string::npos);
 }
 
 }  // namespace

@@ -84,25 +84,5 @@ TEST(Verilog, ExprRendering) {
   EXPECT_EQ(emit_expr(m, *ereduce_or(eref(a, 8))), "(|a)");
 }
 
-TEST(Verilog, InstanceEmission) {
-  Design d;
-  Module& leaf = d.add_module("leaf");
-  leaf.add_input("x", 1);
-  leaf.add_output("y", 1);
-  Module& top = d.add_module("top");
-  d.set_top("top");
-  int a = top.add_input("a", 1);
-  int b = top.add_output("b", 1);
-  Instance& inst = top.add_instance("u0", "leaf");
-  inst.bindings.push_back({"x", eref(a, 1)});
-  inst.bindings.push_back({"y", eref(b, 1)});
-  std::string v = emit_design(d);
-  EXPECT_NE(v.find("module leaf ("), std::string::npos);
-  EXPECT_NE(v.find("leaf u0 ("), std::string::npos);
-  EXPECT_NE(v.find(".x(a)"), std::string::npos);
-  // Top emitted after the leaf.
-  EXPECT_GT(v.find("module top ("), v.find("module leaf ("));
-}
-
 }  // namespace
 }  // namespace hicsync::rtl

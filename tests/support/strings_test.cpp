@@ -57,19 +57,6 @@ TEST(Strings, Fnv1a64KnownAnswers) {
   EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
 }
 
-TEST(Strings, IsIdentifierAccepts) {
-  EXPECT_TRUE(is_identifier("x"));
-  EXPECT_TRUE(is_identifier("_foo"));
-  EXPECT_TRUE(is_identifier("a1_b2"));
-}
-
-TEST(Strings, IsIdentifierRejects) {
-  EXPECT_FALSE(is_identifier(""));
-  EXPECT_FALSE(is_identifier("1abc"));
-  EXPECT_FALSE(is_identifier("a-b"));
-  EXPECT_FALSE(is_identifier("a b"));
-}
-
 TEST(Strings, IndentMultiline) {
   EXPECT_EQ(indent("a\nb", 2), "  a\n  b");
 }
