@@ -9,7 +9,9 @@
 //   * the arbitrated organization,
 //   * the event-driven organization,
 // measured for area (generated RTL, technology mapped), hand-off latency,
-// and shared-port traffic (polling burns bus cycles).
+// and shared-port traffic (polling burns bus cycles). The organizations are
+// the compiled controllers of netapp::fanout_source(n); the two baselines
+// are built at their BRAM's address and data width.
 
 #include <cstdio>
 
@@ -18,6 +20,8 @@
 #include "baseline/protocols.h"
 #include "bench_util.h"
 #include "fpga/techmap.h"
+#include "memorg/arbitrated.h"
+#include "paper_design.h"
 #include "support/table.h"
 
 using namespace hicsync;
@@ -33,90 +37,64 @@ int main() {
                             "correct"});
   bool all_ok = true;
   bench::JsonBenchReport report("baseline_comparison");
-  auto record = [&](const char* key, int consumers,
-                    const fpga::MapResult& area,
-                    const baseline::HandoffMetrics& metrics) {
+  auto add_row = [&](const char* key, const char* name, const char* enforced,
+                     int consumers, const fpga::MapResult& area,
+                     const baseline::HandoffMetrics& metrics) {
+    all_ok &= metrics.ok;
+    const double ops_per_round =
+        static_cast<double>(metrics.bus_grants) / rounds;
     const std::string p = "c" + std::to_string(consumers) + "." + key + ".";
     report.set(p + "luts", area.luts);
     report.set(p + "slices", area.slices);
     report.set(p + "mean_latency", metrics.mean_latency());
-    report.set(p + "bus_ops_per_round",
-               static_cast<double>(metrics.bus_grants) / rounds);
+    report.set(p + "bus_ops_per_round", ops_per_round);
     report.set(p + "ok", metrics.ok);
+    char mean[32], ops[32];
+    std::snprintf(mean, sizeof mean, "%.1f", metrics.mean_latency());
+    std::snprintf(ops, sizeof ops, "%.1f", ops_per_round);
+    table.add_row({name, std::to_string(consumers), std::to_string(area.luts),
+                   std::to_string(area.ffs), std::to_string(area.slices), mean,
+                   ops, enforced, metrics.ok ? "ok" : "FAILED"});
   };
 
   for (int consumers : {2, 4, 8}) {
+    auto arb = bench::compile_design(netapp::fanout_source(consumers),
+                                     sim::OrgKind::Arbitrated);
+    auto ev = bench::compile_design(netapp::fanout_source(consumers),
+                                    sim::OrgKind::EventDriven);
+    const memorg::GeneratedController& arb_ctrl = arb->controllers().front();
+    // One geometry for all four substrates: the compiled BRAM's.
+    const memorg::ArbitratedConfig geometry =
+        memorg::arbitrated_config_from(arb_ctrl.bram, arb_ctrl.plan);
     {
       baseline::BareConfig cfg;
+      cfg.addr_width = geometry.addr_width;
+      cfg.data_width = geometry.data_width;
       cfg.num_clients = consumers + 1;
       rtl::Design d;
       rtl::Module& m = baseline::generate_bare(d, cfg, "bare");
-      auto area = mapper.map(m);
-      auto metrics = baseline::run_polling_handoff(m, consumers, rounds);
-      all_ok &= metrics.ok;
-      char mean[32], ops[32];
-      std::snprintf(mean, sizeof mean, "%.1f", metrics.mean_latency());
-      std::snprintf(ops, sizeof ops, "%.1f",
-                    static_cast<double>(metrics.bus_grants) / rounds);
-      record("polling", consumers, area, metrics);
-      table.add_row({"manual polling (bare)", std::to_string(consumers),
-                     std::to_string(area.luts), std::to_string(area.ffs),
-                     std::to_string(area.slices), mean, ops, "no",
-                     metrics.ok ? "ok" : "FAILED"});
+      add_row("polling", "manual polling (bare)", "no", consumers,
+              mapper.map(m),
+              baseline::run_polling_handoff(m, consumers, rounds));
     }
     {
       baseline::LockMemConfig cfg;
+      cfg.addr_width = geometry.addr_width;
+      cfg.data_width = geometry.data_width;
       cfg.num_clients = consumers + 1;
       cfg.lock_addrs = {4, 6};
       rtl::Design d;
       rtl::Module& m = baseline::generate_lockmem(d, cfg, "lockmem");
-      auto area = mapper.map(m);
-      auto metrics = baseline::run_lock_handoff(m, consumers, rounds);
-      all_ok &= metrics.ok;
-      char mean[32], ops[32];
-      std::snprintf(mean, sizeof mean, "%.1f", metrics.mean_latency());
-      std::snprintf(ops, sizeof ops, "%.1f",
-                    static_cast<double>(metrics.bus_grants) / rounds);
-      record("lockmem", consumers, area, metrics);
-      table.add_row({"locks (lockmem)", std::to_string(consumers),
-                     std::to_string(area.luts), std::to_string(area.ffs),
-                     std::to_string(area.slices), mean, ops, "no",
-                     metrics.ok ? "ok" : "FAILED"});
+      add_row("lockmem", "locks (lockmem)", "no", consumers, mapper.map(m),
+              baseline::run_lock_handoff(m, consumers, rounds));
     }
-    {
-      rtl::Design d;
-      rtl::Module& m = memorg::generate_arbitrated(
-          d, bench::arb_scenario(consumers), "arb");
-      auto area = mapper.map(m);
-      auto metrics = baseline::run_arbitrated_handoff(m, consumers, rounds);
-      all_ok &= metrics.ok;
-      char mean[32], ops[32];
-      std::snprintf(mean, sizeof mean, "%.1f", metrics.mean_latency());
-      std::snprintf(ops, sizeof ops, "%.1f",
-                    static_cast<double>(metrics.bus_grants) / rounds);
-      record("arbitrated", consumers, area, metrics);
-      table.add_row({"arbitrated (§3.1)", std::to_string(consumers),
-                     std::to_string(area.luts), std::to_string(area.ffs),
-                     std::to_string(area.slices), mean, ops, "yes",
-                     metrics.ok ? "ok" : "FAILED"});
-    }
-    {
-      rtl::Design d;
-      rtl::Module& m = memorg::generate_eventdriven(
-          d, bench::ev_scenario(consumers), "ev");
-      auto area = mapper.map(m);
-      auto metrics = baseline::run_eventdriven_handoff(m, consumers, rounds);
-      all_ok &= metrics.ok;
-      char mean[32], ops[32];
-      std::snprintf(mean, sizeof mean, "%.1f", metrics.mean_latency());
-      std::snprintf(ops, sizeof ops, "%.1f",
-                    static_cast<double>(metrics.bus_grants) / rounds);
-      record("eventdriven", consumers, area, metrics);
-      table.add_row({"event-driven (§3.2)", std::to_string(consumers),
-                     std::to_string(area.luts), std::to_string(area.ffs),
-                     std::to_string(area.slices), mean, ops, "yes",
-                     metrics.ok ? "ok" : "FAILED"});
-    }
+    add_row("arbitrated", "arbitrated (§3.1)", "yes", consumers,
+            arb->bram_reports().front().area,
+            baseline::run_arbitrated_handoff(arb_ctrl, rounds));
+    add_row("eventdriven", "event-driven (§3.2)", "yes", consumers,
+            ev->bram_reports().front().area,
+            baseline::run_eventdriven_handoff(ev->controllers().front(),
+                                              rounds));
   }
   std::printf("%s\n", table.str().c_str());
   std::printf(

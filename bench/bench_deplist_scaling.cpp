@@ -4,37 +4,47 @@
 // dependencies on the size of list in arbitrated memory organization and
 // this is part of current research."
 //
-// We sweep the number of dependency-list entries and report the arbitrated
-// controller's area for both lookup implementations:
+// We sweep the number of dependency-list entries and compile the arbitrated
+// controller with both lookup implementations (`use_cam` on and off):
 //   * CAM (the paper's choice): parallel comparators, area grows with
 //     entries × pseudo-ports, single-cycle lookup;
 //   * serial scan (ablation): one shared comparator per pseudo-port, area
 //     nearly flat, lookup takes up to |entries| extra cycles.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
-#include "fpga/techmap.h"
-#include "fpga/timing.h"
+#include "paper_design.h"
 #include "support/table.h"
 
 using namespace hicsync;
 
 namespace {
 
-memorg::ArbitratedConfig with_entries(int entries, bool use_cam) {
-  memorg::ArbitratedConfig cfg = bench::arb_scenario(2);
-  cfg.use_cam = use_cam;
-  for (int e = 1; e < entries; ++e) {
-    memorg::DepEntry entry;
-    entry.id = "d" + std::to_string(e);
-    entry.base_address = static_cast<std::uint32_t>(8 + 4 * e);
-    entry.dependency_number = 2;
-    entry.producer_port = 0;
-    entry.consumer_ports = {0, 1};
-    cfg.deps.push_back(std::move(entry));
+/// One producer thread publishing `entries` values, each read by the same
+/// two consumer threads: one BRAM whose dependency list holds `entries`
+/// entries.
+std::string deplist_source(int entries) {
+  std::string producer = "thread p () {\n";
+  std::string c0 = "thread c0 () {\n";
+  std::string c1 = "thread c1 () {\n";
+  for (int e = 0; e < entries; ++e) {
+    const std::string n = std::to_string(e);
+    producer += "  int a" + n + ";\n";
+    c0 += "  int u" + n + ";\n";
+    c1 += "  int v" + n + ";\n";
   }
-  return cfg;
+  for (int e = 0; e < entries; ++e) {
+    const std::string n = std::to_string(e);
+    producer += "  #consumer{d" + n + ", [c0,u" + n + "], [c1,v" + n +
+                "]}\n  a" + n + " = f(" + n + ");\n";
+    c0 += "  #producer{d" + n + ", [p,a" + n + "]}\n  u" + n + " = g(a" +
+          n + ");\n";
+    c1 += "  #producer{d" + n + ", [p,a" + n + "]}\n  v" + n + " = g(a" +
+          n + ");\n";
+  }
+  return producer + "}\n" + c0 + "}\n" + c1 + "}\n";
 }
 
 }  // namespace
@@ -46,35 +56,34 @@ int main() {
   support::TextTable table({"entries", "CAM LUT", "CAM slices",
                             "CAM Fmax(MHz)", "scan LUT", "scan slices",
                             "scan Fmax(MHz)", "scan extra cycles"});
-  fpga::TechMapper mapper;
   bench::JsonBenchReport report("deplist_scaling");
   bool cam_grows = true;
   int prev_cam = 0;
   for (int entries : {1, 2, 4, 8, 16, 32, 64}) {
-    rtl::Design d1;
-    auto cam = mapper.map(memorg::generate_arbitrated(
-        d1, with_entries(entries, true), "cam"));
-    auto cam_t = fpga::estimate_timing(cam, false);
-    rtl::Design d2;
-    auto scan = mapper.map(memorg::generate_arbitrated(
-        d2, with_entries(entries, false), "scan"));
-    auto scan_t = fpga::estimate_timing(scan, false);
+    const std::string source = deplist_source(entries);
+    auto cam_design =
+        bench::compile_design(source, sim::OrgKind::Arbitrated, true);
+    auto scan_design =
+        bench::compile_design(source, sim::OrgKind::Arbitrated, false);
+    const core::BramReport& cam = cam_design->bram_reports().front();
+    const core::BramReport& scan = scan_design->bram_reports().front();
     char cfx[32], sfx[32];
-    std::snprintf(cfx, sizeof cfx, "%.1f", cam_t.fmax_mhz);
-    std::snprintf(sfx, sizeof sfx, "%.1f", scan_t.fmax_mhz);
-    table.add_row({std::to_string(entries), std::to_string(cam.luts),
-                   std::to_string(cam.slices), cfx,
-                   std::to_string(scan.luts), std::to_string(scan.slices),
-                   sfx, "<= " + std::to_string(entries)});
-    cam_grows &= cam.luts >= prev_cam;
-    prev_cam = cam.luts;
+    std::snprintf(cfx, sizeof cfx, "%.1f", cam.timing.fmax_mhz);
+    std::snprintf(sfx, sizeof sfx, "%.1f", scan.timing.fmax_mhz);
+    table.add_row({std::to_string(entries), std::to_string(cam.area.luts),
+                   std::to_string(cam.area.slices), cfx,
+                   std::to_string(scan.area.luts),
+                   std::to_string(scan.area.slices), sfx,
+                   "<= " + std::to_string(entries)});
+    cam_grows &= cam.area.luts >= prev_cam;
+    prev_cam = cam.area.luts;
     const std::string prefix = "entries" + std::to_string(entries) + ".";
-    report.set(prefix + "cam_luts", cam.luts);
-    report.set(prefix + "cam_slices", cam.slices);
-    report.set(prefix + "cam_fmax_mhz", cam_t.fmax_mhz);
-    report.set(prefix + "scan_luts", scan.luts);
-    report.set(prefix + "scan_slices", scan.slices);
-    report.set(prefix + "scan_fmax_mhz", scan_t.fmax_mhz);
+    report.set(prefix + "cam_luts", cam.area.luts);
+    report.set(prefix + "cam_slices", cam.area.slices);
+    report.set(prefix + "cam_fmax_mhz", cam.timing.fmax_mhz);
+    report.set(prefix + "scan_luts", scan.area.luts);
+    report.set(prefix + "scan_slices", scan.area.slices);
+    report.set(prefix + "scan_fmax_mhz", scan.timing.fmax_mhz);
   }
   std::printf("%s\n", table.str().c_str());
   std::printf(

@@ -6,9 +6,10 @@
 // has "accurate timing information once the write from the producer thread
 // occurs."
 //
-// The same 1-producer → N-consumer hand-off runs on both generated
-// controllers; we report per-round publish→all-consumed latency
-// (min/mean/max), plus the two ablations DESIGN.md calls out:
+// The same 1-producer → N-consumer hand-off runs on both compiled
+// controllers of netapp::fanout_source(n); we report per-round
+// publish→all-consumed latency (min/mean/max), plus the two ablations
+// DESIGN.md calls out:
 //   * round-robin vs fixed-priority arbitration on port C,
 //   * the event-driven static consumer order (first vs reversed).
 
@@ -20,6 +21,8 @@
 #include "baseline/protocols.h"
 #include "bench_util.h"
 #include "core/compiler.h"
+#include "memorg/arbitrated.h"
+#include "paper_design.h"
 #include "support/rng.h"
 #include "support/table.h"
 
@@ -49,28 +52,32 @@ int main() {
                             "max", "timing", "correct"});
   bool ok = true;
   for (int consumers : {2, 4, 8}) {
+    auto arb = bench::compile_design(netapp::fanout_source(consumers),
+                                     sim::OrgKind::Arbitrated);
+    const memorg::GeneratedController& ctrl = arb->controllers().front();
     {
-      rtl::Design d;
-      rtl::Module& m = memorg::generate_arbitrated(
-          d, bench::arb_scenario(consumers), "arb");
-      auto metrics = baseline::run_arbitrated_handoff(m, consumers, rounds);
+      auto metrics = baseline::run_arbitrated_handoff(ctrl, rounds);
       add_row(table, "arbitrated (round robin)", consumers, metrics);
       ok &= metrics.ok;
     }
     {
-      memorg::ArbitratedConfig cfg = bench::arb_scenario(consumers);
+      // The fairness ablation: the compiled controller's configuration,
+      // regenerated with a fixed-priority arbiter.
+      memorg::ArbitratedConfig cfg =
+          memorg::arbitrated_config_from(ctrl.bram, ctrl.plan);
       cfg.round_robin = false;
       rtl::Design d;
-      rtl::Module& m = memorg::generate_arbitrated(d, cfg, "arb_fp");
-      auto metrics = baseline::run_arbitrated_handoff(m, consumers, rounds);
+      memorg::GeneratedController fixed = ctrl;
+      fixed.module = &memorg::generate_arbitrated(d, cfg, "arb_fp");
+      auto metrics = baseline::run_arbitrated_handoff(fixed, rounds);
       add_row(table, "arbitrated (fixed priority)", consumers, metrics);
       ok &= metrics.ok;
     }
     {
-      rtl::Design d;
-      rtl::Module& m = memorg::generate_eventdriven(
-          d, bench::ev_scenario(consumers), "ev");
-      auto metrics = baseline::run_eventdriven_handoff(m, consumers, rounds);
+      auto ev = bench::compile_design(netapp::fanout_source(consumers),
+                                      sim::OrgKind::EventDriven);
+      auto metrics = baseline::run_eventdriven_handoff(
+          ev->controllers().front(), rounds);
       add_row(table, "event-driven (pragma order)", consumers, metrics);
       ok &= metrics.ok;
     }

@@ -6,15 +6,17 @@
 // overhead can vary from 5-20%. Hence this overhead needs to be considered
 // a priori in the design partitioning process."
 //
-// We regenerate the forwarding core (netapp/forwarding_rtl) and both
-// controller families, and report each scenario's overhead twice: against
-// our measured core and against the paper's 1000-slice figure.
+// We regenerate the forwarding core (netapp/forwarding_rtl), compile the
+// fan-out controllers of both organizations, and report each one's
+// overhead twice: against our measured core and against the paper's
+// 1000-slice figure.
 
 #include <cstdio>
 
 #include "bench_util.h"
 #include "fpga/techmap.h"
 #include "netapp/forwarding_rtl.h"
+#include "paper_design.h"
 #include "support/table.h"
 
 using namespace hicsync;
@@ -54,17 +56,13 @@ int main() {
     in_band_any |= pct_paper >= bench::PaperReference::kOverheadLowPct &&
                    pct_paper <= bench::PaperReference::kOverheadHighPct;
   };
-  for (int consumers : {2, 4, 8}) {
-    rtl::Design d;
-    auto r = mapper.map(memorg::generate_arbitrated(
-        d, bench::arb_scenario(consumers), "arb"));
-    add("arbitrated", consumers, r.slices);
-  }
-  for (int consumers : {2, 4, 8}) {
-    rtl::Design d;
-    auto r = mapper.map(memorg::generate_eventdriven(
-        d, bench::ev_scenario(consumers), "ev"));
-    add("event-driven", consumers, r.slices);
+  for (sim::OrgKind org :
+       {sim::OrgKind::Arbitrated, sim::OrgKind::EventDriven}) {
+    for (int consumers : {2, 4, 8}) {
+      auto d = bench::compile_design(netapp::fanout_source(consumers), org);
+      add(sim::to_string(org), consumers,
+          d->bram_reports().front().area.slices);
+    }
   }
   std::printf("%s\n", table.str().c_str());
 

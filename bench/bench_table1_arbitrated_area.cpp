@@ -1,9 +1,10 @@
 // Table 1 — "Required area for arbitrated memory organization".
 //
 // Regenerates the paper's table: per-BRAM controller overhead (LUT / FF /
-// slices) for P/C = 1/2, 1/4, 1/8, derived from the two-port IP forwarding
-// application. The scrape of the paper lost the numeric table cells; the
-// prose constraints we reproduce are:
+// slices) for P/C = 1/2, 1/4, 1/8 — the compiled controller of
+// netapp::fanout_source(n), the one-producer/N-consumer BRAM of the IP
+// forwarding application. The scrape of the paper lost the numeric table
+// cells; the prose constraints we reproduce are:
 //   * FF constant across the sweep (the fixed baseline architecture),
 //   * pseudo-port multiplexing adds LUTs only,
 //   * the paper's baseline uses 66 FFs.
@@ -11,7 +12,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "fpga/techmap.h"
+#include "paper_design.h"
 #include "support/table.h"
 
 using namespace hicsync;
@@ -24,16 +25,14 @@ int main() {
               bench::PaperReference::kArbitratedBaselineFf);
 
   support::TextTable table({"P/C", "LUT", "FF", "Slices", "BRAM"});
-  fpga::TechMapper mapper;
   bench::JsonBenchReport report("table1_arbitrated_area");
   int prev_lut = 0;
   int first_ff = -1;
   bool shape_ok = true;
   for (int consumers : {2, 4, 8}) {
-    rtl::Design design;
-    rtl::Module& m = memorg::generate_arbitrated(
-        design, bench::arb_scenario(consumers), "arb");
-    auto r = mapper.map(m);
+    auto design = bench::compile_design(netapp::fanout_source(consumers),
+                                        sim::OrgKind::Arbitrated);
+    const fpga::MapResult& r = design->bram_reports().front().area;
     table.add_row({"1/" + std::to_string(consumers),
                    std::to_string(r.luts), std::to_string(r.ffs),
                    std::to_string(r.slices), std::to_string(r.bram_blocks)});

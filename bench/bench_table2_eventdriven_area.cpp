@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "fpga/techmap.h"
+#include "paper_design.h"
 #include "support/table.h"
 
 using namespace hicsync;
@@ -20,16 +20,14 @@ int main() {
               "scheduled memory organization ===\n\n");
 
   support::TextTable table({"P/C", "LUT", "FF", "Slices", "BRAM"});
-  fpga::TechMapper mapper;
   bench::JsonBenchReport report("table2_eventdriven_area");
   int prev_lut = 0;
   int first_ff = -1;
   bool shape_ok = true;
   for (int consumers : {2, 4, 8}) {
-    rtl::Design design;
-    rtl::Module& m = memorg::generate_eventdriven(
-        design, bench::ev_scenario(consumers), "ev");
-    auto r = mapper.map(m);
+    auto design = bench::compile_design(netapp::fanout_source(consumers),
+                                        sim::OrgKind::EventDriven);
+    const fpga::MapResult& r = design->bram_reports().front().area;
     table.add_row({"1/" + std::to_string(consumers),
                    std::to_string(r.luts), std::to_string(r.ffs),
                    std::to_string(r.slices), std::to_string(r.bram_blocks)});
@@ -48,13 +46,12 @@ int main() {
   // Cross-table shape: event-driven leaner than arbitrated at each point.
   bool leaner = true;
   for (int consumers : {2, 4, 8}) {
-    rtl::Design d1;
-    auto arb = mapper.map(memorg::generate_arbitrated(
-        d1, bench::arb_scenario(consumers), "arb"));
-    rtl::Design d2;
-    auto ev = mapper.map(memorg::generate_eventdriven(
-        d2, bench::ev_scenario(consumers), "ev"));
-    leaner &= ev.luts < arb.luts;
+    auto arb = bench::compile_design(netapp::fanout_source(consumers),
+                                     sim::OrgKind::Arbitrated);
+    auto ev = bench::compile_design(netapp::fanout_source(consumers),
+                                    sim::OrgKind::EventDriven);
+    leaner &= ev->bram_reports().front().area.luts <
+              arb->bram_reports().front().area.luts;
   }
   std::printf("shape checks:\n");
   std::printf("  FF constant across consumer counts: %s\n",

@@ -2,10 +2,11 @@
 //
 // The paper: arbitrated 158 / 130 / ~125 MHz and event-driven 177 / 136 /
 // 129 MHz for 2 / 4 / 8 consumers (synthesis unconstrained, post-P&R).
-// We estimate Fmax from the technology-mapped logic depth of the generated
-// controllers (see fpga/timing.h for the delay model and DESIGN.md for the
-// substitution note). Absolute numbers depend on the calibration; the
-// shape the paper's conclusions rest on is checked:
+// We estimate Fmax from the technology-mapped logic depth of the compiled
+// controllers of netapp::fanout_source(n) (see fpga/timing.h for the delay
+// model and DESIGN.md for the substitution note). Absolute numbers depend
+// on the calibration; the shape the paper's conclusions rest on is
+// checked:
 //   * Fmax decreases as consumers are added (both organizations),
 //   * the event-driven organization is faster at every point,
 //   * the gap narrows at 8 consumers (both approach the target).
@@ -13,8 +14,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "fpga/techmap.h"
-#include "fpga/timing.h"
+#include "paper_design.h"
 #include "support/table.h"
 
 using namespace hicsync;
@@ -35,15 +35,13 @@ int main() {
 
   support::TextTable table({"org", "consumers", "levels", "Fmax est (MHz)",
                             "paper (MHz)"});
-  fpga::TechMapper mapper;
   double arb_fmax[3];
   double ev_fmax[3];
   const int counts[3] = {2, 4, 8};
   for (int i = 0; i < 3; ++i) {
-    rtl::Design d;
-    auto r = mapper.map(memorg::generate_arbitrated(
-        d, bench::arb_scenario(counts[i]), "arb"));
-    auto t = fpga::estimate_timing(r, /*launches_from_bram=*/false);
+    auto d = bench::compile_design(netapp::fanout_source(counts[i]),
+                                   sim::OrgKind::Arbitrated);
+    const fpga::TimingResult& t = d->bram_reports().front().timing;
     arb_fmax[i] = t.fmax_mhz;
     char fmax[32];
     std::snprintf(fmax, sizeof fmax, "%.1f", t.fmax_mhz);
@@ -53,10 +51,9 @@ int main() {
                    std::to_string(t.logic_levels), fmax, paper});
   }
   for (int i = 0; i < 3; ++i) {
-    rtl::Design d;
-    auto r = mapper.map(memorg::generate_eventdriven(
-        d, bench::ev_scenario(counts[i]), "ev"));
-    auto t = fpga::estimate_timing(r, /*launches_from_bram=*/false);
+    auto d = bench::compile_design(netapp::fanout_source(counts[i]),
+                                   sim::OrgKind::EventDriven);
+    const fpga::TimingResult& t = d->bram_reports().front().timing;
     ev_fmax[i] = t.fmax_mhz;
     char fmax[32];
     std::snprintf(fmax, sizeof fmax, "%.1f", t.fmax_mhz);

@@ -1,6 +1,7 @@
 // Shared helpers for the benchmark harness: the paper's reference values
-// (where the scraped text preserved them) and scenario construction, plus
-// the machine-readable result file every bench emits.
+// (where the scraped text preserved them) and the machine-readable result
+// file every bench emits. The paper benches compile their designs through
+// paper_design.h.
 #pragma once
 
 #include <cmath>
@@ -11,8 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "memorg/arbitrated.h"
-#include "memorg/eventdriven.h"
 #include "support/json.h"
 
 namespace hicsync::bench {
@@ -121,37 +120,5 @@ struct PaperReference {
   static constexpr double kOverheadLowPct = 5.0;
   static constexpr double kOverheadHighPct = 20.0;
 };
-
-/// The Table 1/2 scenario: one producer, `consumers` pseudo-ports, one
-/// dependency on one BRAM (data at address 4), 9-bit addresses, 32-bit
-/// data — the "single BRAM memory with different number of threads as
-/// consumers and a single thread as a producer" of §4.
-inline memorg::ArbitratedConfig arb_scenario(int consumers) {
-  memorg::ArbitratedConfig cfg;
-  cfg.num_consumers = consumers;
-  cfg.num_producers = 1;
-  memorg::DepEntry e;
-  e.id = "pkt";
-  e.base_address = 4;
-  e.dependency_number = consumers;
-  e.producer_port = 0;
-  for (int i = 0; i < consumers; ++i) e.consumer_ports.push_back(i);
-  cfg.deps.push_back(std::move(e));
-  return cfg;
-}
-
-inline memorg::EventDrivenConfig ev_scenario(int consumers) {
-  memorg::EventDrivenConfig cfg;
-  cfg.num_consumers = consumers;
-  cfg.num_producers = 1;
-  memorg::DepEntry e;
-  e.id = "pkt";
-  e.base_address = 4;
-  e.dependency_number = consumers;
-  e.producer_port = 0;
-  for (int i = 0; i < consumers; ++i) e.consumer_ports.push_back(i);
-  cfg.deps.push_back(std::move(e));
-  return cfg;
-}
 
 }  // namespace hicsync::bench

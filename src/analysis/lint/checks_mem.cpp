@@ -6,6 +6,7 @@
 #include <string>
 
 #include "analysis/lint/checks.h"
+#include "memorg/eventdriven.h"
 #include "support/strings.h"
 
 namespace hicsync::analysis::lint {
@@ -143,9 +144,6 @@ class PortPressureCheck final : public LintPass {
     // pseudo-ports; past that the arbitration tree depth grows beyond the
     // evaluated design space.
     constexpr int kEvaluatedConsumerPorts = 8;
-    // EventDrivenConfig::max_slots default: the selection logic's slot and
-    // prev-slot registers are dimensioned for this many slots.
-    constexpr int kEventDrivenSlotBudget = 16;
 
     for (const memalloc::BramInstance& bram : map->brams()) {
       const memalloc::BramPortPlan* plan = nullptr;
@@ -173,13 +171,13 @@ class PortPressureCheck final : public LintPass {
       for (const hic::Dependency* dep : bram.dependencies) {
         slots += 1 + static_cast<int>(dep->consumers.size());
       }
-      if (slots > kEventDrivenSlotBudget) {
+      if (slots > memorg::kEventDrivenBaselineSlots) {
         sink(anchor,
              support::format(
                  "BRAM %d needs %d event-driven schedule slots, over the "
                  "selection logic's %d-slot budget; the slot counter "
                  "widens and worst-case consume latency grows linearly",
-                 bram.id, slots, kEventDrivenSlotBudget));
+                 bram.id, slots, memorg::kEventDrivenBaselineSlots));
       }
 
       // A dependency whose listed consumers outnumber the pseudo-ports that

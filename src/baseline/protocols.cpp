@@ -333,17 +333,20 @@ struct OrgRun {
 
 }  // namespace
 
-HandoffMetrics run_arbitrated_handoff(const rtl::Module& org, int consumers,
+HandoffMetrics run_arbitrated_handoff(const memorg::GeneratedController& ctrl,
                                       int rounds, std::uint64_t max_cycles) {
-  OrgRun run(org);
+  OrgRun run(*ctrl.module);
   rtl::ModuleSim& sim = run.sim;
+  const memorg::DepEntry& entry = ctrl.entries.front();
+  const std::string d = std::to_string(entry.producer_port);
+  const std::vector<int>& ports = entry.consumer_ports;
+  const int consumers = static_cast<int>(ports.size());
 
   enum class PStage { Request, Done };
   enum class CStage { Request, AwaitValid, Done };
   int round = 0;
   PStage prod = PStage::Request;
-  std::vector<CStage> cons(static_cast<std::size_t>(consumers),
-                           CStage::Request);
+  std::vector<CStage> cons(ports.size(), CStage::Request);
   std::uint64_t publish = 0;
   int consumed = 0;
   bool ok = true;
@@ -351,35 +354,33 @@ HandoffMetrics run_arbitrated_handoff(const rtl::Module& org, int consumers,
 
   while (round < rounds && cycle < max_cycles) {
     // Drive.
-    sim.set_input("d_req0", 0);
-    for (int i = 0; i < consumers; ++i) {
-      sim.set_input(idx("c_req", i), 0);
-    }
+    sim.set_input("d_req" + d, 0);
+    for (int port : ports) sim.set_input(idx("c_req", port), 0);
     if (prod == PStage::Request) {
-      sim.set_input("d_req0", 1);
-      sim.set_input("d_addr0", kDataAddr);
-      sim.set_input("d_wdata0", round_value(round));
+      sim.set_input("d_req" + d, 1);
+      sim.set_input("d_addr" + d, entry.base_address);
+      sim.set_input("d_wdata" + d, round_value(round));
     }
-    for (int i = 0; i < consumers; ++i) {
-      if (cons[static_cast<std::size_t>(i)] == CStage::Request) {
-        sim.set_input(idx("c_req", i), 1);
-        sim.set_input(idx("c_addr", i), kDataAddr);
+    for (std::size_t i = 0; i < ports.size(); ++i) {
+      if (cons[i] == CStage::Request) {
+        sim.set_input(idx("c_req", ports[i]), 1);
+        sim.set_input(idx("c_addr", ports[i]), entry.base_address);
       }
     }
     sim.settle();
     // Observe.
-    if (prod == PStage::Request && sim.get("d_grant0") != 0) {
+    if (prod == PStage::Request && sim.get("d_grant" + d) != 0) {
       ++run.metrics.bus_grants;
       publish = cycle;
       prod = PStage::Done;
     }
-    for (int i = 0; i < consumers; ++i) {
-      auto& st = cons[static_cast<std::size_t>(i)];
-      if (st == CStage::Request && sim.get(idx("c_grant", i)) != 0) {
+    for (std::size_t i = 0; i < ports.size(); ++i) {
+      auto& st = cons[i];
+      if (st == CStage::Request && sim.get(idx("c_grant", ports[i])) != 0) {
         ++run.metrics.bus_grants;
         st = CStage::AwaitValid;
       } else if (st == CStage::AwaitValid &&
-                 sim.get(idx("c_valid", i)) != 0) {
+                 sim.get(idx("c_valid", ports[i])) != 0) {
         if (sim.get("bus_rdata") != round_value(round)) ok = false;
         st = CStage::Done;
         ++consumed;
@@ -401,55 +402,56 @@ HandoffMetrics run_arbitrated_handoff(const rtl::Module& org, int consumers,
   return run.metrics;
 }
 
-HandoffMetrics run_eventdriven_handoff(const rtl::Module& org, int consumers,
-                                       int rounds,
-                                       std::uint64_t max_cycles) {
-  OrgRun run(org);
+HandoffMetrics run_eventdriven_handoff(
+    const memorg::GeneratedController& ctrl, int rounds,
+    std::uint64_t max_cycles) {
+  OrgRun run(*ctrl.module);
   rtl::ModuleSim& sim = run.sim;
+  const memorg::DepEntry& entry = ctrl.entries.front();
+  const std::string p = std::to_string(entry.producer_port);
+  const std::vector<int>& ports = entry.consumer_ports;
+  const int consumers = static_cast<int>(ports.size());
 
-  // Slot layout of the 1-producer scenario: slot 0 = producer, slots
-  // 1..consumers = the consumers in static order.
+  // The first entry's slots (memorg::slot_order): slot 0 = its producer,
+  // slots 1..consumers = its consumers in static order.
   enum class CStage { WaitSlot, AwaitValid, Done };
   int round = 0;
   bool produced = false;
-  std::vector<CStage> cons(static_cast<std::size_t>(consumers),
-                           CStage::WaitSlot);
+  std::vector<CStage> cons(ports.size(), CStage::WaitSlot);
   std::uint64_t publish = 0;
   int consumed = 0;
   bool ok = true;
   std::uint64_t cycle = 0;
 
   while (round < rounds && cycle < max_cycles) {
-    sim.set_input("p_req0", 0);
-    for (int i = 0; i < consumers; ++i) sim.set_input(idx("c_req", i), 0);
+    sim.set_input("p_req" + p, 0);
+    for (int port : ports) sim.set_input(idx("c_req", port), 0);
     std::uint64_t slot = sim.get("slot");
     if (!produced && slot == 0) {
-      sim.set_input("p_req0", 1);
-      sim.set_input("p_addr0", kDataAddr);
-      sim.set_input("p_wdata0", round_value(round));
+      sim.set_input("p_req" + p, 1);
+      sim.set_input("p_addr" + p, entry.base_address);
+      sim.set_input("p_wdata" + p, round_value(round));
     }
-    for (int i = 0; i < consumers; ++i) {
-      if (cons[static_cast<std::size_t>(i)] == CStage::WaitSlot &&
-          slot == static_cast<std::uint64_t>(i + 1)) {
-        sim.set_input(idx("c_req", i), 1);
-        sim.set_input(idx("c_addr", i), kDataAddr);
+    for (std::size_t i = 0; i < ports.size(); ++i) {
+      if (cons[i] == CStage::WaitSlot && slot == i + 1) {
+        sim.set_input(idx("c_req", ports[i]), 1);
+        sim.set_input(idx("c_addr", ports[i]), entry.base_address);
       }
     }
     sim.settle();
-    if (!produced && sim.get("p_grant0") != 0) {
+    if (!produced && sim.get("p_grant" + p) != 0) {
       ++run.metrics.bus_grants;
       publish = cycle;
       produced = true;
     }
-    for (int i = 0; i < consumers; ++i) {
-      auto& st = cons[static_cast<std::size_t>(i)];
-      if (st == CStage::WaitSlot &&
-          slot == static_cast<std::uint64_t>(i + 1) &&
-          sim.get(idx("c_req", i)) != 0) {
+    for (std::size_t i = 0; i < ports.size(); ++i) {
+      auto& st = cons[i];
+      if (st == CStage::WaitSlot && slot == i + 1 &&
+          sim.get(idx("c_req", ports[i])) != 0) {
         ++run.metrics.bus_grants;
         st = CStage::AwaitValid;
       } else if (st == CStage::AwaitValid &&
-                 sim.get(idx("c_valid", i)) != 0) {
+                 sim.get(idx("c_valid", ports[i])) != 0) {
         if (sim.get("bus_rdata") != round_value(round)) ok = false;
         st = CStage::Done;
         ++consumed;

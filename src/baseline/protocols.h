@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "memorg/controller.h"
 #include "rtl/eval.h"
 
 namespace hicsync::baseline {
@@ -44,15 +45,18 @@ HandoffMetrics run_lock_handoff(const rtl::Module& lockmem, int consumers,
                                 int rounds,
                                 std::uint64_t max_cycles = 100000);
 
-/// The arbitrated organization (generate_arbitrated, 1 producer,
-/// `consumers` pseudo-ports, dependency at address 4).
-HandoffMetrics run_arbitrated_handoff(const rtl::Module& org, int consumers,
+/// The arbitrated organization: a compiled controller's first
+/// dependency-list entry, published by its producer pseudo-port at the
+/// entry's base address and read by each of its consumer pseudo-ports.
+HandoffMetrics run_arbitrated_handoff(const memorg::GeneratedController& ctrl,
                                       int rounds,
                                       std::uint64_t max_cycles = 100000);
 
-/// The event-driven organization (generate_eventdriven, same shape).
-HandoffMetrics run_eventdriven_handoff(const rtl::Module& org, int consumers,
-                                       int rounds,
-                                       std::uint64_t max_cycles = 100000);
+/// The event-driven organization, same hand-off: each party requests in
+/// its slot of the controller's schedule. A controller whose list holds
+/// further entries stalls on their slots (the run reports !ok).
+HandoffMetrics run_eventdriven_handoff(
+    const memorg::GeneratedController& ctrl, int rounds,
+    std::uint64_t max_cycles = 100000);
 
 }  // namespace hicsync::baseline

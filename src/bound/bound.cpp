@@ -45,7 +45,7 @@ BoundResult run_bound(const hic::Program& program, const hic::Sema& sema,
 
   OccupancyResult occ = occupancy_bounds(model, counters, options.explain);
   r.occupancy = std::move(occ.controllers);
-  if (options.apply_sizing) r.sizing_hints = std::move(occ.hints);
+  r.sizing_hints = std::move(occ.hints);
 
   r.blocking = blocking_bounds(model, options.explain, &r.cycle_scans);
   r.dead_ports = dead_ports(model, plans, counters);

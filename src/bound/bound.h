@@ -37,9 +37,6 @@ namespace hicsync::bound {
 
 struct BoundOptions {
   bool enabled = false;
-  /// Feed shrinking DepListHints into the memory-organization generators
-  /// (drops provably dead dependency entries and their pseudo-ports).
-  bool apply_sizing = true;
   /// Collect per-derivation provenance traces (hic-bound --explain).
   bool explain = false;
 };

@@ -168,7 +168,7 @@ std::unique_ptr<CompileResult> Compiler::compile(
   // Memory allocation and port planning.
   {
     perf::ScopedPhase phase(prof, "memalloc");
-    r.map_ = memalloc::Allocator(options_.allocator).allocate(*r.sema_);
+    r.map_ = memalloc::Allocator().allocate(*r.sema_);
     r.plans_ = memalloc::PortPlanner::plan(*r.sema_, r.map_, r.fsms_);
   }
 
@@ -221,7 +221,7 @@ std::unique_ptr<CompileResult> Compiler::compile(
     // hic-bound sizing feedback: drop provably dead dependency-list
     // entries (and pseudo-ports left with no deps) before generating.
     const memalloc::DepListHint* hint = nullptr;
-    if (options_.bound.apply_sizing && !r.bound_results_.empty()) {
+    if (!r.bound_results_.empty()) {
       for (const memalloc::DepListHint& h :
            r.bound_results_.back().sizing_hints) {
         if (h.bram_id == bram.id && !h.dead_deps.empty()) hint = &h;

@@ -30,7 +30,6 @@ namespace hicsync::core {
 struct CompileOptions {
   sim::OrgKind organization = sim::OrgKind::Arbitrated;
   synth::SchedulePolicy schedule;           // default: one statement/state
-  memalloc::AllocatorOptions allocator;
   bool use_cam = true;                      // arbitrated dependency list
   double target_clock_mhz = 125.0;          // the paper's target
   /// Infer producer/consumer relationships for cross-thread reads that
@@ -45,7 +44,7 @@ struct CompileOptions {
   /// capacity, worst-case blocking, dead ports; docs/ANALYSIS.md). Runs
   /// after port planning — before the lint-only early exit, so
   /// `--bound --lint-only` composes — and its shrinking sizing hints feed
-  /// the memory-organization generators when `bound.apply_sizing` is set.
+  /// the memory-organization generators.
   /// Findings surface as bound-* diagnostics (hicc exits 6) without
   /// flipping ok().
   bound::BoundOptions bound;
@@ -79,7 +78,7 @@ struct BramReport {
   /// for arbitrated). Cross-checked against the netlist by hic-nlint.
   int slots = 0;
   /// Dead entries / pseudo-ports removed by a hic-bound sizing hint
-  /// before generation (0 unless bound.apply_sizing pruned something).
+  /// before generation (0 unless the bound phase pruned something).
   int pruned_deps = 0;
   int pruned_ports = 0;
   fpga::MapResult area;

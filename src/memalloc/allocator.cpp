@@ -153,17 +153,15 @@ MemoryMap Allocator::allocate(const hic::Sema& sema) const {
     if (placed[i]) continue;
     hic::Symbol* sym = memory_syms[i];
     bool done = false;
-    if (options_.pack_unrelated) {
-      for (BramInstance& b : map.brams_) {
-        if (sym->type()->bit_width() > b.shape.width) continue;
-        std::uint32_t need = words_for(*sym, b.shape.width);
-        if (b.words_used() + need <=
-            static_cast<std::uint32_t>(b.shape.depth) *
-                static_cast<std::uint32_t>(b.primitives)) {
-          place(b, sym);
-          done = true;
-          break;
-        }
+    for (BramInstance& b : map.brams_) {
+      if (sym->type()->bit_width() > b.shape.width) continue;
+      std::uint32_t need = words_for(*sym, b.shape.width);
+      if (b.words_used() + need <=
+          static_cast<std::uint32_t>(b.shape.depth) *
+              static_cast<std::uint32_t>(b.primitives)) {
+        place(b, sym);
+        done = true;
+        break;
       }
     }
     if (!done) {

@@ -73,21 +73,12 @@ class MemoryMap {
   std::map<const hic::Symbol*, std::pair<int, int>> index_;  // bram, slot
 };
 
-struct AllocatorOptions {
-  /// Word width used when a BRAM hosts mixed-width variables; the widest
-  /// variable decides, clamped to a legal shape.
-  bool pack_unrelated = true;  // pack non-dependency memory into shared BRAMs
-};
-
 class Allocator {
  public:
-  explicit Allocator(AllocatorOptions options = {}) : options_(options) {}
-
-  /// Allocates every memory-resident symbol of the program.
+  /// Allocates every memory-resident symbol of the program. Memory that
+  /// carries no dependency is packed first-fit into the BRAMs already
+  /// allocated before a new one is opened.
   [[nodiscard]] MemoryMap allocate(const hic::Sema& sema) const;
-
- private:
-  AllocatorOptions options_;
 };
 
 }  // namespace hicsync::memalloc

@@ -26,8 +26,9 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   const int np = cfg.num_producers;
   const int ne = static_cast<int>(cfg.deps.size());
   // Baseline sizing: countdown and id registers dimensioned for
-  // max_consumers so the FF inventory does not vary with the scenario.
-  const int max_nc = std::max(cfg.max_consumers, nc);
+  // kArbitratedBaselineConsumers so the FF inventory does not vary with
+  // the scenario.
+  const int max_nc = std::max(kArbitratedBaselineConsumers, nc);
   const int cw =
       std::max(counter_width(cfg.deps),
                support::clog2_at_least1(
@@ -46,16 +47,12 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   int a_rdata = m.add_output_reg("a_rdata", dw);
 
   // ---- Port B. ----
-  int b_en = -1, b_we = -1, b_addr = -1, b_wdata = -1, b_grant = -1,
-      b_valid = -1;
-  if (cfg.enable_port_b) {
-    b_en = m.add_input("b_en", 1);
-    b_we = m.add_input("b_we", 1);
-    b_addr = m.add_input("b_addr", aw);
-    b_wdata = m.add_input("b_wdata", dw);
-    b_grant = m.add_output("b_grant", 1);
-    b_valid = m.add_output_reg("b_valid", 1);
-  }
+  int b_en = m.add_input("b_en", 1);
+  int b_we = m.add_input("b_we", 1);
+  int b_addr = m.add_input("b_addr", aw);
+  int b_wdata = m.add_input("b_wdata", dw);
+  int b_grant = m.add_output("b_grant", 1);
+  int b_valid = m.add_output_reg("b_valid", 1);
 
   // ---- Port C pseudo-ports. ----
   std::vector<int> c_req(static_cast<std::size_t>(nc));
@@ -189,7 +186,7 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   }
 
   // Consumer i: request and some matched entry still has countdown > 0.
-  // Eligibility registers are allocated for max_consumers so the flip-flop
+  // Eligibility registers are allocated for max_nc so the flip-flop
   // inventory does not depend on the scenario.
   std::vector<int> c_elig(static_cast<std::size_t>(max_nc));
   for (int i = 0; i < max_nc; ++i) {
@@ -282,21 +279,18 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
                     ? std::move(r)
                     : ebin(RtlOp::Or, std::move(any_d_req), std::move(r));
   }
-  if (cfg.enable_port_b) {
-    RtlExprPtr quiet = ebin(RtlOp::And, enot(any_c_req->clone()),
-                            enot(any_d_req->clone()));
-    // Also require the registered-eligibility arbiters to be silent. Under
-    // the request-hold protocol this is implied (eligibility is a delayed
-    // copy of a held request), but stating it structurally makes the
-    // B-vs-C/D exclusivity a property of the netlist rather than of client
-    // behavior — one-hot provable, and safe against clients that drop a
-    // request early while a stale eligibility bit is still arbitrating.
-    quiet = ebin(RtlOp::And, std::move(quiet),
-                 ebin(RtlOp::And, enot(eref(c_arb.any_grant, 1)),
-                      enot(eref(any_d, 1))));
-    m.assign(b_grant,
-             ebin(RtlOp::And, eref(b_en, 1), std::move(quiet)));
-  }
+  RtlExprPtr quiet = ebin(RtlOp::And, enot(any_c_req->clone()),
+                          enot(any_d_req->clone()));
+  // Also require the registered-eligibility arbiters to be silent. Under
+  // the request-hold protocol this is implied (eligibility is a delayed
+  // copy of a held request), but stating it structurally makes the
+  // B-vs-C/D exclusivity a property of the netlist rather than of client
+  // behavior — one-hot provable, and safe against clients that drop a
+  // request early while a stale eligibility bit is still arbitrating.
+  quiet = ebin(RtlOp::And, std::move(quiet),
+               ebin(RtlOp::And, enot(eref(c_arb.any_grant, 1)),
+                    enot(eref(any_d, 1))));
+  m.assign(b_grant, ebin(RtlOp::And, eref(b_en, 1), std::move(quiet)));
 
   // ---- Physical port 1 operand registers (the Fig. 2 wrapper). ----
   // The grant-side mux cone lands in a register stage; the BRAM performs
@@ -316,24 +310,19 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
     addr_values.push_back(eref(c_addr[static_cast<std::size_t>(i)], aw));
     wdata_values.push_back(econst(0, dw));
   }
-  if (cfg.enable_port_b) {
-    all_grants.push_back(b_grant);
-    addr_values.push_back(eref(b_addr, aw));
-    wdata_values.push_back(eref(b_wdata, dw));
-  }
+  all_grants.push_back(b_grant);
+  addr_values.push_back(eref(b_addr, aw));
+  wdata_values.push_back(eref(b_wdata, dw));
   int port1_addr = m.add_reg("port1_addr", aw);
   m.seq(port1_addr,
         rtl::build_onehot_mux(m, all_grants, std::move(addr_values), aw));
   int port1_wdata = m.add_reg("port1_wdata", dw);
   m.seq(port1_wdata,
         rtl::build_onehot_mux(m, all_grants, std::move(wdata_values), dw));
-  RtlExprPtr we_next = eref(any_d, 1);
-  if (cfg.enable_port_b) {
-    we_next = ebin(RtlOp::Or, std::move(we_next),
-                   ebin(RtlOp::And, eref(b_grant, 1), eref(b_we, 1)));
-  }
   int port1_we = m.add_reg("port1_we", 1);
-  m.seq(port1_we, std::move(we_next));
+  m.seq(port1_we,
+        ebin(RtlOp::Or, eref(any_d, 1),
+             ebin(RtlOp::And, eref(b_grant, 1), eref(b_we, 1))));
 
   // ---- The BRAM itself. ----
   rtl::Memory& mem = m.add_memory("mem", dw, 1 << aw);
@@ -397,8 +386,8 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
 
   // ---- Read-valid pipeline (two stages, matching the registered port). ----
   // Stage 1 tracks the grant; stage 2 aligns with the BRAM read data
-  // landing in bus_rdata. The grant-id register is sized for max_consumers
-  // so this budget is scenario-independent.
+  // landing in bus_rdata. The grant-id register is sized for max_nc so
+  // this budget is scenario-independent.
   int valid1 = m.add_reg("c_valid_q1", 1);
   m.seq(valid1, eref(any_c, 1));
   int valid2 = m.add_reg("c_valid_q2", 1);
@@ -417,12 +406,9 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
                   ebin(RtlOp::Eq, eref(id2, idw),
                        econst(static_cast<std::uint64_t>(i), idw))));
   }
-  if (cfg.enable_port_b) {
-    int b_valid1 = m.add_reg("b_valid_q1", 1);
-    m.seq(b_valid1,
-          ebin(RtlOp::And, eref(b_grant, 1), enot(eref(b_we, 1))));
-    m.seq(b_valid, eref(b_valid1, 1));
-  }
+  int b_valid1 = m.add_reg("b_valid_q1", 1);
+  m.seq(b_valid1, ebin(RtlOp::And, eref(b_grant, 1), enot(eref(b_we, 1))));
+  m.seq(b_valid, eref(b_valid1, 1));
 
   return m;
 }

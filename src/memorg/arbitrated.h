@@ -13,11 +13,12 @@
 //       stays guarded until all dependent reads have happened), and it
 //       reloads the countdown with the entry's dependency number.
 //
-// Flip-flop inventory is fixed by `max_consumers` (pointer/grant-id
-// registers sized for the maximum), so adding pseudo-ports "does not
-// contribute to the flip-flop count but only to the LUT count" exactly as
-// Table 1's prose states. Timing on port C is non-deterministic: the
-// round-robin arbiter decides the delay after the producer's write.
+// Flip-flop inventory is fixed by kArbitratedBaselineConsumers (pointer,
+// eligibility and grant-id registers sized for that many consumers), so
+// adding pseudo-ports "does not contribute to the flip-flop count but only
+// to the LUT count" exactly as Table 1's prose states. Timing on port C is
+// non-deterministic: the round-robin arbiter decides the delay after the
+// producer's write.
 //
 // Generated port names (i = pseudo-port index):
 //   clk, rst
@@ -34,26 +35,30 @@
 
 namespace hicsync::memorg {
 
+/// Baseline sizing: the arbiter pointer, eligibility and grant-id
+/// registers are dimensioned for this many consumers (Table 1's largest
+/// sweep point), so the FF count stays constant up to it. A controller
+/// with more consumers widens them.
+inline constexpr int kArbitratedBaselineConsumers = 8;
+
 struct ArbitratedConfig {
   int addr_width = 9;
   int data_width = 32;
   int num_consumers = 2;  // pseudo-ports on C
   int num_producers = 1;  // pseudo-ports on D
   std::vector<DepEntry> deps;
-  /// Baseline sizing: pointer and grant-id registers are dimensioned for
-  /// this many consumers so the FF count stays constant across scenarios.
-  int max_consumers = 8;
   /// Parallel CAM comparisons over the dependency list (the paper's
   /// choice). When false, a serial scan shares one comparator per
   /// pseudo-port across entries: fewer LUTs, up to |deps| extra cycles of
-  /// lookup latency (ablation for bench_deplist_scaling).
+  /// lookup latency (`hicc --no-cam`; the ablation bench_deplist_scaling
+  /// compiles).
   bool use_cam = true;
   /// Round-robin arbitration on ports C and D (the paper implements "a
   /// simple round robin arbitration scheme"). When false, fixed priority
-  /// (pseudo-port 0 highest) — the fairness ablation of
-  /// bench_latency_determinism.
+  /// (pseudo-port 0 highest) — the fairness ablation
+  /// bench_latency_determinism regenerates from a compiled controller's
+  /// arbitrated_config_from; the compiler always builds round robin.
   bool round_robin = true;
-  bool enable_port_b = true;
 };
 
 /// Generates the wrapper module into `design` and returns it. The module is

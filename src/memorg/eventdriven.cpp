@@ -27,7 +27,7 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
   const int np = cfg.num_producers;
   const int nslots = std::max(1, total_slots(cfg));
   const int sw = support::clog2_at_least1(
-      static_cast<std::uint64_t>(std::max(nslots, cfg.max_slots)));
+      static_cast<std::uint64_t>(std::max(nslots, kEventDrivenBaselineSlots)));
 
   (void)m.clk();
   (void)m.rst();

@@ -30,15 +30,17 @@
 
 namespace hicsync::memorg {
 
+/// Baseline sizing: the slot and prev-slot registers are dimensioned for
+/// this many slots, so the FF count stays constant across consumer counts
+/// up to it. A schedule with more slots widens them.
+inline constexpr int kEventDrivenBaselineSlots = 16;
+
 struct EventDrivenConfig {
   int addr_width = 9;
   int data_width = 32;
   int num_consumers = 2;
   int num_producers = 1;
   std::vector<DepEntry> deps;
-  /// Baseline sizing: the slot/prev-slot registers are dimensioned for this
-  /// many slots so the FF count stays constant across consumer counts.
-  int max_slots = 16;
 };
 
 rtl::Module& generate_eventdriven(rtl::Design& design,

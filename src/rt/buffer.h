@@ -1,9 +1,8 @@
 // Reference-counted buffer handles over a recycling pool.
 //
-// hic-rt commands carry word payloads (produce inputs, consume results)
-// whose lifetime is decoupled from the submitting client: a buffer may be
-// referenced by the session queue, the in-flight command, a completion
-// callback and the caller's future simultaneously, across threads. The XRT
+// hic-rt produce commands carry word payloads whose lifetime is decoupled
+// from the submitting client: a buffer may be referenced by the caller
+// and the queued or in-flight command simultaneously, across threads. The XRT
 // execution model (SNIPPETS.md) solves this with reference-counted buffer
 // objects handed out by the runtime; this is the same shape sized for the
 // simulator pool. Blocks are owned by the pool and recycled through a

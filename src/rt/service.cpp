@@ -39,7 +39,6 @@ struct Service::Work {
   int passes = 0;                    // Run
   std::string tag;                   // client trace context
   std::promise<CommandResult> promise;
-  Completion done;
   std::chrono::steady_clock::time_point enqueued;
 
   // Telemetry span edges (rt/telemetry.h); taken only when enabled. The
@@ -76,7 +75,7 @@ struct Service::Shard {
   std::uint64_t sim_cycles = 0;
   std::uint64_t max_queue_depth = 0;
   std::uint64_t open_sessions = 0;
-  // Completion latency (µs, queue push to complete), guarded by mu.
+  // Latency (µs, queue push to complete), guarded by mu.
   trace::Histogram latency_us{kLatencyBoundsUs};
   // Internally synchronized (its own mutex, uncontended on the worker):
   // span capture never holds `mu`, so it cannot stretch a submitter's
@@ -128,49 +127,42 @@ std::uint64_t Service::open_session() {
 }
 
 std::future<CommandResult> Service::close_session(std::uint64_t session,
-                                                  Completion done,
                                                   std::string tag) {
   auto work = std::make_unique<Work>();
   work->kind = CommandKind::Close;
   work->session = session;
-  work->done = std::move(done);
   work->tag = std::move(tag);
   return submit(std::move(work));
 }
 
 std::future<CommandResult> Service::produce(std::uint64_t session,
                                             BufferHandle inputs,
-                                            Completion done,
                                             std::string tag) {
   auto work = std::make_unique<Work>();
   work->kind = CommandKind::Produce;
   work->session = session;
   work->payload = std::move(inputs);
-  work->done = std::move(done);
   work->tag = std::move(tag);
   return submit(std::move(work));
 }
 
 std::future<CommandResult> Service::run(std::uint64_t session, int passes,
-                                        Completion done, std::string tag) {
+                                        std::string tag) {
   auto work = std::make_unique<Work>();
   work->kind = CommandKind::Run;
   work->session = session;
   work->passes = passes;
-  work->done = std::move(done);
   work->tag = std::move(tag);
   return submit(std::move(work));
 }
 
 std::future<CommandResult> Service::consume(std::uint64_t session,
                                             std::vector<std::string> names,
-                                            Completion done,
                                             std::string tag) {
   auto work = std::make_unique<Work>();
   work->kind = CommandKind::Consume;
   work->session = session;
   work->names = std::move(names);
-  work->done = std::move(done);
   work->tag = std::move(tag);
   return submit(std::move(work));
 }
@@ -190,7 +182,6 @@ std::future<CommandResult> Service::submit(std::unique_ptr<Work> work) {
       r.session = work->session;
       r.kind = work->kind;
       work->promise.set_value(r);
-      if (work->done) work->done(r);
       return future;
     }
     ++pending_;
@@ -329,12 +320,6 @@ void Service::execute(Shard& shard, Work& work, CommandResult* result) {
           }
         }
       }
-      if (result->ok && !result->registers.empty()) {
-        result->values = buffers_.allocate(result->registers.size());
-        for (std::size_t i = 0; i < result->registers.size(); ++i) {
-          result->values[i] = result->registers[i].second;
-        }
-      }
       break;
     }
   }
@@ -370,13 +355,12 @@ void Service::complete(Shard& shard, std::unique_ptr<Work> work,
   completed_.fetch_add(1, std::memory_order_relaxed);
   if (!result.ok) failed_.fetch_add(1, std::memory_order_relaxed);
 
-  // Promise first, then callback, then the drain accounting — so drain()
-  // returning guarantees every future is ready and every callback ran.
+  // Promise first, then the drain accounting — so drain() returning
+  // guarantees every future is ready.
   work->promise.set_value(result);
-  if (work->done) work->done(result);
 
-  // Span capture happens after delivery — the complete edge covers
-  // promise + callback hand-off — and entirely off shard.mu: telemetry
+  // Span capture happens after delivery — the complete edge covers the
+  // promise hand-off — and entirely off shard.mu: telemetry
   // has its own (worker-uncontended) mutex, so recording a span can
   // never stretch a submitter's enqueue. Only a slow span's queue
   // snapshot touches shard.mu, and slow spans are the exception.

@@ -3,8 +3,8 @@
 //
 // The shape follows the XRT execution model (SNIPPETS.md): clients open
 // sessions against a loaded program, submit produce/run/consume commands
-// into per-session FIFO queues, and collect completions through futures or
-// callbacks. Sessions are sharded across N worker threads (session id mod
+// into per-session FIFO queues, and collect completions through futures.
+// Sessions are sharded across N worker threads (session id mod
 // shards); each shard owns one recycled sim::SystemSim, so no simulator
 // state is ever touched from two threads and the whole engine is clean
 // under TSan by construction.
@@ -25,7 +25,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -56,7 +55,7 @@ enum class CommandKind { Open, Close, Produce, Run, Consume };
 
 [[nodiscard]] const char* to_string(CommandKind k);
 
-/// Completion record of one command. `sequence` is the per-session
+/// The result of one command. `sequence` is the per-session
 /// submission index (0-based, gap-free) — the stress tests assert no loss
 /// or duplication by checking the delivered sequence sets.
 struct CommandResult {
@@ -76,11 +75,7 @@ struct CommandResult {
   /// Run: every register variable ("thread.var", value) in canonical
   /// order. Consume: the requested subset, in request order.
   std::vector<std::pair<std::string, std::uint64_t>> registers;
-  /// Consume: the requested values as a pooled buffer (request order).
-  BufferHandle values;
 };
-
-using Completion = std::function<void(const CommandResult&)>;
 
 class Service {
  public:
@@ -103,20 +98,17 @@ class Service {
   /// command's telemetry span, echoed in CommandResult::tag and on the
   /// wire. Ignored (beyond the echo) when telemetry is disabled.
   std::future<CommandResult> close_session(std::uint64_t session,
-                                           Completion done = {},
                                            std::string tag = {});
 
   std::future<CommandResult> produce(std::uint64_t session,
                                      BufferHandle inputs,
-                                     Completion done = {},
                                      std::string tag = {});
   /// `passes <= 0` uses options.default_passes.
   std::future<CommandResult> run(std::uint64_t session, int passes = 0,
-                                 Completion done = {}, std::string tag = {});
+                                 std::string tag = {});
   /// Empty `names` = all register variables.
   std::future<CommandResult> consume(std::uint64_t session,
                                      std::vector<std::string> names,
-                                     Completion done = {},
                                      std::string tag = {});
 
   /// Blocks until every submitted command has completed.
@@ -125,7 +117,7 @@ class Service {
   /// submitted afterwards complete immediately with rt-stopped.
   void shutdown();
 
-  /// Pool the produce/consume payloads come from.
+  /// Pool the produce payloads come from.
   [[nodiscard]] BufferPool& buffers() { return buffers_; }
 
   struct ShardStats {
@@ -139,7 +131,7 @@ class Service {
     /// Per-session sequence counters held: one per session not yet closed
     /// (an accepted Close drops its session's counter).
     std::uint64_t sequence_counters = 0;
-    /// Completion-latency percentiles (µs, queue push to completion) of
+    /// Latency percentiles (µs, queue push to completion) of
     /// the shard — zeros until the shard completes its first command.
     std::uint64_t latency_p50_us = 0;
     std::uint64_t latency_p95_us = 0;

@@ -76,7 +76,7 @@ struct Span {
   TelemetryClock::time_point enqueue;   // pushed onto the shard queue
   TelemetryClock::time_point dequeue;   // worker popped it (execute begins)
   TelemetryClock::time_point exec_end;  // execute() returned
-  TelemetryClock::time_point complete;  // promise/callback delivered
+  TelemetryClock::time_point complete;  // promise delivered
 
   [[nodiscard]] std::uint64_t submit_us() const;    // submit → enqueue
   [[nodiscard]] std::uint64_t queue_us() const;     // enqueue → dequeue

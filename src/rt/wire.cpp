@@ -173,7 +173,7 @@ std::string handle_request_line(Service& service, std::string_view line) {
 
   if (op->string_value == "close") {
     return result_line(
-        service.close_session(session, {}, std::move(tag)).get(), false);
+        service.close_session(session, std::move(tag)).get(), false);
   }
   if (op->string_value == "produce") {
     const support::JsonValue* words = req.find("words");
@@ -192,7 +192,7 @@ std::string handle_request_line(Service& service, std::string_view line) {
       buf[i] = v;
     }
     return result_line(
-        service.produce(session, std::move(buf), {}, std::move(tag)).get(),
+        service.produce(session, std::move(buf), std::move(tag)).get(),
         false);
   }
   if (op->string_value == "run") {
@@ -206,7 +206,7 @@ std::string handle_request_line(Service& service, std::string_view line) {
       passes = static_cast<int>(p->number_value);
     }
     return result_line(
-        service.run(session, passes, {}, std::move(tag)).get(), true);
+        service.run(session, passes, std::move(tag)).get(), true);
   }
   if (op->string_value == "consume") {
     std::vector<std::string> names;
@@ -223,7 +223,7 @@ std::string handle_request_line(Service& service, std::string_view line) {
       }
     }
     return result_line(
-        service.consume(session, std::move(names), {}, std::move(tag)).get(),
+        service.consume(session, std::move(names), std::move(tag)).get(),
         true);
   }
   return error_line("rt-bad-request: unknown op '" + op->string_value + "'");

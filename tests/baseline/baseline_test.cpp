@@ -4,13 +4,27 @@
 
 #include <gtest/gtest.h>
 
+#include "core/compiler.h"
 #include "fpga/techmap.h"
 #include "memorg/arbitrated.h"
-#include "memorg/eventdriven.h"
+#include "netapp/scenarios.h"
 #include "../memorg/memorg_test_util.h"
 
 namespace hicsync::baseline {
 namespace {
+
+/// The compiled 1-producer/`consumers` fan-out; its one controller is what
+/// the organization hand-offs drive.
+std::unique_ptr<core::CompileResult> compile_fanout(int consumers,
+                                                    sim::OrgKind kind) {
+  core::CompileOptions options;
+  options.organization = kind;
+  auto result =
+      core::Compiler(options).compile(netapp::fanout_source(consumers));
+  EXPECT_TRUE(result->ok()) << result->diags().str();
+  EXPECT_EQ(result->controllers().size(), 1u);
+  return result;
+}
 
 rtl::Module& make_bare(rtl::Design& d, int clients) {
   BareConfig cfg;
@@ -167,17 +181,13 @@ TEST_P(HandoffComparison, AllSubstratesDeliverCorrectValues) {
     EXPECT_TRUE(m2.ok) << "lock";
   }
   {
-    rtl::Design d;
-    rtl::Module& org = memorg::generate_arbitrated(
-        d, memorg::testing::arb_config(consumers), "arb");
-    auto m3 = run_arbitrated_handoff(org, consumers, rounds);
+    auto org = compile_fanout(consumers, sim::OrgKind::Arbitrated);
+    auto m3 = run_arbitrated_handoff(org->controllers().front(), rounds);
     EXPECT_TRUE(m3.ok) << "arbitrated";
   }
   {
-    rtl::Design d;
-    rtl::Module& org = memorg::generate_eventdriven(
-        d, memorg::testing::ev_config(consumers), "ev");
-    auto m4 = run_eventdriven_handoff(org, consumers, rounds);
+    auto org = compile_fanout(consumers, sim::OrgKind::EventDriven);
+    auto m4 = run_eventdriven_handoff(org->controllers().front(), rounds);
     EXPECT_TRUE(m4.ok) << "event-driven";
   }
 }
@@ -191,10 +201,8 @@ TEST(HandoffComparison, PollingBurnsMoreBusOperations) {
   rtl::Design d1;
   auto polling = run_polling_handoff(make_bare(d1, consumers + 1),
                                      consumers, rounds);
-  rtl::Design d2;
-  rtl::Module& org = memorg::generate_arbitrated(
-      d2, memorg::testing::arb_config(consumers), "arb");
-  auto arb = run_arbitrated_handoff(org, consumers, rounds);
+  auto org = compile_fanout(consumers, sim::OrgKind::Arbitrated);
+  auto arb = run_arbitrated_handoff(org->controllers().front(), rounds);
   ASSERT_TRUE(polling.ok);
   ASSERT_TRUE(arb.ok);
   // The guarded organization needs exactly 1 write + N reads per round;
@@ -207,10 +215,8 @@ TEST(HandoffComparison, PollingBurnsMoreBusOperations) {
 TEST(HandoffComparison, EventDrivenDeterministicArbitratedMaybeNot) {
   const int consumers = 4;
   const int rounds = 6;
-  rtl::Design d1;
-  rtl::Module& ev = memorg::generate_eventdriven(
-      d1, memorg::testing::ev_config(consumers), "ev");
-  auto m_ev = run_eventdriven_handoff(ev, consumers, rounds);
+  auto ev = compile_fanout(consumers, sim::OrgKind::EventDriven);
+  auto m_ev = run_eventdriven_handoff(ev->controllers().front(), rounds);
   ASSERT_TRUE(m_ev.ok);
   // §3.2: deterministic post-write timing.
   EXPECT_TRUE(m_ev.latencies_identical())

@@ -167,7 +167,7 @@ TEST(BoundTest, DeadDependencyDetectedAndHinted) {
 TEST(BoundTest, SizingHintPrunesGeneratedController) {
   // Full compile with the bound phase enabled: the dead entry (and t3's
   // dead pseudo-port) must disappear from the generated controller, and
-  // disabling apply_sizing must leave it untouched.
+  // compiling without the bound phase must leave it untouched.
   core::CompileOptions with;
   with.bound.enabled = true;
   core::Compiler pruning(with);
@@ -175,10 +175,7 @@ TEST(BoundTest, SizingHintPrunesGeneratedController) {
   ASSERT_TRUE(pruned->ok()) << pruned->diags().str();
   ASSERT_FALSE(pruned->bram_reports().empty());
 
-  core::CompileOptions without;
-  without.bound.enabled = true;
-  without.bound.apply_sizing = false;
-  core::Compiler keeping(without);
+  core::Compiler keeping{core::CompileOptions{}};
   auto kept = keeping.compile(dead_dep_source());
   ASSERT_TRUE(kept->ok()) << kept->diags().str();
 

@@ -173,8 +173,9 @@ TEST(Compiler, UseCamOptionChangesArbitratedArea) {
 }
 
 TEST(Compiler, SixteenConsumersBeyondBaselineSizing) {
-  // More consumers than the fixed baseline sizing (max_consumers = 8): the
-  // registers regrow to fit and the whole flow still works.
+  // More consumers than the fixed baseline sizing
+  // (kArbitratedBaselineConsumers = 8): the registers regrow to fit and the
+  // whole flow still works.
   auto r = Compiler().compile(netapp::fanout_source(16));
   ASSERT_TRUE(r->ok()) << r->diags().str();
   EXPECT_EQ(r->bram_reports()[0].consumers, 16);

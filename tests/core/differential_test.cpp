@@ -248,8 +248,7 @@ TEST(DifferentialOrgTest, BoundSizingPrunesTheSimulatedController) {
        {sim::OrgKind::Arbitrated, sim::OrgKind::EventDriven}) {
     CompileOptions sized = org_options(kind);
     sized.bound.enabled = true;
-    CompileOptions unsized = sized;
-    unsized.bound.apply_sizing = false;
+    CompileOptions unsized = org_options(kind);
     const bool event_driven = kind == sim::OrgKind::EventDriven;
     RunOutcome pruned = run(source, sized, fns, vars, 2);
     RunOutcome kept = run(source, unsized, fns, vars, 2,

@@ -142,27 +142,6 @@ TEST(Allocator, ArrayPackedIntoSharedBramWhenItFits) {
   EXPECT_EQ(map.brams()[0].placements.size(), 2u);
 }
 
-TEST(Allocator, PackUnrelatedDisabledSeparates) {
-  auto c = compile(R"(
-    thread p () {
-      int a;
-      int tbl[8];
-      #consumer{d, [q,u]}
-      a = 1;
-      tbl[0] = a;
-    }
-    thread q () {
-      int u;
-      #producer{d, [p,a]}
-      u = a;
-    }
-  )");
-  ASSERT_TRUE(c->ok) << c->diags.str();
-  MemoryMap map =
-      Allocator(AllocatorOptions{.pack_unrelated = false}).allocate(*c->sema);
-  EXPECT_EQ(map.brams().size(), 2u);
-}
-
 TEST(Allocator, WordAddressingMultiWordElements) {
   // A 64-bit user type needs 2 words of a 36-bit-wide BRAM per element.
   auto c = compile(R"(

@@ -54,14 +54,6 @@ TEST(ServiceStress, NoLostOrDuplicatedCompletions) {
   options.shards = kShards;
   Service service(load_fig1(sim::OrgKind::Arbitrated), options);
 
-  // Every completion lands here, from whichever worker thread ran it.
-  std::mutex mu;
-  std::map<std::uint64_t, std::multiset<std::uint64_t>> delivered;
-  auto record = [&](const CommandResult& r) {
-    std::lock_guard<std::mutex> lock(mu);
-    delivered[r.session].insert(r.sequence);
-  };
-
   // Per session: open(0) produce(1) produce(2) run(3) consume(4) close(5).
   std::vector<std::future<CommandResult>> futures;
   std::vector<std::uint64_t> sessions;
@@ -72,24 +64,26 @@ TEST(ServiceStress, NoLostOrDuplicatedCompletions) {
       BufferHandle buf = service.buffers().allocate(2);
       buf[0] = static_cast<std::uint64_t>(i);
       buf[1] = static_cast<std::uint64_t>(p);
-      futures.push_back(service.produce(session, std::move(buf), record));
+      futures.push_back(service.produce(session, std::move(buf)));
     }
-    futures.push_back(service.run(session, 0, record));
-    futures.push_back(service.consume(session, {}, record));
-    futures.push_back(service.close_session(session, record));
+    futures.push_back(service.run(session));
+    futures.push_back(service.consume(session, {}));
+    futures.push_back(service.close_session(session));
   }
   service.drain();
 
-  // Every future completed ok (drain already proves none hang).
+  // Every future completed ok (drain already proves none hang), and each
+  // delivered result is recorded by (session, sequence).
+  std::map<std::uint64_t, std::multiset<std::uint64_t>> delivered;
   for (auto& f : futures) {
     CommandResult r = f.get();
     EXPECT_TRUE(r.ok) << r.error;
+    delivered[r.session].insert(r.sequence);
   }
 
   // Exactly one completion per (session, sequence), sequences gap-free.
-  // open_session carries no callback, so sequence 0 is accounted by the
-  // command count instead: 5 recorded completions per session, 1..5.
-  std::lock_guard<std::mutex> lock(mu);
+  // open_session returns no future, so sequence 0 is accounted by the
+  // command count instead: 5 delivered completions per session, 1..5.
   ASSERT_EQ(delivered.size(), static_cast<std::size_t>(kSessions));
   for (std::uint64_t session : sessions) {
     const auto& seqs = delivered[session];

@@ -324,8 +324,8 @@ TEST(ServiceTelemetry, SlowThresholdZeroPromotesEverySpanToJsonl) {
     std::uint64_t session = service.open_session();
     BufferHandle buf = service.buffers().allocate(1);
     buf[0] = 5;
-    service.produce(session, std::move(buf), {}, "tag-produce");
-    service.run(session, 0, {}, "tag-run");
+    service.produce(session, std::move(buf), "tag-produce");
+    service.run(session, 0, "tag-run");
     service.consume(session, {});
     service.close_session(session);
     service.drain();
@@ -386,7 +386,7 @@ TEST(ServiceTelemetry, SlowThresholdZeroPromotesEverySpanToJsonl) {
 TEST(ServiceTelemetry, TagsRideResultsAndChromeTraceArgs) {
   Service service(load_fig1(), telemetry_options(1));
   std::uint64_t session = service.open_session();
-  CommandResult run = service.run(session, 0, {}, "trace-me-7").get();
+  CommandResult run = service.run(session, 0, "trace-me-7").get();
   ASSERT_TRUE(run.ok) << run.error;
   EXPECT_EQ(run.tag, "trace-me-7");
   service.drain();
@@ -401,7 +401,7 @@ TEST(ServiceTelemetry, DisabledTelemetryIsInert) {
   std::uint64_t session = service.open_session();
   // Tags are still echoed — they are part of the command contract, not
   // the telemetry layer.
-  CommandResult run = service.run(session, 0, {}, "still-echoed").get();
+  CommandResult run = service.run(session, 0, "still-echoed").get();
   ASSERT_TRUE(run.ok) << run.error;
   EXPECT_EQ(run.tag, "still-echoed");
   service.drain();
