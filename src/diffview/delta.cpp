@@ -204,11 +204,11 @@ std::string manifest_line(const char* label, const Manifest& m) {
 bool DeltaRow::differs() const { return std::fabs(b - a) > kEps; }
 
 DiffReport diff_bundles(const Bundle& a, const Bundle& b,
-                        const DeltaOptions& options) {
+                        const AlignOptions& options) {
   DiffReport r;
   r.manifest_a = a.manifest;
   r.manifest_b = b.manifest;
-  r.align = align(a.events, b.events, options.align);
+  r.align = align(a.events, b.events, options);
 
   auto section = [&](std::string title, const ValueMap& va, const ValueMap& vb,
                      bool is_int) {

@@ -13,10 +13,6 @@
 
 namespace hicsync::diffview {
 
-struct DeltaOptions {
-  AlignOptions align;
-};
-
 /// One row of a comparison table: a metric with its value in each run.
 struct DeltaRow {
   std::string name;
@@ -60,6 +56,6 @@ struct DiffReport {
 
 /// Aligns the two bundles' traces and tabulates every metric delta.
 [[nodiscard]] DiffReport diff_bundles(const Bundle& a, const Bundle& b,
-                                      const DeltaOptions& options = {});
+                                      const AlignOptions& options = {});
 
 }  // namespace hicsync::diffview

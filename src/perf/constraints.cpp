@@ -89,12 +89,6 @@ std::vector<Constraint> paper_constraints() {
   t.push_back({"deplist.cam_monotonic", "deplist_scaling",
                "CAM LUTs grow monotonically with list size",
                ConstraintKind::FlagTrue, {"cam_lut_monotonic"}, {}, 0.0});
-  // hic-rt telemetry invariant (PR 8): span capture stays off the hot
-  // path — enabled telemetry costs < 5% service throughput.
-  t.push_back({"rt.telemetry_overhead", "rt",
-               "request-telemetry throughput cost below the asserted limit",
-               ConstraintKind::AtMostRef, {"rt.telemetry.overhead_pct"},
-               {"rt.telemetry.limit_pct"}, 0.0});
   return t;
 }
 

@@ -1,27 +1,17 @@
 #include "perf/profile.h"
 
+#include <sys/resource.h>
+
 #include "support/json.h"
 #include "support/strings.h"
 #include "support/table.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 namespace hicsync::perf {
 
 std::uint64_t peak_rss_bytes() {
-#if defined(__unix__) || defined(__APPLE__)
   struct rusage ru {};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-#if defined(__APPLE__)
-  return static_cast<std::uint64_t>(ru.ru_maxrss);  // bytes on macOS
-#else
   return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
-#endif
-#else
-  return 0;
-#endif
 }
 
 void PassTimer::add(std::string_view name, std::uint64_t wall_ns) {

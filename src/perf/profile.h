@@ -20,8 +20,8 @@
 
 namespace hicsync::perf {
 
-/// Peak resident-set size of this process in bytes (0 where the platform
-/// offers no getrusage).
+/// Peak resident-set size of this process in bytes (0 if getrusage
+/// fails).
 [[nodiscard]] std::uint64_t peak_rss_bytes();
 
 /// Accumulates named phases (in first-seen order) and named counts.

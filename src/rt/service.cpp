@@ -1,5 +1,6 @@
 #include "rt/service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <map>
@@ -39,14 +40,14 @@ struct Service::Work {
   int passes = 0;                    // Run
   std::string tag;                   // client trace context
   std::promise<CommandResult> promise;
+  // The enqueue edge, shared by the stats latency and the telemetry span.
   std::chrono::steady_clock::time_point enqueued;
 
-  // Telemetry span edges (rt/telemetry.h); taken only when enabled. The
-  // exec-end edge needs no timestamp of its own: complete() runs directly
-  // after execute() and its entry clock sample serves as both the latency
-  // endpoint and the span's exec_end.
-  TelemetryClock::time_point t_submit;
-  TelemetryClock::time_point t_dequeue;
+  // Telemetry only (rt/telemetry.h). The exec-end edge needs no timestamp
+  // of its own: complete() runs directly after execute() and its entry
+  // clock sample serves as both the latency endpoint and the span's
+  // exec_end.
+  TelemetryClock::time_point dequeued;
   std::uint64_t queue_depth = 0;  // shard queue depth at enqueue
 };
 
@@ -171,7 +172,6 @@ std::future<CommandResult> Service::submit(std::unique_ptr<Work> work) {
   Shard& shard =
       *shards_[work->session % static_cast<std::uint64_t>(shards_.size())];
   std::future<CommandResult> future = work->promise.get_future();
-  if (options_.telemetry.enabled) work->t_submit = TelemetryClock::now();
 
   {
     std::lock_guard<std::mutex> lock(drain_mu_);
@@ -193,7 +193,7 @@ std::future<CommandResult> Service::submit(std::unique_ptr<Work> work) {
     work->sequence = shard.next_sequence[work->session]++;
     work->queue_depth = static_cast<std::uint64_t>(shard.queue.size());
     // The enqueue edge: after the drain and shard locks, so a submitter's
-    // lock wait counts as submit time, not queue time.
+    // lock wait is not counted as queue time.
     work->enqueued = std::chrono::steady_clock::now();
     shard.queue.push_back(std::move(work));
     shard.max_queue_depth =
@@ -205,10 +205,16 @@ std::future<CommandResult> Service::submit(std::unique_ptr<Work> work) {
 }
 
 void Service::worker(Shard& shard) {
+  // With telemetry on, a command popped without waiting is dequeued at the
+  // moment the previous one completed (or at its enqueue, if that came
+  // later), so that edge's clock read serves both spans.
+  TelemetryClock::time_point last_complete;
+  bool waited = true;
   for (;;) {
     std::unique_ptr<Work> work;
     {
       std::unique_lock<std::mutex> lock(shard.mu);
+      waited = waited || shard.queue.empty();
       shard.cv.wait(lock,
                     [&shard] { return shard.stop || !shard.queue.empty(); });
       // Graceful shutdown: drain everything already queued before exiting.
@@ -216,10 +222,14 @@ void Service::worker(Shard& shard) {
       work = std::move(shard.queue.front());
       shard.queue.pop_front();
     }
-    if (shard.telemetry != nullptr) work->t_dequeue = TelemetryClock::now();
+    if (shard.telemetry != nullptr) {
+      work->dequeued = waited ? TelemetryClock::now()
+                              : std::max(last_complete, work->enqueued);
+    }
     CommandResult result;
     execute(shard, *work, &result);
-    complete(shard, std::move(work), std::move(result));
+    last_complete = complete(shard, std::move(work), std::move(result));
+    waited = false;
   }
 }
 
@@ -325,8 +335,9 @@ void Service::execute(Shard& shard, Work& work, CommandResult* result) {
   }
 }
 
-void Service::complete(Shard& shard, std::unique_ptr<Work> work,
-                       CommandResult result) {
+TelemetryClock::time_point Service::complete(Shard& shard,
+                                             std::unique_ptr<Work> work,
+                                             CommandResult result) {
   auto now = std::chrono::steady_clock::now();
   auto latency_us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(now -
@@ -364,22 +375,21 @@ void Service::complete(Shard& shard, std::unique_ptr<Work> work,
   // has its own (worker-uncontended) mutex, so recording a span can
   // never stretch a submitter's enqueue. Only a slow span's queue
   // snapshot touches shard.mu, and slow spans are the exception.
+  TelemetryClock::time_point completed;
   if (shard.telemetry != nullptr) {
     Span span;
     span.session = work->session;
     span.sequence = work->sequence;
-    span.shard = shard.index;
     span.kind = to_string(work->kind);
     span.ok = result.ok;
     if (!result.ok) span.error = result.error;
     span.tag = std::move(work->tag);
     span.queue_depth = work->queue_depth;
     span.cycles = result.cycles;
-    span.submit = work->t_submit;
     span.enqueue = work->enqueued;
-    span.dequeue = work->t_dequeue;
+    span.dequeue = work->dequeued;
     span.exec_end = now;  // complete()'s entry sample, right after execute()
-    span.complete = TelemetryClock::now();
+    span.complete = completed = TelemetryClock::now();
     std::vector<QueuedCommand> snapshot;
     if (span.total_us() >= options_.telemetry.slow_threshold_us) {
       std::lock_guard<std::mutex> lock(shard.mu);
@@ -390,9 +400,6 @@ void Service::complete(Shard& shard, std::unique_ptr<Work> work,
     }
     std::string slow_json;
     shard.telemetry->record(std::move(span), snapshot, &slow_json);
-    if (result.kind == CommandKind::Close && result.ok) {
-      shard.telemetry->session_closed(result.session);
-    }
     // SlowRequestLog has its own mutex shared by all shards.
     if (!slow_json.empty()) slow_log_->append(slow_json);
   }
@@ -402,6 +409,7 @@ void Service::complete(Shard& shard, std::unique_ptr<Work> work,
     --pending_;
   }
   drain_cv_.notify_all();
+  return completed;
 }
 
 void Service::drain() {

@@ -46,7 +46,7 @@ struct ServiceOptions {
   /// Cycle budget per run; exceeding it fails the command (rt-timeout).
   std::uint64_t max_cycles = 200000;
   /// Request telemetry (rt/telemetry.h): per-command spans, stage
-  /// histograms, slow-request forensics, Chrome-trace export. Disabled by
+  /// statistics, slow-request forensics, Chrome-trace export. Disabled by
   /// default; disabled telemetry costs one branch per command.
   TelemetryOptions telemetry;
 };
@@ -169,7 +169,8 @@ class Service {
     return options_.telemetry;
   }
   /// {"enabled","slow_threshold_us","slow_log_path","slow_log_entries",
-  ///  "shards":[per-shard stage histograms w/ p50/p95/p99, slow_recent]}.
+  ///  "shards":[per-shard stage statistics over the retained spans, with
+  ///  p50/p95/p99, and slow_recent]}.
   [[nodiscard]] std::string telemetry_json() const;
   /// Human-readable rendering of the same (what `hic-rtd run` prints).
   [[nodiscard]] std::string telemetry_text() const;
@@ -187,8 +188,10 @@ class Service {
   std::future<CommandResult> submit(std::unique_ptr<Work> work);
   void worker(Shard& shard);
   void execute(Shard& shard, Work& work, CommandResult* result);
-  void complete(Shard& shard, std::unique_ptr<Work> work,
-                CommandResult result);
+  /// Delivers the result; returns the span's complete edge (telemetry
+  /// on) or the epoch.
+  TelemetryClock::time_point complete(Shard& shard, std::unique_ptr<Work> work,
+                                      CommandResult result);
 
   std::shared_ptr<const LoadedProgram> program_;
   ServiceOptions options_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <numeric>
 
 #include "support/strings.h"
 #include "trace/chrome.h"
@@ -17,199 +18,79 @@ std::uint64_t us_between(TelemetryClock::time_point a,
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
 }
 
-/// Stage-latency bucket bounds (µs): resolves sub-millisecond queue hops
-/// and still separates multi-second pathologies.
-const std::vector<std::uint64_t> kStageBoundsUs = {
-    1,    2,    5,    10,    20,    50,    100,   200,
-    500,  1000, 2000, 5000,  10000, 20000, 50000, 100000,
-    200000, 500000, 1000000, 5000000};
-
-/// Run-cycle bucket bounds, matching the simulator's typical pass sizes.
-const std::vector<std::uint64_t> kCycleBounds = {
-    64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 65536, 262144};
-
-/// Per-session span history carried into a forensics record.
+/// Earlier spans of the session carried into a forensics record, at most.
 constexpr std::size_t kHistoryDepth = 8;
-/// Recent slow-span summaries kept per shard (the `telemetry` op's
-/// slow_recent list).
+/// Retained slow spans listed in the `telemetry` op's slow_recent, at most.
 constexpr std::size_t kSlowRecent = 16;
 
-}  // namespace
-
-void SessionHistory::push(SpanBrief brief, std::size_t depth) {
-  if (slots.empty()) slots.resize(depth == 0 ? 1 : depth);
-  slots[head] = std::move(brief);
-  head = (head + 1) % slots.size();
-  if (size < slots.size()) ++size;
-}
-
-std::uint64_t Span::submit_us() const { return us_between(submit, enqueue); }
-std::uint64_t Span::queue_us() const { return us_between(enqueue, dequeue); }
-std::uint64_t Span::execute_us() const {
-  return us_between(dequeue, exec_end);
-}
-std::uint64_t Span::complete_us() const {
-  return us_between(exec_end, complete);
-}
-std::uint64_t Span::total_us() const { return us_between(submit, complete); }
-
-// ---------------------------------------------------------------------------
-// SlowRequestLog
-// ---------------------------------------------------------------------------
-
-SlowRequestLog::SlowRequestLog(std::string path) : path_(std::move(path)) {}
-
-void SlowRequestLog::append(const std::string& json_line) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++entries_;
-  if (path_.empty()) return;
-  std::ofstream out(path_, std::ios::app);
-  if (out) out << json_line << '\n';
-}
-
-std::uint64_t SlowRequestLog::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_;
-}
-
-// ---------------------------------------------------------------------------
-// ShardTelemetry
-// ---------------------------------------------------------------------------
-
-const ShardTelemetry::Stage ShardTelemetry::kStages[5] = {
-    {"submit_us", &Span::submit_us},     {"queue_us", &Span::queue_us},
-    {"execute_us", &Span::execute_us},   {"complete_us", &Span::complete_us},
+struct Stage {
+  const char* name;
+  std::uint64_t (Span::*value)() const;
+};
+const Stage kStages[] = {
+    {"queue_us", &Span::queue_us},
+    {"execute_us", &Span::execute_us},
+    {"complete_us", &Span::complete_us},
     {"total_us", &Span::total_us},
 };
 
-ShardTelemetry::ShardTelemetry(int shard, const TelemetryOptions& options,
-                               TelemetryClock::time_point epoch)
-    : shard_(shard), options_(options), epoch_(epoch) {
-  if (options_.ring_capacity == 0) options_.ring_capacity = 1;
-  // Size then clear: capacity stays reserved AND every page is touched
-  // now, so the worker never takes ring-growth page faults mid-traffic.
-  ring_.resize(options_.ring_capacity);
-  ring_.clear();
-  for (std::size_t i = 0; i < 5; ++i) {
-    stage_hist_[i] = &registry_.histogram(
-        std::string("telemetry.") + kStages[i].name, kStageBoundsUs);
-  }
-  cycles_hist_ = &registry_.histogram("telemetry.run_cycles", kCycleBounds);
+/// One stage over the retained spans: nearest-rank percentiles (the
+/// ceil(p/100 * count)-th smallest value); all zero when there is none.
+struct Summary {
+  std::uint64_t count = 0;
+  std::uint64_t min = 0;
+  double mean = 0.0;
+  std::uint64_t max = 0;
+  std::uint64_t p50 = 0;
+  std::uint64_t p95 = 0;
+  std::uint64_t p99 = 0;
+};
+
+Summary summarize(std::vector<std::uint64_t> values) {
+  Summary s;
+  if (values.empty()) return s;
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  auto rank = [&](std::size_t p) { return values[(p * n + 99) / 100 - 1]; };
+  s.count = n;
+  s.min = values.front();
+  s.mean = static_cast<double>(
+               std::accumulate(values.begin(), values.end(),
+                               std::uint64_t{0})) /
+           static_cast<double>(n);
+  s.max = values.back();
+  s.p50 = rank(50);
+  s.p95 = rank(95);
+  s.p99 = rank(99);
+  return s;
 }
 
-bool ShardTelemetry::record(Span span,
-                            const std::vector<QueuedCommand>& queue_snapshot,
-                            std::string* slow_json) {
-  // One pass over the stage values, in kStages order (submit, queue,
-  // execute, complete, total) — each is a duration subtraction and this
-  // function runs once per command.
-  const std::uint64_t stage_us[5] = {span.submit_us(), span.queue_us(),
-                                     span.execute_us(), span.complete_us(),
-                                     span.total_us()};
-
-  std::lock_guard<std::mutex> lock(mu_);
-  ++recorded_;
-  busy_us_ += stage_us[2];
-
-  for (std::size_t i = 0; i < 5; ++i) {
-    stage_hist_[i]->record(stage_us[i]);
-  }
-  if (span.cycles > 0) cycles_hist_->record(span.cycles);
-
-  SpanBrief brief;
-  brief.sequence = span.sequence;
-  brief.kind = span.kind;
-  brief.ok = span.ok;
-  brief.total_us = stage_us[4];
-  brief.tag = span.tag;
-
-  // Promotion reads the history *before* this span is appended, so a
-  // forensics record shows what the session did leading up to the stall.
-  SessionHistory& history = history_[span.session];
-  const bool slow = stage_us[4] >= options_.slow_threshold_us;
-  if (slow) {
-    ++slow_;
-    slow_recent_.push_back(brief);
-    while (slow_recent_.size() > kSlowRecent) {
-      slow_recent_.pop_front();
-    }
-    if (slow_json != nullptr) {
-      render_slow_line(span, queue_snapshot, history, slow_json);
-    }
-  }
-  history.push(std::move(brief), kHistoryDepth);
-
-  if (ring_.size() < options_.ring_capacity) {
-    ring_.push_back(std::move(span));
-  } else {
-    ring_full_ = true;
-    ++dropped_;
-    ring_[ring_head_] = std::move(span);
-    ring_head_ = (ring_head_ + 1) % options_.ring_capacity;
-  }
-  return slow;
+/// A stage over spans in any order (the statistics do not depend on it).
+Summary summarize(const std::vector<Span>& spans, const Stage& stage) {
+  std::vector<std::uint64_t> values;
+  values.reserve(spans.size());
+  for (const Span& span : spans) values.push_back((span.*stage.value)());
+  return summarize(std::move(values));
 }
 
-void ShardTelemetry::session_closed(std::uint64_t session) {
-  std::lock_guard<std::mutex> lock(mu_);
-  history_.erase(session);
-}
-
-std::uint64_t ShardTelemetry::spans_recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return recorded_;
-}
-
-std::uint64_t ShardTelemetry::spans_dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-std::uint64_t ShardTelemetry::slow_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return slow_;
-}
-
-std::uint64_t ShardTelemetry::busy_us() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return busy_us_;
-}
-
-std::vector<Span> ShardTelemetry::spans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Span> out;
-  out.reserve(ring_.size());
-  if (!ring_full_) {
-    out = ring_;
-    return out;
-  }
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(ring_head_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-namespace {
-
-void write_brief(support::JsonWriter& w, const SpanBrief& b) {
+void write_brief(support::JsonWriter& w, const Span& span) {
   w.begin_object();
-  w.key("sequence").value(b.sequence);
-  w.key("kind").value(b.kind);
-  w.key("ok").value(b.ok);
-  w.key("total_us").value(b.total_us);
-  if (!b.tag.empty()) w.key("tag").value(b.tag);
+  w.key("sequence").value(span.sequence);
+  w.key("kind").value(span.kind);
+  w.key("ok").value(span.ok);
+  w.key("total_us").value(span.total_us());
+  if (!span.tag.empty()) w.key("tag").value(span.tag);
   w.end_object();
 }
 
-}  // namespace
-
-void ShardTelemetry::render_slow_line(
-    const Span& span, const std::vector<QueuedCommand>& queue_snapshot,
-    const SessionHistory& history, std::string* out) const {
+std::string slow_line(const Span& span, int shard,
+                      TelemetryClock::time_point epoch,
+                      const std::vector<QueuedCommand>& queue_snapshot,
+                      const std::vector<const Span*>& history) {
   support::JsonWriter w(0);
   w.begin_object();
-  w.key("ts_us").value(us_between(epoch_, span.complete));
-  w.key("shard").value(shard_);
+  w.key("ts_us").value(us_between(epoch, span.complete));
+  w.key("shard").value(shard);
   w.key("session").value(span.session);
   w.key("sequence").value(span.sequence);
   w.key("kind").value(span.kind);
@@ -237,10 +118,116 @@ void ShardTelemetry::render_slow_line(
   w.end_array();
   w.end_object();
   w.key("history").begin_array();
-  history.for_each([&w](const SpanBrief& b) { write_brief(w, b); });
+  for (const Span* earlier : history) write_brief(w, *earlier);
   w.end_array();
   w.end_object();
-  *out = w.str();
+  return w.str();
+}
+
+}  // namespace
+
+std::uint64_t Span::queue_us() const { return us_between(enqueue, dequeue); }
+std::uint64_t Span::execute_us() const {
+  return us_between(dequeue, exec_end);
+}
+std::uint64_t Span::complete_us() const {
+  return us_between(exec_end, complete);
+}
+std::uint64_t Span::total_us() const { return us_between(enqueue, complete); }
+
+// ---------------------------------------------------------------------------
+// SlowRequestLog
+// ---------------------------------------------------------------------------
+
+SlowRequestLog::SlowRequestLog(std::string path) : path_(std::move(path)) {}
+
+void SlowRequestLog::append(const std::string& json_line) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++entries_;
+  if (path_.empty()) return;
+  std::ofstream out(path_, std::ios::app);
+  if (out) out << json_line << '\n';
+}
+
+std::uint64_t SlowRequestLog::entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_;
+}
+
+// ---------------------------------------------------------------------------
+// ShardTelemetry
+// ---------------------------------------------------------------------------
+
+ShardTelemetry::ShardTelemetry(int shard, const TelemetryOptions& options,
+                               TelemetryClock::time_point epoch)
+    : shard_(shard), options_(options), epoch_(epoch) {
+  if (options_.ring_capacity == 0) options_.ring_capacity = 1;
+  // Size then clear: capacity stays reserved AND every page is touched
+  // now, so the worker never takes ring-growth page faults mid-traffic.
+  ring_.resize(options_.ring_capacity);
+  ring_.clear();
+}
+
+bool ShardTelemetry::record(Span span,
+                            const std::vector<QueuedCommand>& queue_snapshot,
+                            std::string* slow_json) {
+  const std::uint64_t execute_us = span.execute_us();
+  const bool slow = span.total_us() >= options_.slow_threshold_us;
+
+  std::lock_guard<std::mutex> lock(mu_);
+  ++recorded_;
+  busy_us_ += execute_us;
+  if (slow) {
+    ++slow_;
+    // Rendered before the span joins the ring, so the history is what the
+    // session did leading up to the stall.
+    if (slow_json != nullptr) {
+      std::vector<const Span*> history;
+      for_each_span([&](const Span& earlier) {
+        if (earlier.session == span.session) history.push_back(&earlier);
+      });
+      if (history.size() > kHistoryDepth) {
+        history.erase(history.begin(), history.end() - kHistoryDepth);
+      }
+      *slow_json = slow_line(span, shard_, epoch_, queue_snapshot, history);
+    }
+  }
+  if (ring_.size() < options_.ring_capacity) {
+    ring_.push_back(std::move(span));
+  } else {
+    ++dropped_;
+    ring_[ring_head_] = std::move(span);
+    if (++ring_head_ == ring_.size()) ring_head_ = 0;
+  }
+  return slow;
+}
+
+std::uint64_t ShardTelemetry::spans_recorded() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return recorded_;
+}
+
+std::uint64_t ShardTelemetry::spans_dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dropped_;
+}
+
+std::uint64_t ShardTelemetry::slow_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return slow_;
+}
+
+std::uint64_t ShardTelemetry::busy_us() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return busy_us_;
+}
+
+std::vector<Span> ShardTelemetry::spans() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<Span> out;
+  out.reserve(ring_.size());
+  for_each_span([&out](const Span& span) { out.push_back(span); });
+  return out;
 }
 
 void ShardTelemetry::render_json(support::JsonWriter& w,
@@ -255,29 +242,35 @@ void ShardTelemetry::render_json(support::JsonWriter& w,
   w.key("slow_count").value(slow_);
   w.key("stages").begin_object();
   for (const Stage& stage : kStages) {
-    const trace::Histogram* h =
-        registry_.find_histogram(std::string("telemetry.") + stage.name);
+    const Summary s = summarize(ring_, stage);
     w.key(stage.name).begin_object();
-    w.key("count").value(h != nullptr ? h->count() : 0);
-    w.key("min").value(h != nullptr ? h->min() : 0);
-    w.key("mean").value(h != nullptr ? h->mean() : 0.0);
-    w.key("max").value(h != nullptr ? h->max() : 0);
-    w.key("p50").value(h != nullptr ? h->percentile(50) : 0);
-    w.key("p95").value(h != nullptr ? h->percentile(95) : 0);
-    w.key("p99").value(h != nullptr ? h->percentile(99) : 0);
+    w.key("count").value(s.count);
+    w.key("min").value(s.min);
+    w.key("mean").value(s.mean);
+    w.key("max").value(s.max);
+    w.key("p50").value(s.p50);
+    w.key("p95").value(s.p95);
+    w.key("p99").value(s.p99);
     w.end_object();
   }
   w.end_object();
-  const trace::Histogram* cycles =
-      registry_.find_histogram("telemetry.run_cycles");
+  std::vector<std::uint64_t> cycles;
+  std::vector<const Span*> slow;
+  for_each_span([&](const Span& span) {
+    if (span.cycles > 0) cycles.push_back(span.cycles);
+    if (span.total_us() >= options_.slow_threshold_us) slow.push_back(&span);
+  });
+  const Summary run_cycles = summarize(std::move(cycles));
   w.key("run_cycles").begin_object();
-  w.key("count").value(cycles != nullptr ? cycles->count() : 0);
-  w.key("p50").value(cycles != nullptr ? cycles->percentile(50) : 0);
-  w.key("p95").value(cycles != nullptr ? cycles->percentile(95) : 0);
-  w.key("p99").value(cycles != nullptr ? cycles->percentile(99) : 0);
+  w.key("count").value(run_cycles.count);
+  w.key("p50").value(run_cycles.p50);
+  w.key("p95").value(run_cycles.p95);
+  w.key("p99").value(run_cycles.p99);
   w.end_object();
   w.key("slow_recent").begin_array();
-  for (const SpanBrief& b : slow_recent_) write_brief(w, b);
+  const std::size_t first =
+      slow.size() > kSlowRecent ? slow.size() - kSlowRecent : 0;
+  for (std::size_t i = first; i < slow.size(); ++i) write_brief(w, *slow[i]);
   w.end_array();
   w.end_object();
 }
@@ -294,24 +287,23 @@ void ShardTelemetry::render_text(std::string* out,
       static_cast<unsigned long long>(busy_us_),
       static_cast<unsigned long long>(queue_depth));
   for (const Stage& stage : kStages) {
-    const trace::Histogram* h =
-        registry_.find_histogram(std::string("telemetry.") + stage.name);
-    if (h == nullptr || h->count() == 0) continue;
+    const Summary s = summarize(ring_, stage);
+    if (s.count == 0) continue;
     *out += support::format(
         "    %-11s count %llu, p50 %llu, p95 %llu, p99 %llu, "
         "max %llu us\n",
-        stage.name, static_cast<unsigned long long>(h->count()),
-        static_cast<unsigned long long>(h->percentile(50)),
-        static_cast<unsigned long long>(h->percentile(95)),
-        static_cast<unsigned long long>(h->percentile(99)),
-        static_cast<unsigned long long>(h->max()));
+        stage.name, static_cast<unsigned long long>(s.count),
+        static_cast<unsigned long long>(s.p50),
+        static_cast<unsigned long long>(s.p95),
+        static_cast<unsigned long long>(s.p99),
+        static_cast<unsigned long long>(s.max));
   }
 }
 
 void ShardTelemetry::append_chrome_events(
     std::vector<std::string>* events) const {
   for (const Span& span : spans()) {
-    std::uint64_t ts = us_between(epoch_, span.submit);
+    std::uint64_t ts = us_between(epoch_, span.enqueue);
     std::uint64_t dur = std::max<std::uint64_t>(span.total_us(), 1);
     std::string args = support::format(
         "{\"session\":%llu,\"sequence\":%llu,\"queue_depth\":%llu,"

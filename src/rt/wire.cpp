@@ -6,17 +6,12 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "support/json.h"
-#include "support/strings.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define HIC_RT_HAVE_UNIX_SOCKETS 1
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#else
-#define HIC_RT_HAVE_UNIX_SOCKETS 0
-#endif
+
+#include "support/json.h"
+#include "support/strings.h"
 
 namespace hicsync::rt {
 
@@ -238,8 +233,6 @@ RemoteServer::RemoteServer(Service& service, std::string socket_path)
 
 RemoteServer::~RemoteServer() { stop(); }
 
-#if HIC_RT_HAVE_UNIX_SOCKETS
-
 namespace {
 
 /// Reads up to the next '\n' using `inbuf` as carry-over. False on EOF or
@@ -431,39 +424,6 @@ bool RemoteClient::call(const std::string& request, std::string* response,
   return true;
 }
 
-#else  // !HIC_RT_HAVE_UNIX_SOCKETS
-
-bool RemoteServer::start(std::string* error) {
-  if (error != nullptr) {
-    *error = "rt-socket-unsupported: no AF_UNIX sockets on this platform";
-  }
-  return false;
-}
-
-void RemoteServer::accept_loop() {}
-void RemoteServer::serve_connection(int) {}
-void RemoteServer::stop() { running_.store(false); }
-
-RemoteClient::~RemoteClient() { close(); }
-
-bool RemoteClient::connect(const std::string&, std::string* error) {
-  if (error != nullptr) {
-    *error = "rt-socket-unsupported: no AF_UNIX sockets on this platform";
-  }
-  return false;
-}
-
-void RemoteClient::close() { fd_ = -1; }
-
-bool RemoteClient::call(const std::string&, std::string*,
-                        std::string* error) {
-  if (error != nullptr) {
-    *error = "rt-socket-unsupported: no AF_UNIX sockets on this platform";
-  }
-  return false;
-}
-
-#endif  // HIC_RT_HAVE_UNIX_SOCKETS
 
 // ---- Typed wrappers (transport-independent). -----------------------------
 

@@ -50,8 +50,7 @@ namespace hicsync::rt {
                                               std::string_view line);
 
 /// Serves a Service over an AF_UNIX stream socket, one thread per
-/// connection. On platforms without UNIX sockets start() fails with
-/// rt-socket-unsupported.
+/// connection.
 class RemoteServer {
  public:
   RemoteServer(Service& service, std::string socket_path);
@@ -61,7 +60,7 @@ class RemoteServer {
   RemoteServer& operator=(const RemoteServer&) = delete;
 
   /// Binds, listens and starts the accept loop. False + `error` on
-  /// failure (socket in use, path too long, unsupported platform).
+  /// failure (socket in use, path too long).
   bool start(std::string* error);
   /// Stops accepting, closes live connections, joins all threads and
   /// unlinks the socket path. Idempotent.

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "memalloc/sizing.h"
-#include "memorg/probe.h"
 #include "support/strings.h"
 
 namespace hicsync::sim {
@@ -37,8 +36,8 @@ constexpr std::size_t kNoRound = static_cast<std::size_t>(-1);
 // ---------------------------------------------------------------------------
 
 struct SystemSim::Controller {
-  /// Simulates the generated controller and binds its ports and probe
-  /// once. `generated` is borrowed: its module, plan and entries.
+  /// Simulates the generated controller and binds its ports once.
+  /// `generated` is borrowed: its module, plan and entries.
   explicit Controller(const memorg::GeneratedController& generated)
       : bram_id(generated.bram.id),
         kind(generated.organization),
@@ -48,12 +47,6 @@ struct SystemSim::Controller {
         sim(std::make_unique<rtl::ModuleSim>(*generated.module)) {
     if (kind == OrgKind::EventDriven) slots = memorg::slot_order(*entries);
     bind_nets();
-    memorg::ProbeConfig probe_cfg;
-    probe_cfg.controller = bram_id;
-    probe_cfg.event_driven = kind == OrgKind::EventDriven;
-    probe_cfg.num_consumers = plan->consumer_pseudo_ports();
-    probe_cfg.num_producers = plan->producer_pseudo_ports();
-    probe = std::make_unique<memorg::ControllerProbe>(probe_cfg, *sim);
     sim->reset();
   }
 
@@ -70,9 +63,6 @@ struct SystemSim::Controller {
   std::vector<int> a_waiters;
   int a_owner = -1;
   std::size_t a_rotate = 0;
-
-  // hic-trace probe over the generated netlist (grants, slot).
-  std::unique_ptr<memorg::ControllerProbe> probe;
 
   // Event-driven only: the controller's slot order.
   std::vector<memorg::Slot> slots;
@@ -98,9 +88,10 @@ struct SystemSim::Controller {
 
   // Net handles into the generated module, bound by the constructor. The
   // producer side is d_* (arbitrated) or p_* (event-driven); `grant` of a
-  // consumer is arbitrated-only and `slot` event-driven-only (else -1).
+  // consumer is arbitrated-only, and its `ev` (the schedule selecting it)
+  // and `slot` event-driven-only (else -1).
   struct ConsumerNets {
-    int req = -1, addr = -1, grant = -1, valid = -1;
+    int req = -1, addr = -1, grant = -1, ev = -1, valid = -1;
   };
   struct ProducerNets {
     int req = -1, addr = -1, wdata = -1, grant = -1;
@@ -112,6 +103,8 @@ struct SystemSim::Controller {
   // Event-driven: the schedule's slot this cycle. `slot` is a register, so
   // it is current before the settle and the settle does not change it.
   int slot_now = -1;
+  // Event-driven: the slot last reported as a SlotAdvance event.
+  std::int64_t traced_slot = -1;
 
   void bind_nets() {
     const rtl::ModuleSim& m = *sim;
@@ -123,7 +116,11 @@ struct SystemSim::Controller {
       ConsumerNets& c = consumer_nets[i];
       c.req = m.find_net("c_req" + idx);
       c.addr = m.find_net("c_addr" + idx);
-      if (arbitrated) c.grant = m.find_net("c_grant" + idx);
+      if (arbitrated) {
+        c.grant = m.find_net("c_grant" + idx);
+      } else {
+        c.ev = m.find_net("ev_c" + idx);
+      }
       c.valid = m.find_net("c_valid" + idx);
     }
     const std::string p = arbitrated ? "d_" : "p_";
@@ -164,6 +161,45 @@ struct SystemSim::Controller {
       }
     }
     return false;
+  }
+
+  /// Publishes who won the controller this cycle, read from the settled
+  /// netlist (the signals the emitted Verilog exposes): an ArbWin per
+  /// granted pseudo-port and a SlotAdvance when the event-driven slot
+  /// changed. An arbitrated consumer wins on its grant line; an
+  /// event-driven one when its slot is selected while its request is up.
+  void trace_grants(std::uint64_t cycle, trace::TraceBus& bus) {
+    trace::Event e;
+    e.cycle = cycle;
+    e.controller = bram_id;
+    e.kind = trace::EventKind::ArbWin;
+    const bool arbitrated = kind == OrgKind::Arbitrated;
+    for (std::size_t i = 0; i < consumer_nets.size(); ++i) {
+      const ConsumerNets& c = consumer_nets[i];
+      if (arbitrated ? sim->get(c.grant) != 0
+                     : sim->get(c.ev) != 0 && sim->get(c.req) != 0) {
+        e.port = trace::PortKind::C;
+        e.pseudo_port = static_cast<int>(i);
+        bus.emit(e);
+      }
+    }
+    for (std::size_t j = 0; j < producer_nets.size(); ++j) {
+      if (sim->get(producer_nets[j].grant) != 0) {
+        e.port = trace::PortKind::D;
+        e.pseudo_port = static_cast<int>(j);
+        bus.emit(e);
+      }
+    }
+    if (slot < 0) return;
+    const auto now = static_cast<std::int64_t>(sim->get(slot));
+    if (now == traced_slot) return;
+    traced_slot = now;
+    trace::Event se;
+    se.cycle = cycle;
+    se.controller = bram_id;
+    se.kind = trace::EventKind::SlotAdvance;
+    se.value = now;
+    bus.emit(se);
   }
 
   void begin_cycle() {
@@ -697,7 +733,7 @@ void SystemSim::reset() {
     ctrl->a_waiters.clear();
     ctrl->a_owner = -1;
     ctrl->a_rotate = 0;
-    ctrl->probe->reset();
+    ctrl->traced_slot = -1;
   }
   for (auto& tp : threads_) {
     ThreadExec& t = *tp;
@@ -856,9 +892,7 @@ void SystemSim::step() {
   drive_phase();
   for (auto& ctrl : controllers_) ctrl->sim->settle();
   if (tracing) {
-    for (auto& ctrl : controllers_) {
-      ctrl->probe->sample(*ctrl->sim, cycle_, *trace_);
-    }
+    for (auto& ctrl : controllers_) ctrl->trace_grants(cycle_, *trace_);
   }
   observe_phase();
   // Nothing reads a combinational net before the next cycle's settle (the

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> inputs;
   std::string emit = "text";
   std::string out_path;
-  diffview::DeltaOptions options;
+  diffview::AlignOptions options;
 
   cli::Cursor cli(argc, argv, 1,
                   support::format("usage: %s [options] <bundleA> <bundleB>\n%s",
@@ -66,9 +66,9 @@ int main(int argc, char** argv) {
         return cli.error("unknown --emit format '" + emit + "'");
       }
     } else if (cli.value("--out", &out_path)) {
-    } else if (cli.count("--context", &options.align.context)) {
+    } else if (cli.count("--context", &options.context)) {
     } else if (cli.flag("--compare-blocking")) {
-      options.align.compare_blocking = true;
+      options.compare_blocking = true;
     } else if (cli.help()) {
       cli.usage();
       return 0;

@@ -12,6 +12,10 @@ namespace hicsync::verify {
 
 namespace {
 
+/// Cycles between consecutive thread first-pass releases, used to bias
+/// the simulator toward the counterexample's interleaving.
+constexpr std::uint64_t kReleaseStagger = 25;
+
 /// True when `thread`'s last observed trace-bus transition was into
 /// blocked, on dependency `dep`. Replay confirms the counterexample's
 /// blocked set both through the simulator's own diagnostics and through
@@ -70,7 +74,7 @@ ReplayResult replay(const hic::Program& program, const hic::Sema& sema,
   for (const std::string& t : cex.schedule) note(t);
   for (const hic::ThreadDecl& t : program.threads) note(t.name);
   for (std::size_t i = 0; i < order.size(); ++i) {
-    std::uint64_t release = options.stagger * i;
+    std::uint64_t release = kReleaseStagger * i;
     sys.set_gate(order[i], [release](std::uint64_t cycle) {
       return cycle >= release;
     });

@@ -29,9 +29,6 @@ struct ReplayOptions {
   /// Pass count the simulation must FAIL to reach for the refutation to
   /// stand (a deadlocked system completes no further passes).
   int passes = 3;
-  /// Cycles between consecutive thread first-pass releases, used to bias
-  /// the simulator toward the counterexample's interleaving.
-  std::uint64_t stagger = 25;
 };
 
 struct ReplayResult {

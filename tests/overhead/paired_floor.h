@@ -5,7 +5,9 @@
 // from the machine only ever adds time, so each side's cheapest part is
 // its best estimate. The method:
 //   - the process is pinned to the core it starts on;
-//   - each part is timed in thread CPU time, so preemption is not counted;
+//   - each part is timed in CPU time, so preemption is not counted: thread
+//     CPU time for a part that runs on the calling thread, process CPU
+//     time for one that hands its work to threads of its own;
 //   - a round runs every part several times, and the part that goes first
 //     rotates from round to round, so warm-cache order bias cancels;
 //   - each part's floor per round is its cheapest run in that round;
@@ -38,13 +40,13 @@ inline int pin_to_current_core() {
   return ::sched_setaffinity(0, sizeof set, &set) == 0 ? core : -1;
 }
 
-/// Thread CPU time of one call to `part`, in ns.
-inline double time_ns(const std::function<void()>& part) {
+/// CPU time of one call to `part` on `clock`, in ns.
+inline double time_ns(const std::function<void()>& part, clockid_t clock) {
   timespec t0{};
   timespec t1{};
-  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
+  ::clock_gettime(clock, &t0);
   part();
-  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t1);
+  ::clock_gettime(clock, &t1);
   return static_cast<double>(t1.tv_sec - t0.tv_sec) * 1e9 +
          static_cast<double>(t1.tv_nsec - t0.tv_nsec);
 }
@@ -56,9 +58,12 @@ inline void keep(T* p) {
 }
 
 /// floors[r][k] is part k's cheapest of `reps` runs in round r, over
-/// `rounds` rounds (at least kMinRounds).
+/// `rounds` rounds (at least kMinRounds), each run timed on `clock`.
+/// `prepare(k)`, when given, runs untimed before each run of part k.
 inline std::vector<std::vector<double>> round_floors(
-    const std::vector<std::function<void()>>& parts, int rounds, int reps) {
+    const std::vector<std::function<void()>>& parts, int rounds, int reps,
+    clockid_t clock = CLOCK_THREAD_CPUTIME_ID,
+    const std::function<void(std::size_t)>& prepare = {}) {
   std::vector<std::vector<double>> floors;
   for (int r = 0; r < std::max(rounds, kMinRounds); ++r) {
     std::vector<double> floor(parts.size(),
@@ -66,7 +71,8 @@ inline std::vector<std::vector<double>> round_floors(
     for (int i = 0; i < reps; ++i) {
       for (std::size_t j = 0; j < parts.size(); ++j) {
         const std::size_t k = (j + static_cast<std::size_t>(r)) % parts.size();
-        floor[k] = std::min(floor[k], time_ns(parts[k]));
+        if (prepare) prepare(k);
+        floor[k] = std::min(floor[k], time_ns(parts[k], clock));
       }
     }
     floors.push_back(floor);

@@ -1,6 +1,6 @@
 // Request-telemetry tests: ShardTelemetry span capture (deterministic,
 // fabricated timestamps), then the full Service surface — per-stage
-// histograms at 64 sessions × 4 shards, Chrome-trace span counts matching
+// statistics at 64 sessions × 4 shards, Chrome-trace span counts matching
 // the completed-command count, bounded-ring eviction, slow-request JSONL
 // promotion with session history and a shard-queue snapshot, trace-context
 // tags, and the disabled-telemetry inertness contract.
@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -60,34 +62,37 @@ std::uint64_t num(const JsonValue& v, const char* key) {
 }
 
 // ---------------------------------------------------------------------------
-// Span / SessionHistory / ShardTelemetry unit tests (no service, no
-// threads): fabricated steady-clock instants make every stage value exact.
+// Span / ShardTelemetry unit tests (no service, no threads): fabricated
+// steady-clock instants make every stage value exact.
 
 Span make_span(std::uint64_t session, std::uint64_t sequence,
                TelemetryClock::time_point epoch, std::uint64_t start_us,
-               std::uint64_t submit_us, std::uint64_t queue_us,
-               std::uint64_t execute_us, std::uint64_t complete_us) {
+               std::uint64_t queue_us, std::uint64_t execute_us,
+               std::uint64_t complete_us) {
   Span s;
   s.session = session;
   s.sequence = sequence;
-  s.shard = 0;
   s.kind = "run";
-  s.submit = epoch + std::chrono::microseconds(start_us);
-  s.enqueue = s.submit + std::chrono::microseconds(submit_us);
+  s.enqueue = epoch + std::chrono::microseconds(start_us);
   s.dequeue = s.enqueue + std::chrono::microseconds(queue_us);
   s.exec_end = s.dequeue + std::chrono::microseconds(execute_us);
   s.complete = s.exec_end + std::chrono::microseconds(complete_us);
   return s;
 }
 
+std::vector<std::uint64_t> sequences(const JsonValue& briefs) {
+  std::vector<std::uint64_t> out;
+  for (const JsonValue& b : briefs.elements) out.push_back(num(b, "sequence"));
+  return out;
+}
+
 TEST(SpanTest, StageDurationsPartitionTheTotal) {
   const TelemetryClock::time_point epoch{};
-  Span s = make_span(1, 0, epoch, 100, 3, 40, 500, 7);
-  EXPECT_EQ(s.submit_us(), 3u);
+  Span s = make_span(1, 0, epoch, 100, 40, 500, 7);
   EXPECT_EQ(s.queue_us(), 40u);
   EXPECT_EQ(s.execute_us(), 500u);
   EXPECT_EQ(s.complete_us(), 7u);
-  EXPECT_EQ(s.total_us(), 3u + 40u + 500u + 7u);
+  EXPECT_EQ(s.total_us(), 40u + 500u + 7u);
 
   // A clock edge observed out of order clamps to zero, never underflows.
   Span backwards = s;
@@ -95,19 +100,7 @@ TEST(SpanTest, StageDurationsPartitionTheTotal) {
   EXPECT_EQ(backwards.queue_us(), 0u);
 }
 
-TEST(SessionHistoryTest, CircularPushKeepsNewestIteratesOldestFirst) {
-  SessionHistory h;
-  for (std::uint64_t seq = 0; seq < 5; ++seq) {
-    SpanBrief b;
-    b.sequence = seq;
-    h.push(std::move(b), 3);
-  }
-  std::vector<std::uint64_t> seen;
-  h.for_each([&](const SpanBrief& b) { seen.push_back(b.sequence); });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{2, 3, 4}));
-}
-
-TEST(ShardTelemetryTest, RecordFillsHistogramsAndPromotesSlowSpans) {
+TEST(ShardTelemetryTest, RecordWritesTheRingAndPromotesSlowSpans) {
   TelemetryOptions options;
   options.enabled = true;
   options.ring_capacity = 8;
@@ -115,43 +108,44 @@ TEST(ShardTelemetryTest, RecordFillsHistogramsAndPromotesSlowSpans) {
   const TelemetryClock::time_point epoch{};
   ShardTelemetry telemetry(0, options, epoch);
 
-  // Two fast spans for session 7, then a slow one: the forensics record
-  // must carry the fast spans as history (oldest first) and the queue
-  // snapshot it was handed.
+  // Two fast spans for session 7, one for session 8, then a slow one for
+  // session 7: the forensics record must carry session 7's retained spans
+  // as history (oldest first) and the queue snapshot it was handed.
   std::string slow_json;
-  EXPECT_FALSE(telemetry.record(make_span(7, 0, epoch, 0, 1, 2, 100, 1),
-                                {}, &slow_json));
-  EXPECT_FALSE(telemetry.record(make_span(7, 1, epoch, 200, 1, 2, 300, 1),
-                                {}, &slow_json));
+  EXPECT_FALSE(telemetry.record(make_span(7, 0, epoch, 0, 2, 100, 1), {},
+                                &slow_json));
+  EXPECT_FALSE(telemetry.record(make_span(8, 0, epoch, 100, 2, 50, 1), {},
+                                &slow_json));
+  EXPECT_FALSE(telemetry.record(make_span(7, 1, epoch, 200, 2, 300, 1), {},
+                                &slow_json));
+  EXPECT_TRUE(slow_json.empty());
   std::vector<QueuedCommand> queue = {{9, "run"}, {11, "produce"}};
-  Span slow = make_span(7, 2, epoch, 600, 2, 900, 2000, 3);
+  Span slow = make_span(7, 2, epoch, 600, 900, 2000, 3);
   slow.queue_depth = 2;
   slow.cycles = 4096;
   slow.tag = "req-42";
   EXPECT_TRUE(telemetry.record(slow, queue, &slow_json));
 
-  EXPECT_EQ(telemetry.spans_recorded(), 3u);
+  EXPECT_EQ(telemetry.spans_recorded(), 4u);
   EXPECT_EQ(telemetry.spans_dropped(), 0u);
   EXPECT_EQ(telemetry.slow_count(), 1u);
-  EXPECT_EQ(telemetry.busy_us(), 100u + 300u + 2000u);
-
-  const trace::Histogram* total =
-      telemetry.registry().find_histogram("telemetry.total_us");
-  ASSERT_NE(total, nullptr);
-  EXPECT_EQ(total->count(), 3u);
-  EXPECT_EQ(total->max(), 2905u);
+  EXPECT_EQ(telemetry.busy_us(), 100u + 50u + 300u + 2000u);
+  std::vector<Span> spans = telemetry.spans();
+  ASSERT_EQ(spans.size(), 4u);
+  EXPECT_EQ(spans.back().tag, "req-42");
+  EXPECT_EQ(spans.back().total_us(), 2903u);
 
   JsonValue record = parse(slow_json);
   EXPECT_EQ(num(record, "session"), 7u);
   EXPECT_EQ(num(record, "sequence"), 2u);
   EXPECT_EQ(record.find("kind")->string_value, "run");
   EXPECT_EQ(record.find("tag")->string_value, "req-42");
-  EXPECT_EQ(num(record, "total_us"), 2905u);
+  EXPECT_EQ(num(record, "total_us"), 2903u);
   EXPECT_EQ(num(record, "cycles"), 4096u);
   EXPECT_EQ(num(record, "queue_depth_at_enqueue"), 2u);
   const JsonValue* stages = record.find("stages");
   ASSERT_NE(stages, nullptr);
-  EXPECT_EQ(num(*stages, "submit_us"), 2u);
+  EXPECT_EQ(stages->find("submit_us"), nullptr);
   EXPECT_EQ(num(*stages, "queue_us"), 900u);
   EXPECT_EQ(num(*stages, "execute_us"), 2000u);
   EXPECT_EQ(num(*stages, "complete_us"), 3u);
@@ -162,17 +156,121 @@ TEST(ShardTelemetryTest, RecordFillsHistogramsAndPromotesSlowSpans) {
   EXPECT_EQ(num(snapshot->find("pending")->elements[1], "session"), 11u);
   const JsonValue* history = record.find("history");
   ASSERT_NE(history, nullptr);
-  ASSERT_EQ(history->elements.size(), 2u);
-  EXPECT_EQ(num(history->elements[0], "sequence"), 0u);
-  EXPECT_EQ(num(history->elements[1], "sequence"), 1u);
+  EXPECT_EQ(sequences(*history), (std::vector<std::uint64_t>{0, 1}));
 
-  // Closing the session forgets its history: the next slow span for the
-  // same id reports an empty trail.
-  telemetry.session_closed(7);
-  std::string after_close;
-  EXPECT_TRUE(telemetry.record(make_span(7, 3, epoch, 4000, 1, 1, 5000, 1),
-                               {}, &after_close));
-  EXPECT_TRUE(parse(after_close).find("history")->elements.empty());
+  // slow_recent lists the retained slow span.
+  support::JsonWriter w(0);
+  telemetry.render_json(w, 0);
+  EXPECT_EQ(sequences(*parse(w.str()).find("slow_recent")),
+            (std::vector<std::uint64_t>{2}));
+}
+
+TEST(ShardTelemetryTest, SlowHistoryHoldsOnlyTheSessionsRetainedSpans) {
+  TelemetryOptions options;
+  options.enabled = true;
+  options.ring_capacity = 4;
+  options.slow_threshold_us = 1000;
+  const TelemetryClock::time_point epoch{};
+  ShardTelemetry telemetry(0, options, epoch);
+
+  // Session 7's first two spans are evicted by session 9's traffic, so
+  // its slow span's history keeps only the one still in the ring.
+  for (std::uint64_t seq = 0; seq < 3; ++seq) {
+    telemetry.record(make_span(7, seq, epoch, seq * 10, 1, 5, 1), {},
+                     nullptr);
+  }
+  for (std::uint64_t seq = 0; seq < 3; ++seq) {
+    telemetry.record(make_span(9, seq, epoch, 100 + seq * 10, 1, 5, 1), {},
+                     nullptr);
+  }
+  std::string slow_json;
+  EXPECT_TRUE(telemetry.record(make_span(7, 3, epoch, 200, 1, 5000, 1), {},
+                               &slow_json));
+  EXPECT_EQ(sequences(*parse(slow_json).find("history")),
+            (std::vector<std::uint64_t>{2}));
+
+  // A session with nothing left in the ring reports an empty history.
+  for (std::uint64_t seq = 3; seq < 7; ++seq) {
+    telemetry.record(make_span(9, seq, epoch, 300 + seq * 10, 1, 5, 1), {},
+                     nullptr);
+  }
+  EXPECT_TRUE(telemetry.record(make_span(7, 4, epoch, 500, 1, 5000, 1), {},
+                               &slow_json));
+  EXPECT_TRUE(parse(slow_json).find("history")->elements.empty());
+  EXPECT_EQ(telemetry.spans_recorded(), 12u);
+  EXPECT_EQ(telemetry.spans_dropped(), 8u);
+}
+
+/// Nearest-rank percentile: the ceil(p/100 * n)-th smallest value.
+std::uint64_t nearest_rank(const std::vector<std::uint64_t>& sorted,
+                           double p) {
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
+  return sorted[std::max<std::size_t>(rank, 1) - 1];
+}
+
+// The read-time statistics of each stage equal a direct computation over
+// spans(), before and after the ring wraps.
+TEST(ShardTelemetryTest, StageStatisticsAreNearestRankOverRetainedSpans) {
+  TelemetryOptions options;
+  options.enabled = true;
+  options.ring_capacity = 64;
+  const TelemetryClock::time_point epoch{};
+  ShardTelemetry telemetry(0, options, epoch);
+  std::uint64_t state = 12345;
+  auto next = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  for (std::uint64_t seq = 0; seq < 150; ++seq) {
+    Span span = make_span(1, seq, epoch, seq * 10000, next(50), next(5000),
+                          next(20));
+    span.cycles = seq % 3 == 0 ? 0 : 64 + next(4000);
+    telemetry.record(span, {}, nullptr);
+    if (seq != 40 && seq != 149) continue;  // before and after the wrap
+
+    support::JsonWriter w(0);
+    telemetry.render_json(w, 0);
+    JsonValue shard = parse(w.str());
+    const std::vector<Span> spans = telemetry.spans();
+    ASSERT_EQ(spans.size(), std::min<std::size_t>(seq + 1, 64));
+    EXPECT_EQ(num(shard, "spans_recorded"), seq + 1);
+    struct Stage {
+      const char* name;
+      std::uint64_t (Span::*value)() const;
+    };
+    for (const Stage& stage :
+         {Stage{"queue_us", &Span::queue_us},
+          Stage{"execute_us", &Span::execute_us},
+          Stage{"complete_us", &Span::complete_us},
+          Stage{"total_us", &Span::total_us}}) {
+      std::vector<std::uint64_t> v;
+      for (const Span& s : spans) v.push_back((s.*stage.value)());
+      std::sort(v.begin(), v.end());
+      double sum = 0;
+      for (std::uint64_t x : v) sum += static_cast<double>(x);
+      const JsonValue& got = *shard.find("stages")->find(stage.name);
+      EXPECT_EQ(num(got, "count"), v.size()) << stage.name;
+      EXPECT_EQ(num(got, "min"), v.front()) << stage.name;
+      EXPECT_EQ(num(got, "max"), v.back()) << stage.name;
+      EXPECT_NEAR(got.find("mean")->number_value,
+                  sum / static_cast<double>(v.size()), 1e-6)
+          << stage.name;
+      EXPECT_EQ(num(got, "p50"), nearest_rank(v, 50)) << stage.name;
+      EXPECT_EQ(num(got, "p95"), nearest_rank(v, 95)) << stage.name;
+      EXPECT_EQ(num(got, "p99"), nearest_rank(v, 99)) << stage.name;
+    }
+    std::vector<std::uint64_t> cycles;
+    for (const Span& s : spans) {
+      if (s.cycles > 0) cycles.push_back(s.cycles);
+    }
+    std::sort(cycles.begin(), cycles.end());
+    const JsonValue& run_cycles = *shard.find("run_cycles");
+    EXPECT_EQ(num(run_cycles, "count"), cycles.size());
+    EXPECT_EQ(num(run_cycles, "p50"), nearest_rank(cycles, 50));
+    EXPECT_EQ(num(run_cycles, "p95"), nearest_rank(cycles, 95));
+    EXPECT_EQ(num(run_cycles, "p99"), nearest_rank(cycles, 99));
+  }
 }
 
 TEST(ShardTelemetryTest, RingEvictsOldestFirstAndCountsDrops) {
@@ -182,7 +280,7 @@ TEST(ShardTelemetryTest, RingEvictsOldestFirstAndCountsDrops) {
   const TelemetryClock::time_point epoch{};
   ShardTelemetry telemetry(2, options, epoch);
   for (std::uint64_t seq = 0; seq < 10; ++seq) {
-    telemetry.record(make_span(1, seq, epoch, seq * 100, 1, 1, 10, 1), {},
+    telemetry.record(make_span(1, seq, epoch, seq * 100, 1, 10, 1), {},
                      nullptr);
   }
   EXPECT_EQ(telemetry.spans_recorded(), 10u);
@@ -265,7 +363,7 @@ TEST(ServiceTelemetry, SixtyFourSessionsAcrossFourShards) {
   EXPECT_EQ(stats.completed, 256u);
   EXPECT_EQ(stats.failed, 0u);
 
-  // Per-stage histograms: every shard saw traffic, every stage counted
+  // Per-stage statistics: every shard saw traffic, every stage counted
   // every span, and the percentile ladder is ordered.
   JsonValue telemetry = parse(service.telemetry_json());
   EXPECT_TRUE(telemetry.find("enabled")->bool_value);
@@ -281,8 +379,9 @@ TEST(ServiceTelemetry, SixtyFourSessionsAcrossFourShards) {
     EXPECT_EQ(num(shard, "slow_count"), 0u);
     const JsonValue* stages = shard.find("stages");
     ASSERT_NE(stages, nullptr);
+    EXPECT_EQ(stages->find("submit_us"), nullptr);
     for (const char* stage :
-         {"submit_us", "queue_us", "execute_us", "complete_us", "total_us"}) {
+         {"queue_us", "execute_us", "complete_us", "total_us"}) {
       const JsonValue* s = stages->find(stage);
       ASSERT_NE(s, nullptr) << stage;
       EXPECT_EQ(num(*s, "count"), num(shard, "spans_recorded")) << stage;
@@ -392,6 +491,37 @@ TEST(ServiceTelemetry, TagsRideResultsAndChromeTraceArgs) {
   service.drain();
   EXPECT_NE(service.telemetry_chrome_json().find("\"tag\":\"trace-me-7\""),
             std::string::npos);
+}
+
+// Every completed command is recorded once, failures and closes included,
+// however far the ring wrapped; the statistics count what it retains.
+TEST(ServiceTelemetry, SpansRecordedEqualsCompletedCommands) {
+  ServiceOptions options = telemetry_options(2);
+  options.telemetry.ring_capacity = 8;
+  Service service(load_fig1(), options);
+  for (int i = 0; i < 24; ++i) {
+    std::uint64_t session = service.open_session();
+    if (i % 4 == 0) service.consume(session, {});  // rt-no-run: fails
+    service.run(session);
+    service.consume(session, {});
+    service.close_session(session);
+  }
+  service.drain();
+
+  Service::Stats stats = service.stats();
+  EXPECT_EQ(stats.failed, 6u);
+  JsonValue telemetry = parse(service.telemetry_json());
+  std::uint64_t recorded = 0;
+  for (const JsonValue& shard : telemetry.find("shards")->elements) {
+    const std::uint64_t shard_recorded = num(shard, "spans_recorded");
+    const std::uint64_t retained =
+        num(*shard.find("stages")->find("total_us"), "count");
+    EXPECT_EQ(retained, std::min<std::uint64_t>(shard_recorded, 8));
+    EXPECT_EQ(num(shard, "spans_dropped"), shard_recorded - retained);
+    recorded += shard_recorded;
+  }
+  EXPECT_EQ(recorded, stats.completed);
+  EXPECT_EQ(recorded, 24u * 4 + 6);
 }
 
 TEST(ServiceTelemetry, DisabledTelemetryIsInert) {
