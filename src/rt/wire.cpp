@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -296,6 +297,11 @@ bool RemoteServer::start(std::string* error) {
     listen_fd_ = -1;
     return false;
   }
+  struct stat st {};
+  if (::lstat(path_.c_str(), &st) == 0) {
+    socket_dev_ = st.st_dev;
+    socket_ino_ = st.st_ino;
+  }
   running_.store(true);
   accept_thread_ = std::thread([this] { accept_loop(); });
   return true;
@@ -352,7 +358,12 @@ void RemoteServer::stop() {
   for (std::thread& t : threads) {
     if (t.joinable()) t.join();
   }
-  ::unlink(path_.c_str());
+  // A newer server may have replaced the socket file since start().
+  struct stat st {};
+  if (::lstat(path_.c_str(), &st) == 0 && st.st_dev == socket_dev_ &&
+      st.st_ino == socket_ino_) {
+    ::unlink(path_.c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------

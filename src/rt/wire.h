@@ -63,7 +63,8 @@ class RemoteServer {
   /// failure (socket in use, path too long).
   bool start(std::string* error);
   /// Stops accepting, closes live connections, joins all threads and
-  /// unlinks the socket path. Idempotent.
+  /// unlinks the socket path unless another server has since bound it.
+  /// Idempotent.
   void stop();
 
   [[nodiscard]] const std::string& socket_path() const { return path_; }
@@ -79,6 +80,9 @@ class RemoteServer {
 
   Service& service_;
   std::string path_;
+  // The socket file this server bound, as (st_dev, st_ino).
+  std::uint64_t socket_dev_ = 0;
+  std::uint64_t socket_ino_ = 0;
   // Atomic: stop() clears it while accept_loop() is blocked in accept().
   std::atomic<int> listen_fd_{-1};
   std::atomic<bool> running_{false};

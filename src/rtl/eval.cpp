@@ -32,9 +32,10 @@ void sort_unique(std::vector<int>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
-/// Collects every constant slot `e` reads (literals, and the operand masks
-/// of its concatenation parts and and-reductions) and returns how many
-/// instructions lower_expr() emits for it: none for a leaf.
+/// Collects every constant slot `e` reads (literals, the operand masks of
+/// its concatenation parts and and-reductions, and an OrSel's constant-1
+/// select) and returns how many instructions lower_expr() emits for it at
+/// most: none for a leaf.
 std::size_t scan_expr(const RtlExpr& e,
                       std::vector<std::uint64_t>& constants) {
   std::size_t instrs = 1;
@@ -46,6 +47,9 @@ std::size_t scan_expr(const RtlExpr& e,
       return 0;
     case RtlOp::ReduceAnd:
       constants.push_back(width_mask(e.args[0]->width));
+      break;
+    case RtlOp::Or:
+      constants.push_back(1);
       break;
     case RtlOp::Concat:
       // One Mov of the first part, then one instruction per later part.
@@ -271,6 +275,9 @@ std::uint32_t ModuleSim::lower_expr(const RtlExpr& e, std::uint32_t top,
       }
       return top;
     }
+    case RtlOp::Or:
+      if (lower_or(e, top, tape)) return top;
+      break;
     default:
       break;
   }
@@ -322,6 +329,87 @@ std::uint32_t ModuleSim::lower_expr(const RtlExpr& e, std::uint32_t top,
   return top;
 }
 
+// An Or tree lowers to one OrSel when it holds a select term or at least
+// three terms; otherwise it stays binary Or instructions.
+bool ModuleSim::lower_or(const RtlExpr& e, std::uint32_t top,
+                         std::vector<Instr>& tape) {
+  const std::size_t first = or_terms_.size();
+  const bool selects = collect_or_terms(e, e.width);
+  const std::size_t n = or_terms_.size() - first;
+  if (!selects && n < 3) {
+    or_terms_.resize(first);
+    return false;
+  }
+  // Reserve this instruction's pairs first: lowering a term may append the
+  // pairs of an OrSel nested inside it.
+  const auto begin = static_cast<std::uint32_t>(pairs_.size());
+  pairs_.resize(pairs_.size() + n);
+  std::uint32_t next = top;  // each operand computed in a slot of its own
+  auto operand = [&](const RtlExpr& x) {
+    const std::uint32_t s = lower_expr(x, next, tape);
+    if (s == next) ++next;
+    return s;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const OrTerm t = or_terms_[first + i];
+    const std::uint32_t sel =
+        t.sel != nullptr ? operand(*t.sel) : constant_slot(1);
+    const std::uint32_t data = operand(*t.data);
+    pairs_[begin + i] = SelPair{sel, data};
+  }
+  or_terms_.resize(first);
+  slot_count_ = std::max(slot_count_, top + 1);
+  tape.push_back(Instr{Op::OrSel, 0, mask_bits(e.width), top, top, begin,
+                       static_cast<std::uint32_t>(n)});
+  return true;
+}
+
+// Masking the OR of the terms once to the root's width equals masking at
+// every nested Or at least as wide, so those merge. Constant-0 terms and
+// select terms whose data is constant 0 contribute nothing and go.
+bool ModuleSim::collect_or_terms(const RtlExpr& e, int width) {
+  bool selects = false;
+  for (const auto& arg : e.args) {
+    const RtlExpr& t = *arg;
+    if (t.op == RtlOp::Or && t.width >= width) {
+      selects |= collect_or_terms(t, width);
+      continue;
+    }
+    const OrTerm term = or_term(t);
+    if (term.data->op == RtlOp::Const && term.data->value == 0) continue;
+    selects |= term.sel != nullptr;
+    or_terms_.push_back(term);
+  }
+  return selects;
+}
+
+// X & (S ? C : 0), in either operand order, is the pair (S, X) when the
+// mux output C covers the And's width and X's slot holds no bit above it
+// (a net's slot holds its width, a constant its value). Anything else is a
+// plain term.
+ModuleSim::OrTerm ModuleSim::or_term(const RtlExpr& t) const {
+  if (t.op != RtlOp::And) return OrTerm{nullptr, &t};
+  const std::uint64_t keep = width_mask(t.width);
+  for (std::size_t m = 2; m-- > 0;) {
+    const RtlExpr& mux = *t.args[m];
+    const RtlExpr& x = *t.args[1 - m];
+    if (mux.op != RtlOp::Mux || mux.args[1]->op != RtlOp::Const ||
+        mux.args[2]->op != RtlOp::Const) {
+      continue;
+    }
+    const std::uint64_t out = width_mask(mux.width) & keep;
+    const std::uint64_t held =
+        x.op == RtlOp::Ref     ? net_masks_[static_cast<std::size_t>(x.net)]
+        : x.op == RtlOp::Const ? x.value
+                               : width_mask(x.width);
+    if ((mux.args[1]->value & out) == keep &&
+        (mux.args[2]->value & out) == 0 && (held & ~keep) == 0) {
+      return OrTerm{mux.args[0].get(), &x};
+    }
+  }
+  return OrTerm{nullptr, &t};
+}
+
 void ModuleSim::lower_root(const RtlExpr& e, std::uint32_t dst,
                            int width, std::uint32_t top,
                            std::vector<Instr>& tape) {
@@ -343,6 +431,7 @@ void ModuleSim::lower_root(const RtlExpr& e, std::uint32_t dst,
 // of the binary.
 [[gnu::aligned(64)]] void ModuleSim::run(const std::vector<Instr>& tape) {
   std::uint64_t* s = slots_.data();
+  const SelPair* pairs = pairs_.data();
   for (const Instr& in : tape) {
     const std::uint64_t a = s[in.a];
     std::uint64_t r = 0;
@@ -365,6 +454,13 @@ void ModuleSim::lower_root(const RtlExpr& e, std::uint32_t dst,
       case Op::Mux: r = a != 0 ? s[in.b] : s[in.c]; break;
       case Op::ReduceOr: r = a != 0 ? 1 : 0; break;
       case Op::ReduceAnd: r = (a & s[in.b]) == s[in.b] ? 1 : 0; break;
+      case Op::OrSel: {
+        const SelPair* p = pairs + in.b;
+        for (const SelPair* end = p + in.c; p != end; ++p) {
+          r |= s[p->data] & (0 - static_cast<std::uint64_t>(s[p->sel] != 0));
+        }
+        break;
+      }
     }
     s[in.dst] = r & kWidthMasks[in.bits];
   }

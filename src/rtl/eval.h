@@ -16,6 +16,11 @@
 //    and the memory writes commit (the later port wins on one address; reset
 //    suppresses writes). Memories are held by position and `rst` is
 //    resolved once, so a clock edge allocates nothing and looks nothing up.
+//  - On both tapes an Or tree (the controllers' one-hot AND-OR muxes and
+//    OR trees) lowers to one OrSel instruction over a run of the pair
+//    table (select slot, data slot): X & (S ? all-ones : 0) is the pair
+//    (S, X), any other term pairs with the constant-1 slot. OrSel ORs the
+//    data of every pair whose select is nonzero, as the tree would.
 //
 // Nets are addressed by handle: find_net() resolves a name once, and
 // set_input()/get() take the id. The string overloads are thin wrappers for
@@ -114,15 +119,20 @@ class ModuleSim {
 
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
 
+  /// Instruction counts of the combinational and edge tapes.
+  [[nodiscard]] std::size_t comb_instructions() const { return comb_.size(); }
+  [[nodiscard]] std::size_t edge_instructions() const { return edge_.size(); }
+
  private:
   enum class Op : std::uint8_t {
     Mov, Slice, ShlOr, Not, And, Or, Xor, Add, Sub,
-    Eq, Ne, Lt, Le, Shl, Shr, Mux, ReduceOr, ReduceAnd,
+    Eq, Ne, Lt, Le, Shl, Shr, Mux, ReduceOr, ReduceAnd, OrSel,
   };
   /// slots[dst] = op(slots[a], slots[b], slots[c], shift), masked to its
   /// low `bits` bits. Slice shifts right by `shift`, ShlOr computes
   /// (a << shift) | (b & c) (one Concat part), ReduceAnd compares a & b
-  /// with b.
+  /// with b. OrSel ORs the `c` pairs from pairs_[b]: each pair's data slot
+  /// while its select slot is nonzero (its `a` is unused).
   struct Instr {
     Op op = Op::Mov;
     std::uint8_t shift = 0;
@@ -150,6 +160,16 @@ class ModuleSim {
     std::uint64_t mask = 0;  // word width
     std::vector<std::uint64_t> words;
   };
+  /// One OrSel operand; a plain term's select is the constant-1 slot.
+  struct SelPair {
+    std::uint32_t sel = 0;
+    std::uint32_t data = 0;
+  };
+  /// A flattened Or term before lowering; `sel` is null for a plain term.
+  struct OrTerm {
+    const RtlExpr* sel = nullptr;
+    const RtlExpr* data = nullptr;
+  };
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   void lower(const Module& module);
@@ -157,6 +177,10 @@ class ModuleSim {
                                          std::vector<Instr>& tape);
   void lower_root(const RtlExpr& e, std::uint32_t dst, int width,
                   std::uint32_t top, std::vector<Instr>& tape);
+  bool lower_or(const RtlExpr& e, std::uint32_t top,
+                std::vector<Instr>& tape);
+  bool collect_or_terms(const RtlExpr& e, int width);
+  [[nodiscard]] OrTerm or_term(const RtlExpr& t) const;
   [[nodiscard]] std::uint32_t constant_slot(std::uint64_t value) const;
   void run(const std::vector<Instr>& tape);
   void clock_edge();
@@ -169,6 +193,8 @@ class ModuleSim {
   std::uint32_t slot_count_ = 0;
   std::vector<Instr> comb_;
   std::vector<Instr> edge_;
+  std::vector<SelPair> pairs_;    // OrSel operands of both tapes
+  std::vector<OrTerm> or_terms_;  // lowering scratch, used as a stack
   std::vector<SeqCommit> seq_commits_;
   std::vector<PortCommit> port_commits_;
   std::vector<MemoryState> memories_;

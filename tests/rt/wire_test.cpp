@@ -300,6 +300,35 @@ TEST(RemoteWire, ClientErrorsSurfaceServiceCodes) {
   service.shutdown();
 }
 
+// A server that stops after another one took over its path (the second
+// start() unlinks the first's socket file and binds its own) must leave
+// the newer server's socket in place.
+TEST(RemoteWire, StopLeavesANewerServersSocket) {
+  auto program = load_fig1();
+  Service service_a(program, {});
+  Service service_b(program, {});
+  const std::string path = ::testing::TempDir() + "wire_takeover_test.sock";
+  std::remove(path.c_str());
+  RemoteServer a(service_a, path);
+  RemoteServer b(service_b, path);
+  std::string error;
+  ASSERT_TRUE(a.start(&error)) << error;
+  ASSERT_TRUE(b.start(&error)) << error;
+  a.stop();
+
+  RemoteClient client;
+  ASSERT_TRUE(client.connect(path, &error)) << error;
+  EXPECT_TRUE(client.ping(&error)) << error;
+  client.close();
+  EXPECT_EQ(b.connections(), 1u);
+  EXPECT_EQ(a.connections(), 0u);
+  b.stop();
+  RemoteClient late;
+  EXPECT_FALSE(late.connect(path, &error)) << "b left its socket behind";
+  service_a.shutdown();
+  service_b.shutdown();
+}
+
 TEST(RemoteWire, ConnectToMissingSocketFails) {
   RemoteClient client;
   std::string error;

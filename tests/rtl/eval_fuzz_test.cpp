@@ -4,7 +4,10 @@
 // and width bugs. Beyond settling, the clock edge is fuzzed too: random
 // registers with enables, reset values and reset-less registers, and a
 // two-port memory against a reference BRAM model (read-first, last port
-// wins, no writes under reset, address modulo depth).
+// wins, no writes under reset, address modulo depth). Select trees (the
+// controllers' one-hot AND-OR muxes and OR trees, which ModuleSim fuses
+// into OrSel instructions) are fuzzed too, and each fusion rule is pinned
+// next to its near miss.
 
 #include <gtest/gtest.h>
 
@@ -13,16 +16,23 @@
 #include <string>
 #include <vector>
 
+#include "reference_eval.h"
+#include "rtl/builder.h"
 #include "rtl/eval.h"
 #include "support/rng.h"
 
 namespace hicsync::rtl {
 namespace {
 
+using ref::mask_w;
+using ref::reference;
+
 struct Gen {
   support::Rng rng;
   Module* m = nullptr;
   std::vector<std::pair<int, int>> inputs;  // net, width
+  /// Also draw select_tree()s (off keeps the older suites' streams).
+  bool select_trees = false;
 
   explicit Gen(std::uint64_t seed) : rng(seed) {}
 
@@ -45,7 +55,7 @@ struct Gen {
       }
       return econst(rng.next_u64(), want_width);
     }
-    switch (rng.next_below(13)) {
+    switch (rng.next_below(select_trees ? 14 : 13)) {
       case 0:
         return ebin(RtlOp::And, expr(depth - 1, want_width),
                     expr(depth - 1, want_width));
@@ -102,6 +112,8 @@ struct Gen {
         parts.push_back(expr(depth - 1, want_width - hi_w));
         return econcat(std::move(parts));
       }
+      case 13:
+        return select_tree(depth, want_width);
       default: {
         // Comparison widened back to the target width.
         static const RtlOp kCmp[] = {RtlOp::Eq, RtlOp::Ne, RtlOp::Lt,
@@ -113,6 +125,39 @@ struct Gen {
     }
   }
 
+  /// OR_i (X_i & (S_i ? C : 0)), the build_onehot_mux / eor_tree shape,
+  /// over 1-5 terms with random 1-bit selects (often several high), mixed
+  /// with what the lowering must keep as plain terms: a C short of the
+  /// width, a nonzero false arm, plain subtrees and constants, constant-0
+  /// terms and data.
+  RtlExprPtr select_tree(int depth, int width) {
+    const int terms = 1 + static_cast<int>(rng.next_below(5));
+    std::vector<RtlExprPtr> level;
+    for (int i = 0; i < terms; ++i) {
+      switch (rng.next_below(6)) {
+        case 0:
+          level.push_back(expr(depth - 1, width));
+          break;
+        case 1:
+          level.push_back(econst(rng.next_bool(0.5) ? 0 : rng.next_u64(),
+                                 width));
+          break;
+        default: {
+          RtlExprPtr x = rng.next_bool(0.15) ? econst(0, width)
+                                             : expr(depth - 1, width);
+          const std::uint64_t c = rng.next_bool(0.8) ? ~0ULL : rng.next_u64();
+          const std::uint64_t f = rng.next_bool(0.9) ? 0 : rng.next_u64();
+          RtlExprPtr mux = emux(expr(depth - 1, 1), econst(c, width),
+                                econst(f, width));
+          level.push_back(rng.next_bool(0.5)
+                              ? ebin(RtlOp::And, std::move(x), std::move(mux))
+                              : ebin(RtlOp::And, std::move(mux), std::move(x)));
+        }
+      }
+    }
+    return eor_tree(std::move(level), width);
+  }
+
   /// A 1-bit expression zero-extended to `width`.
   static RtlExprPtr widen(RtlExprPtr bit, int width) {
     if (width == 1) return bit;
@@ -122,81 +167,6 @@ struct Gen {
     return econcat(std::move(parts));
   }
 };
-
-std::uint64_t mask_w(std::uint64_t v, int w) {
-  return w >= 64 ? v : (v & ((1ULL << w) - 1));
-}
-
-/// Independent reference interpreter over input values.
-std::uint64_t reference(const RtlExpr& e,
-                        const std::map<int, std::uint64_t>& values) {
-  switch (e.op) {
-    case RtlOp::Const: return e.value;
-    case RtlOp::Ref: return values.at(e.net);
-    case RtlOp::Slice:
-      return mask_w(reference(*e.args[0], values) >> e.lo,
-                    e.hi - e.lo + 1);
-    case RtlOp::Concat: {
-      std::uint64_t v = 0;
-      for (const auto& a : e.args) {
-        v = (v << a->width) | mask_w(reference(*a, values), a->width);
-      }
-      return mask_w(v, e.width);
-    }
-    case RtlOp::Not:
-      return mask_w(~reference(*e.args[0], values), e.width);
-    case RtlOp::And:
-      return mask_w(reference(*e.args[0], values) &
-                        reference(*e.args[1], values),
-                    e.width);
-    case RtlOp::Or:
-      return mask_w(reference(*e.args[0], values) |
-                        reference(*e.args[1], values),
-                    e.width);
-    case RtlOp::Xor:
-      return mask_w(reference(*e.args[0], values) ^
-                        reference(*e.args[1], values),
-                    e.width);
-    case RtlOp::Add:
-      return mask_w(reference(*e.args[0], values) +
-                        reference(*e.args[1], values),
-                    e.width);
-    case RtlOp::Sub:
-      return mask_w(reference(*e.args[0], values) -
-                        reference(*e.args[1], values),
-                    e.width);
-    case RtlOp::Eq:
-      return reference(*e.args[0], values) == reference(*e.args[1], values);
-    case RtlOp::Ne:
-      return reference(*e.args[0], values) != reference(*e.args[1], values);
-    case RtlOp::Lt:
-      return reference(*e.args[0], values) < reference(*e.args[1], values);
-    case RtlOp::Le:
-      return reference(*e.args[0], values) <= reference(*e.args[1], values);
-    case RtlOp::Shl:
-      return mask_w(reference(*e.args[0], values)
-                        << reference(*e.args[1], values),
-                    e.width);
-    case RtlOp::Shr:
-      return mask_w(reference(*e.args[0], values) >>
-                        reference(*e.args[1], values),
-                    e.width);
-    case RtlOp::ReduceOr:
-      return reference(*e.args[0], values) != 0;
-    case RtlOp::ReduceAnd: {
-      const int w = e.args[0]->width;
-      return mask_w(reference(*e.args[0], values), w) == mask_w(~0ULL, w);
-    }
-    case RtlOp::Mux:
-      return mask_w(reference(*e.args[0], values) != 0
-                        ? reference(*e.args[1], values)
-                        : reference(*e.args[2], values),
-                    e.width);
-    default:
-      ADD_FAILURE() << "unexpected op in fuzz tree";
-      return 0;
-  }
-}
 
 class EvalFuzz : public ::testing::TestWithParam<int> {};
 
@@ -236,6 +206,234 @@ TEST_P(EvalFuzz, ModuleSimMatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EvalFuzz, ::testing::Range(1, 13));
+
+/// As EvalFuzz, with every output a select tree over random subtrees that
+/// may hold select trees themselves.
+class EvalFuzzOrSel : public ::testing::TestWithParam<int> {};
+
+TEST_P(EvalFuzzOrSel, SelectTreesMatchReference) {
+  Gen gen(static_cast<std::uint64_t>(GetParam()) * 2246822519u + 11);
+  gen.select_trees = true;
+  Module m("fuzz_orsel");
+  const int widths[] = {1, 7, 8, 13, 32, 33, 64};
+  for (int i = 0; i < 4; ++i) {
+    const int w = widths[gen.rng.next_below(7)];
+    gen.inputs.emplace_back(m.add_input("in" + std::to_string(i), w), w);
+  }
+  std::vector<std::pair<int, RtlExprPtr>> trees;
+  for (int o = 0; o < 6; ++o) {
+    const int w = widths[gen.rng.next_below(7)];
+    RtlExprPtr tree = gen.select_tree(4, w);
+    const int out = m.add_output("out" + std::to_string(o), w);
+    m.assign(out, tree->clone());
+    trees.emplace_back(out, std::move(tree));
+  }
+  ModuleSim sim(m);
+  for (int round = 0; round < 40; ++round) {
+    std::map<int, std::uint64_t> values;
+    for (auto [net, w] : gen.inputs) {
+      values[net] = mask_w(gen.rng.next_u64(), w);
+      sim.set_input(net, values[net]);
+    }
+    sim.settle();
+    for (const auto& [net, tree] : trees) {
+      ASSERT_EQ(sim.get(net), reference(*tree, values))
+          << "seed " << GetParam() << " round " << round << " "
+          << m.net(net).name;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EvalFuzzOrSel, ::testing::Range(1, 25));
+
+/// Each shape the Or lowering fuses, next to its near miss that it must
+/// not fuse. `out` = the tree must match the reference for every
+/// combination of four 1-bit selects (so several are high at once) and
+/// lower to `instrs` instructions: 1 when the whole tree is one OrSel, and
+/// an And and a Mux more for each term left plain.
+TEST(EvalOrSel, FusedShapesAndNearMissesMatchReference) {
+  struct Nets {
+    int s[4];  // 1-bit selects
+    int x[4];  // 8-bit data
+    int w;     // 16-bit data
+  };
+  using Tree = RtlExprPtr (*)(Module&, const Nets&);
+  struct Case {
+    const char* name;
+    std::size_t instrs;
+    Tree tree;
+  };
+  // X & (S ? C : 0) at `width`.
+  static auto term = [](RtlExprPtr x, int s, int width = 8,
+                        std::uint64_t c = ~0ULL) {
+    return ebin(RtlOp::And, std::move(x),
+                emux(eref(s, 1), econst(c, width), econst(0, width)));
+  };
+  static auto terms = [](const Nets& n, int first, int count) {
+    std::vector<RtlExprPtr> t;
+    for (int i = first; i < first + count; ++i) {
+      t.push_back(term(eref(n.x[i], 8), n.s[i]));
+    }
+    return t;
+  };
+  static auto join = [](std::vector<RtlExprPtr> a, RtlExprPtr b) {
+    a.push_back(std::move(b));
+    return a;
+  };
+  const Case cases[] = {
+      {"one-hot mux", 1,
+       [](Module& m, const Nets& n) {
+         std::vector<RtlExprPtr> values;
+         for (int x : n.x) values.push_back(eref(x, 8));
+         return build_onehot_mux(
+             m, std::vector<int>(std::begin(n.s), std::end(n.s)),
+             std::move(values), 8);
+       }},
+      {"mask operand first", 1,
+       [](Module&, const Nets& n) {
+         std::vector<RtlExprPtr> t;
+         for (int i = 0; i < 4; ++i) {
+           t.push_back(ebin(RtlOp::And,
+                            emux(eref(n.s[i], 1), econst(~0ULL, 8),
+                                 econst(0, 8)),
+                            eref(n.x[i], 8)));
+         }
+         return eor_tree(std::move(t), 8);
+       }},
+      {"constant-0 data goes", 3,
+       [](Module&, const Nets& n) {
+         return ebin(RtlOp::Or, term(econst(0, 8), n.s[0]), eref(n.x[1], 8));
+       }},
+      {"constant data stays", 1,
+       [](Module&, const Nets& n) {
+         return ebin(RtlOp::Or, term(econst(0x5A, 8), n.s[0]),
+                     eref(n.x[1], 8));
+       }},
+      {"constant-0 term goes", 2,
+       [](Module&, const Nets& n) {
+         std::vector<RtlExprPtr> t;
+         t.push_back(eref(n.x[0], 8));
+         t.push_back(eref(n.x[1], 8));
+         t.push_back(econst(0, 8));
+         return eor_tree(std::move(t), 8);
+       }},
+      {"constant term stays", 1,
+       [](Module&, const Nets& n) {
+         std::vector<RtlExprPtr> t;
+         t.push_back(eref(n.x[0], 8));
+         t.push_back(eref(n.x[1], 8));
+         t.push_back(econst(0x81, 8));
+         return eor_tree(std::move(t), 8);
+       }},
+      {"C short of the width", 3,
+       [](Module&, const Nets& n) {
+         return eor_tree(
+             join(terms(n, 1, 3), term(eref(n.x[0], 8), n.s[0], 8, 0x7F)),
+             8);
+       }},
+      {"false arm not 0", 3,
+       [](Module&, const Nets& n) {
+         return eor_tree(
+             join(terms(n, 1, 3),
+                  ebin(RtlOp::And, eref(n.x[0], 8),
+                       emux(eref(n.s[0], 1), econst(~0ULL, 8),
+                            econst(0x0F, 8)))),
+             8);
+       }},
+      {"X wider than the And", 3,
+       [](Module&, const Nets& n) {
+         RtlExprPtr wide = term(eref(n.w, 16), n.s[0]);
+         wide->width = 8;
+         return eor_tree(join(terms(n, 1, 3), std::move(wide)), 8);
+       }},
+      {"X a narrow view of a wider net", 3,
+       [](Module&, const Nets& n) {
+         return eor_tree(join(terms(n, 1, 3), term(eref(n.w, 8), n.s[0])), 8);
+       }},
+      {"X a slice as wide as the And", 2,
+       [](Module&, const Nets& n) {
+         return eor_tree(
+             join(terms(n, 1, 3), term(eslice(eref(n.w, 16), 11, 4), n.s[0])),
+             8);
+       }},
+      {"nested Or as wide merges", 1,
+       [](Module&, const Nets& n) {
+         return ebin(RtlOp::Or, eor_tree(terms(n, 0, 2), 8),
+                     eor_tree(terms(n, 2, 2), 8));
+       }},
+      {"nested Or narrower stays a term", 2,
+       [](Module&, const Nets& n) {
+         RtlExprPtr narrow = eor_tree(terms(n, 0, 2), 8);
+         narrow->width = 4;
+         return ebin(RtlOp::Or, std::move(narrow),
+                     eor_tree(terms(n, 2, 2), 8));
+       }},
+      {"root narrower than its nested Ors", 1,
+       [](Module&, const Nets& n) {
+         RtlExprPtr root = eor_tree(terms(n, 0, 4), 8);
+         root->width = 4;
+         return root;
+       }},
+      {"two plain terms", 1,
+       [](Module&, const Nets& n) {
+         return ebin(RtlOp::Or, eref(n.x[0], 8), eref(n.x[1], 8));
+       }},
+      {"three plain terms", 1,
+       [](Module&, const Nets& n) {
+         std::vector<RtlExprPtr> t;
+         for (int i = 0; i < 3; ++i) t.push_back(eref(n.x[i], 8));
+         return eor_tree(std::move(t), 8);
+       }},
+      {"1-bit selects alone", 1,
+       [](Module&, const Nets& n) {
+         std::vector<RtlExprPtr> t;
+         for (int s : n.s) t.push_back(eref(s, 1));
+         return eor_tree(std::move(t), 1);
+       }},
+      {"two terms with a select", 1,
+       [](Module&, const Nets& n) {
+         return ebin(RtlOp::Or, term(eref(n.x[0], 8), n.s[0]),
+                     eref(n.x[1], 8));
+       }},
+      {"one select term", 1,
+       [](Module&, const Nets& n) {
+         return ebin(RtlOp::Or, term(eref(n.x[0], 8), n.s[0]), econst(0, 8));
+       }},
+      {"one plain term", 1,
+       [](Module&, const Nets& n) {
+         return ebin(RtlOp::Or, eref(n.x[0], 8), econst(0, 8));
+       }},
+  };
+  support::Rng rng(7);
+  for (const Case& c : cases) {
+    Module m("orsel");
+    Nets n{};
+    for (int i = 0; i < 4; ++i) {
+      n.s[i] = m.add_input("s" + std::to_string(i), 1);
+      n.x[i] = m.add_input("x" + std::to_string(i), 8);
+    }
+    n.w = m.add_input("w", 16);
+    RtlExprPtr tree = c.tree(m, n);
+    const int out = m.add_output("out", 8);
+    m.assign(out, tree->clone());
+    ModuleSim sim(m);
+    EXPECT_EQ(sim.comb_instructions(), c.instrs) << c.name;
+    for (int selects = 0; selects < 16; ++selects) {
+      for (int rep = 0; rep < 4; ++rep) {
+        std::map<int, std::uint64_t> values;
+        for (int i = 0; i < 4; ++i) {
+          values[n.s[i]] = (selects >> i) & 1;
+          values[n.x[i]] = mask_w(rng.next_u64(), 8);
+        }
+        values[n.w] = mask_w(rng.next_u64(), 16);
+        for (const auto& [net, v] : values) sim.set_input(net, v);
+        sim.settle();
+        ASSERT_EQ(sim.get(out), reference(*tree, values))
+            << c.name << ", selects " << selects;
+      }
+    }
+  }
+}
 
 /// Random registers (enables, reset values, reset-less ones), wires
 /// between them and combinational outputs over inputs, registers and wires,
