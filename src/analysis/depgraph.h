@@ -36,15 +36,12 @@ class ThreadDepGraph {
 
   /// Strongly connected components with more than one node (or a self
   /// loop): these are the potential deadlock cycles. Each component lists
-  /// thread indices.
-  [[nodiscard]] std::vector<std::vector<int>> deadlock_cycles() const;
-  [[nodiscard]] bool has_deadlock_risk() const {
-    return !deadlock_cycles().empty();
+  /// thread indices in ascending order; components come in reverse
+  /// topological order of the graph.
+  [[nodiscard]] const std::vector<std::vector<int>>& deadlock_cycles() const {
+    return cycles_;
   }
-
-  /// Threads in a producer-before-consumer topological order; empty when the
-  /// graph is cyclic.
-  [[nodiscard]] std::vector<int> topological_order() const;
+  [[nodiscard]] bool has_deadlock_risk() const { return !cycles_.empty(); }
 
   /// Human-readable description of each potential deadlock cycle.
   [[nodiscard]] std::vector<std::string> deadlock_reports() const;
@@ -53,7 +50,7 @@ class ThreadDepGraph {
   std::vector<std::string> threads_;
   std::unordered_map<std::string, int> thread_ids_;  // name -> first thread
   std::vector<Edge> edges_;
-  std::vector<std::vector<int>> adjacency_;
+  std::vector<std::vector<int>> cycles_;
 };
 
 }  // namespace hicsync::analysis

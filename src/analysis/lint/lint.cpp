@@ -21,10 +21,9 @@ const char* to_string(Stage s) {
 // LintContext
 // ---------------------------------------------------------------------------
 
-LintContext::LintContext(const hic::Program& program, const hic::Sema& sema)
-    : program_(program),
-      sema_(sema),
-      depgraph_(ThreadDepGraph::build(program, sema.dependencies())) {
+LintContext::LintContext(const hic::Program& program, const hic::Sema& sema,
+                         const ThreadDepGraph& depgraph)
+    : program_(program), sema_(sema), depgraph_(depgraph) {
   cfgs_.reserve(program.threads.size());
   for (const hic::ThreadDecl& t : program.threads) {
     cfgs_.push_back(Cfg::build(t));

@@ -65,11 +65,14 @@ struct LintOptions {
 };
 
 /// Everything a check may inspect. Per-thread CFGs and access lists are
-/// built once here and shared by all passes; the memory map and port plans
-/// are attached by the compiler before the PreGenerate stage runs.
+/// built once here and shared by all passes; the thread dependence graph is
+/// the compiler's own (built for its deadlock phase, so it must outlive
+/// this context); the memory map and port plans are attached by the
+/// compiler before the PreGenerate stage runs.
 class LintContext {
  public:
-  LintContext(const hic::Program& program, const hic::Sema& sema);
+  LintContext(const hic::Program& program, const hic::Sema& sema,
+              const ThreadDepGraph& depgraph);
   LintContext(const LintContext&) = delete;
   LintContext& operator=(const LintContext&) = delete;
 
@@ -99,7 +102,7 @@ class LintContext {
   const hic::Sema& sema_;
   std::vector<Cfg> cfgs_;  // one per thread, program order
   std::vector<std::vector<Access>> accesses_;  // parallel to cfgs_
-  ThreadDepGraph depgraph_;
+  const ThreadDepGraph& depgraph_;
   const memalloc::MemoryMap* map_ = nullptr;
   const std::vector<memalloc::BramPortPlan>* plans_ = nullptr;
 };

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "bound/lattice.h"
+#include "support/graph.h"
 #include "support/strings.h"
 
 namespace hicsync::bound {
@@ -15,85 +16,27 @@ using verify::SyncOp;
 
 /// Marks the nodes of one thread graph (successors from NodeModel, which
 /// include the Exit→Entry restart edge) that lie on a cycle made of
-/// usable nodes. Iterative Tarjan; a node is "on a cycle" when its SCC is
-/// nontrivial or it has a usable self-loop.
+/// usable nodes: their SCC over the usable subgraph is nontrivial or they
+/// have a self-loop. `graph` is scratch, reused across calls.
 std::vector<char> cycle_nodes(const verify::ThreadModel& tm,
-                              const std::vector<char>& usable) {
+                              const std::vector<char>& usable,
+                              support::Csr& graph) {
   const std::size_t n = tm.nodes.size();
-  std::vector<std::int32_t> index(n, -1);
-  std::vector<std::int32_t> lowlink(n, -1);
-  std::vector<char> on_stack(n, 0);
-  std::vector<std::int32_t> comp(n, -1);
-  std::vector<std::int32_t> stack;
-  std::vector<std::int32_t> comp_size;
-  std::int32_t counter = 0;
-
-  struct Frame {
-    std::int32_t v;
-    std::size_t next = 0;
-  };
-  for (std::size_t v0 = 0; v0 < n; ++v0) {
-    if (!usable[v0] || index[v0] >= 0) continue;
-    std::vector<Frame> dfs;
-    dfs.push_back({static_cast<std::int32_t>(v0)});
-    index[v0] = lowlink[v0] = counter++;
-    stack.push_back(static_cast<std::int32_t>(v0));
-    on_stack[v0] = 1;
-    while (!dfs.empty()) {
-      Frame& f = dfs.back();
-      const auto& succs = tm.nodes[static_cast<std::size_t>(f.v)].succs;
-      bool descended = false;
-      while (f.next < succs.size()) {
-        std::size_t w = static_cast<std::size_t>(succs[f.next]);
-        ++f.next;
-        if (!usable[w]) continue;
-        if (index[w] < 0) {
-          index[w] = lowlink[w] = counter++;
-          stack.push_back(static_cast<std::int32_t>(w));
-          on_stack[w] = 1;
-          dfs.push_back({static_cast<std::int32_t>(w)});
-          descended = true;
-          break;
-        }
-        if (on_stack[w]) {
-          lowlink[static_cast<std::size_t>(f.v)] =
-              std::min(lowlink[static_cast<std::size_t>(f.v)], index[w]);
-        }
-      }
-      if (descended) continue;
-      std::int32_t v = f.v;
-      dfs.pop_back();
-      if (!dfs.empty()) {
-        std::size_t p = static_cast<std::size_t>(dfs.back().v);
-        lowlink[p] =
-            std::min(lowlink[p], lowlink[static_cast<std::size_t>(v)]);
-      }
-      if (lowlink[static_cast<std::size_t>(v)] ==
-          index[static_cast<std::size_t>(v)]) {
-        std::int32_t c = static_cast<std::int32_t>(comp_size.size());
-        comp_size.push_back(0);
-        while (true) {
-          std::int32_t w = stack.back();
-          stack.pop_back();
-          on_stack[static_cast<std::size_t>(w)] = 0;
-          comp[static_cast<std::size_t>(w)] = c;
-          ++comp_size.back();
-          if (w == v) break;
-        }
-      }
-    }
-  }
-
-  std::vector<char> on_cycle(n, 0);
+  graph.offsets.assign(1, 0);
+  graph.targets.clear();
   for (std::size_t v = 0; v < n; ++v) {
-    if (!usable[v] || comp[v] < 0) continue;
-    if (comp_size[static_cast<std::size_t>(comp[v])] > 1) {
-      on_cycle[v] = 1;
-      continue;
+    if (usable[v]) {
+      for (int s : tm.nodes[v].succs) {
+        if (usable[static_cast<std::size_t>(s)]) graph.targets.push_back(s);
+      }
     }
-    for (int s : tm.nodes[v].succs) {
-      if (static_cast<std::size_t>(s) == v && usable[v]) on_cycle[v] = 1;
-    }
+    graph.offsets.push_back(static_cast<int>(graph.targets.size()));
+  }
+  const support::Scc scc = support::strongly_connected(graph);
+  std::vector<char> on_cycle(n, 0);
+  for (int c = 0; c < scc.count(); ++c) {
+    if (!scc.cyclic(graph, c)) continue;
+    for (int v : scc.members(c)) on_cycle[static_cast<std::size_t>(v)] = 1;
   }
   return on_cycle;
 }
@@ -261,7 +204,7 @@ class ThreadCycles {
         if (((key_[i / 64] >> (i % 64)) & 1ULL) == 0) usable[n] = 0;
       }
     }
-    e.on_cycle = cycle_nodes(tm, usable);
+    e.on_cycle = cycle_nodes(tm, usable, graph_);
     e.live = std::find(e.on_cycle.begin(), e.on_cycle.end(), 1) !=
              e.on_cycle.end();
     ++scans_;
@@ -280,6 +223,7 @@ class ThreadCycles {
   int frozen_thread_ = -1;
   Entry frozen_;
   Key key_;  // scratch
+  support::Csr graph_;  // scratch
   std::uint64_t scans_ = 0;
 };
 

@@ -133,10 +133,12 @@ std::unique_ptr<CompileResult> Compiler::compile(
   }
 
   // Static deadlock detection (§1: "deadlocks are identified statically").
+  // The graph stays alive for lint, which borrows it.
+  analysis::ThreadDepGraph depgraph;
   {
     perf::ScopedPhase phase(prof, "deadlock");
-    auto depgraph = analysis::ThreadDepGraph::build(r.program_,
-                                                    r.sema_->dependencies());
+    depgraph = analysis::ThreadDepGraph::build(r.program_,
+                                               r.sema_->dependencies());
     r.deadlock_warnings_ = depgraph.deadlock_reports();
   }
 
@@ -146,7 +148,8 @@ std::unique_ptr<CompileResult> Compiler::compile(
   lint::LintDriver lint_driver(options_.lint, r.diags_);
   if (options_.lint.enabled) {
     perf::ScopedPhase phase(prof, "lint");
-    lint_ctx = std::make_unique<lint::LintContext>(r.program_, *r.sema_);
+    lint_ctx = std::make_unique<lint::LintContext>(r.program_, *r.sema_,
+                                                   depgraph);
     lint::LintDriver::Summary s =
         lint_driver.run(lint::Stage::PostSema, *lint_ctx);
     r.lint_errors_ += static_cast<std::size_t>(s.errors);

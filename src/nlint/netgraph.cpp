@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "support/graph.h"
+
 namespace hicsync::nlint {
 namespace {
 
@@ -91,12 +93,10 @@ const rtl::RtlExpr* NetGraph::comb_driver(int net) const {
 
 void NetGraph::find_cycles() {
   // Net-level dependency graph restricted to continuously driven nets:
-  // edge u -> v when v's driver reads u. Iterative Tarjan.
+  // edge u -> v when v's driver reads u. Edges are listed in (v ascending,
+  // u ascending) order, so out-edges of u come in ascending v.
   const int n = net_count();
-  // Edges in (v ascending, u ascending) order, then bucketed by u with a
-  // stable counting sort: out-edges of u are listed in ascending v.
   std::vector<std::pair<int, int>> edges;  // (u, v)
-  std::vector<char> has_self(static_cast<std::size_t>(n), 0);
   std::vector<int> refs;
   for (int v = 0; v < n; ++v) {
     if (comb_driver(v) == nullptr) continue;
@@ -107,106 +107,25 @@ void NetGraph::find_cycles() {
     for (int u : refs) {
       if (comb_driver(u) == nullptr && u != v) continue;
       edges.emplace_back(u, v);
-      if (u == v) has_self[static_cast<std::size_t>(u)] = 1;
     }
   }
-  std::vector<std::size_t> edge_begin(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [u, v] : edges) {
-    ++edge_begin[static_cast<std::size_t>(u) + 1];
-  }
-  for (std::size_t u = 0; u < static_cast<std::size_t>(n); ++u) {
-    edge_begin[u + 1] += edge_begin[u];
-  }
-  std::vector<int> edge_to(edges.size());
-  {
-    std::vector<std::size_t> fill(edge_begin.begin(), edge_begin.end() - 1);
-    for (const auto& [u, v] : edges) {
-      edge_to[fill[static_cast<std::size_t>(u)]++] = v;
-    }
-  }
-  auto out_edges = [&](std::size_t u) {
-    return std::span<const int>(edge_to.data() + edge_begin[u],
-                                edge_to.data() + edge_begin[u + 1]);
-  };
+  const auto graph = support::Csr::from_edges(n, edges);
+  const support::Scc scc = support::strongly_connected(graph);
 
-  std::vector<int> index(static_cast<std::size_t>(n), -1);
-  std::vector<int> lowlink(static_cast<std::size_t>(n), 0);
-  std::vector<char> on_stack(static_cast<std::size_t>(n), 0);
-  std::vector<int> stack;
-  int next_index = 0;
-
-  struct Frame {
-    int v;
-    std::size_t edge;
-  };
-  std::vector<Frame> call;
-  std::vector<std::vector<int>> sccs;
-
-  for (int root = 0; root < n; ++root) {
-    if (index[static_cast<std::size_t>(root)] != -1) continue;
-    if (comb_driver(root) == nullptr) continue;
-    call.push_back(Frame{root, 0});
-    while (!call.empty()) {
-      Frame& f = call.back();
-      auto uv = static_cast<std::size_t>(f.v);
-      if (f.edge == 0) {
-        index[uv] = lowlink[uv] = next_index++;
-        stack.push_back(f.v);
-        on_stack[uv] = 1;
-      }
-      bool descended = false;
-      const std::span<const int> succs = out_edges(uv);
-      while (f.edge < succs.size()) {
-        int w = succs[f.edge++];
-        auto uw = static_cast<std::size_t>(w);
-        if (index[uw] == -1) {
-          call.push_back(Frame{w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[uw]) {
-          lowlink[uv] = std::min(lowlink[uv], index[uw]);
-        }
-      }
-      if (descended) continue;
-      if (lowlink[uv] == index[uv]) {
-        std::vector<int> scc;
-        while (true) {
-          int w = stack.back();
-          stack.pop_back();
-          on_stack[static_cast<std::size_t>(w)] = 0;
-          scc.push_back(w);
-          if (w == f.v) break;
-        }
-        if (scc.size() > 1 || has_self[uv]) sccs.push_back(std::move(scc));
-      }
-      int child = f.v;
-      call.pop_back();
-      if (!call.empty()) {
-        auto up = static_cast<std::size_t>(call.back().v);
-        lowlink[up] = std::min(lowlink[up],
-                               lowlink[static_cast<std::size_t>(child)]);
-      }
-    }
-  }
-
-  // Order each SCC along an actual cycle: walk in-SCC edges from the first
-  // net until it closes.
-  for (auto& scc : sccs) {
-    std::vector<char> in_scc(static_cast<std::size_t>(n), 0);
-    for (int v : scc) {
-      in_scc[static_cast<std::size_t>(v)] = 1;
-      on_cycle_[static_cast<std::size_t>(v)] = 1;
-    }
+  // Order each cyclic SCC along an actual cycle: walk in-SCC edges from its
+  // first-popped net until the walk closes.
+  std::vector<char> visited(static_cast<std::size_t>(n), 0);
+  for (int c = 0; c < scc.count(); ++c) {
+    if (!scc.cyclic(graph, c)) continue;
+    for (int v : scc.members(c)) on_cycle_[static_cast<std::size_t>(v)] = 1;
     std::vector<int> ordered;
-    std::vector<char> visited(static_cast<std::size_t>(n), 0);
-    int cur = scc.front();
+    int cur = scc.members(c).front();
     while (!visited[static_cast<std::size_t>(cur)]) {
       visited[static_cast<std::size_t>(cur)] = 1;
       ordered.push_back(cur);
       int next = -1;
-      for (int w : out_edges(static_cast<std::size_t>(cur))) {
-        if (in_scc[static_cast<std::size_t>(w)]) {
+      for (int w : graph.row(cur)) {
+        if (scc.comp[static_cast<std::size_t>(w)] == c) {
           next = w;
           break;
         }

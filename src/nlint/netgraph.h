@@ -3,7 +3,7 @@
 // Built once per analyzed module: per-net driver/reader inventory (who
 // continuously assigns, sequentially assigns, or memory-reads into each
 // net), the combinational dependency graph with its strongly connected
-// components (Tarjan) for loop detection, constant folding over
+// components (support::strongly_connected) for loop detection, constant folding over
 // combinational cones, and cone-support queries (the terminal inputs/
 // registers a net's combinational value depends on) used by the one-hot
 // prover's exhaustive fallback.

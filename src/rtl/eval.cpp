@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <utility>
+
+#include "support/graph.h"
 
 namespace hicsync::rtl {
 namespace {
@@ -82,10 +85,9 @@ std::vector<int> topological_order(const Module& module) {
     driver_of[static_cast<std::size_t>(assigns[i].target)] =
         static_cast<int>(i);
   }
-  // Edges driver -> reader, grouped by driver in ascending reader order
-  // (compressed rows: dependents of d are edges[first[d], first[d + 1])).
+  // Edges driver -> reader, listed by ascending reader, so each driver's
+  // row holds its readers in ascending order.
   std::vector<int> indegree(n, 0);
-  std::vector<int> first(n + 1, 0);
   std::vector<std::pair<int, int>> edges;
   std::vector<int> refs;
   for (std::size_t i = 0; i < n; ++i) {
@@ -96,17 +98,11 @@ std::vector<int> topological_order(const Module& module) {
       const int d = driver_of[static_cast<std::size_t>(r)];
       if (d < 0) continue;
       edges.emplace_back(d, static_cast<int>(i));
-      ++first[static_cast<std::size_t>(d) + 1];
       ++indegree[i];
     }
   }
-  for (std::size_t d = 0; d < n; ++d) first[d + 1] += first[d];
-  std::vector<int> dependents(edges.size());
-  std::vector<int> fill(first.begin(), first.end() - 1);
-  for (const auto& [d, i] : edges) {
-    dependents[static_cast<std::size_t>(fill[static_cast<std::size_t>(d)]++)] =
-        i;
-  }
+  const auto dependents =
+      support::Csr::from_edges(static_cast<int>(n), edges);
 
   std::vector<int> order;
   order.reserve(n);
@@ -118,9 +114,7 @@ std::vector<int> topological_order(const Module& module) {
     const int i = ready.back();
     ready.pop_back();
     order.push_back(i);
-    const auto row = static_cast<std::size_t>(i);
-    for (int e = first[row]; e < first[row + 1]; ++e) {
-      const int d = dependents[static_cast<std::size_t>(e)];
+    for (int d : dependents.row(i)) {
       if (--indegree[static_cast<std::size_t>(d)] == 0) ready.push_back(d);
     }
   }

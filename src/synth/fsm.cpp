@@ -275,17 +275,6 @@ int ThreadFsm::latency_bound() const {
   std::vector<int> depth(n, -2);  // -2 unvisited, -3 in progress
   for (auto& d : depth) d = -2;
 
-  auto successors = [&](const FsmState& s) {
-    std::vector<int> out;
-    if (s.next >= 0) out.push_back(s.next);
-    if (s.true_target >= 0) out.push_back(s.true_target);
-    if (s.false_target >= 0) out.push_back(s.false_target);
-    for (const auto& ct : s.case_targets) {
-      if (ct.target >= 0) out.push_back(ct.target);
-    }
-    return out;
-  };
-
   bool cyclic = false;
   auto dfs = [&](auto&& self, int id) -> int {
     auto i = static_cast<std::size_t>(id);
@@ -296,9 +285,8 @@ int ThreadFsm::latency_bound() const {
     if (depth[i] >= 0) return depth[i];
     depth[i] = -3;
     int best = 0;
-    for (int s : successors(states_[i])) {
-      best = std::max(best, 1 + self(self, s));
-    }
+    states_[i].for_each_successor(
+        [&](int s) { best = std::max(best, 1 + self(self, s)); });
     depth[i] = best;
     return best;
   };

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,18 @@ struct FsmState {
   std::vector<CaseTransition> case_targets;
 
   std::vector<StateAccess> accesses;
+
+  /// Calls f(target) for every transition target that is set: next, the
+  /// true and false targets, then each case target.
+  template <class F>
+  void for_each_successor(F&& f) const {
+    for (int t : {next, true_target, false_target}) {
+      if (t >= 0) f(t);
+    }
+    for (const CaseTransition& ct : case_targets) {
+      if (ct.target >= 0) f(ct.target);
+    }
+  }
 
   [[nodiscard]] bool blocks() const {
     for (const auto& a : accesses) {

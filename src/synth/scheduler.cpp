@@ -63,13 +63,7 @@ ScheduleStats schedule(ThreadFsm& fsm, const SchedulePolicy& policy) {
   auto compute_pred_counts = [&]() {
     std::map<int, int> preds;
     for (const FsmState& s : states) {
-      auto bump = [&](int t) {
-        if (t >= 0) ++preds[t];
-      };
-      bump(s.next);
-      bump(s.true_target);
-      bump(s.false_target);
-      for (const auto& ct : s.case_targets) bump(ct.target);
+      s.for_each_successor([&](int t) { ++preds[t]; });
     }
     return preds;
   };
@@ -117,16 +111,12 @@ ScheduleStats schedule(ThreadFsm& fsm, const SchedulePolicy& policy) {
   while (!stack.empty()) {
     const FsmState& s = states[static_cast<std::size_t>(stack.back())];
     stack.pop_back();
-    auto visit = [&](int t) {
-      if (t >= 0 && !reachable[static_cast<std::size_t>(t)]) {
+    s.for_each_successor([&](int t) {
+      if (!reachable[static_cast<std::size_t>(t)]) {
         reachable[static_cast<std::size_t>(t)] = 1;
         stack.push_back(t);
       }
-    };
-    visit(s.next);
-    visit(s.true_target);
-    visit(s.false_target);
-    for (const auto& ct : s.case_targets) visit(ct.target);
+    });
   }
 
   std::vector<int> remap(states.size(), -1);

@@ -1,8 +1,8 @@
 #include "verify/checker.h"
 
 #include <algorithm>
-#include <unordered_map>
 
+#include "support/graph.h"
 #include "support/json.h"
 #include "support/strings.h"
 
@@ -18,118 +18,6 @@ const char* to_string(Verdict v) {
 }
 
 namespace {
-
-/// Iterative Tarjan SCC over the subgraph of `members` (state ids) with
-/// edges drawn from `succs` filtered to members. Emits SCCs in reverse
-/// topological order (every successor component before its predecessors).
-class SccFinder {
- public:
-  SccFinder(const Explorer& ex, const std::vector<std::int32_t>& members)
-      : ex_(ex) {
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      local_.emplace(members[i], static_cast<std::int32_t>(i));
-    }
-    members_ = members;
-    index_.assign(members.size(), -1);
-    lowlink_.assign(members.size(), -1);
-    on_stack_.assign(members.size(), false);
-    comp_.assign(members.size(), -1);
-  }
-
-  void run() {
-    for (std::size_t v = 0; v < members_.size(); ++v) {
-      if (index_[v] < 0) strongconnect(static_cast<std::int32_t>(v));
-    }
-  }
-
-  /// Component id per local vertex; ids are emission-ordered (reverse
-  /// topological).
-  [[nodiscard]] const std::vector<std::int32_t>& comp() const { return comp_; }
-  [[nodiscard]] std::int32_t num_comps() const { return num_comps_; }
-  [[nodiscard]] const std::vector<std::int32_t>& members() const {
-    return members_;
-  }
-  /// Local vertex id for state `s`, or -1.
-  [[nodiscard]] std::int32_t local(std::int32_t s) const {
-    auto it = local_.find(s);
-    return it == local_.end() ? -1 : it->second;
-  }
-
- private:
-  void strongconnect(std::int32_t v0) {
-    // Explicit DFS stack: (vertex, next-successor-index).
-    struct Frame {
-      std::int32_t v;
-      std::size_t next = 0;
-    };
-    std::vector<Frame> dfs;
-    dfs.push_back({v0});
-    index_[static_cast<std::size_t>(v0)] = counter_;
-    lowlink_[static_cast<std::size_t>(v0)] = counter_;
-    ++counter_;
-    stack_.push_back(v0);
-    on_stack_[static_cast<std::size_t>(v0)] = true;
-
-    while (!dfs.empty()) {
-      Frame& f = dfs.back();
-      const std::vector<std::int32_t>& out =
-          ex_.succs(members_[static_cast<std::size_t>(f.v)]);
-      bool descended = false;
-      while (f.next < out.size()) {
-        std::int32_t w = local(out[f.next]);
-        ++f.next;
-        if (w < 0) continue;  // edge leaves the subgraph
-        if (index_[static_cast<std::size_t>(w)] < 0) {
-          index_[static_cast<std::size_t>(w)] = counter_;
-          lowlink_[static_cast<std::size_t>(w)] = counter_;
-          ++counter_;
-          stack_.push_back(w);
-          on_stack_[static_cast<std::size_t>(w)] = true;
-          dfs.push_back({w});
-          descended = true;
-          break;
-        }
-        if (on_stack_[static_cast<std::size_t>(w)]) {
-          lowlink_[static_cast<std::size_t>(f.v)] =
-              std::min(lowlink_[static_cast<std::size_t>(f.v)],
-                       index_[static_cast<std::size_t>(w)]);
-        }
-      }
-      if (descended) continue;
-      // v is finished.
-      std::int32_t v = f.v;
-      dfs.pop_back();
-      if (!dfs.empty()) {
-        std::int32_t p = dfs.back().v;
-        lowlink_[static_cast<std::size_t>(p)] =
-            std::min(lowlink_[static_cast<std::size_t>(p)],
-                     lowlink_[static_cast<std::size_t>(v)]);
-      }
-      if (lowlink_[static_cast<std::size_t>(v)] ==
-          index_[static_cast<std::size_t>(v)]) {
-        std::int32_t c = num_comps_++;
-        while (true) {
-          std::int32_t w = stack_.back();
-          stack_.pop_back();
-          on_stack_[static_cast<std::size_t>(w)] = false;
-          comp_[static_cast<std::size_t>(w)] = c;
-          if (w == v) break;
-        }
-      }
-    }
-  }
-
-  const Explorer& ex_;
-  std::vector<std::int32_t> members_;
-  std::unordered_map<std::int32_t, std::int32_t> local_;
-  std::vector<std::int32_t> index_;
-  std::vector<std::int32_t> lowlink_;
-  std::vector<bool> on_stack_;
-  std::vector<std::int32_t> comp_;
-  std::vector<std::int32_t> stack_;
-  std::int32_t counter_ = 0;
-  std::int32_t num_comps_ = 0;
-};
 
 /// Worst-case blocked streak for the consumer endpoint (`di`, `k`).
 BlockingBound endpoint_bound(const ProgramModel& model, const Explorer& ex,
@@ -164,8 +52,18 @@ BlockingBound endpoint_bound(const ProgramModel& model, const Explorer& ex,
     return b;
   }
 
-  SccFinder scc(ex, members);
-  scc.run();
+  // The subgraph induced by S_e over local ids (positions in `members`,
+  // which is sorted), successors in Explorer order.
+  support::Csr graph;
+  for (const std::int32_t m : members) {
+    for (const std::int32_t succ : ex.succs(m)) {
+      auto it = std::lower_bound(members.begin(), members.end(), succ);
+      if (it == members.end() || *it != succ) continue;  // leaves S_e
+      graph.targets.push_back(static_cast<int>(it - members.begin()));
+    }
+    graph.offsets.push_back(static_cast<int>(graph.targets.size()));
+  }
+  const support::Scc scc = support::strongly_connected(graph);
 
   // A nontrivial SCC means other threads can cycle while the consumer
   // waits. If its read is never enabled anywhere in the cycle, only the
@@ -173,47 +71,34 @@ BlockingBound endpoint_bound(const ProgramModel& model, const Explorer& ex,
   // assumptions. If the read is enabled somewhere in the cycle, round-robin
   // fairness guarantees the grant within one arbitration window, so the
   // whole component contributes once.
-  std::vector<std::int32_t> comp_size(
-      static_cast<std::size_t>(scc.num_comps()), 0);
-  std::vector<bool> comp_self_loop(static_cast<std::size_t>(scc.num_comps()),
-                                   false);
-  std::vector<bool> comp_enabled(static_cast<std::size_t>(scc.num_comps()),
-                                 false);
-  for (std::size_t v = 0; v < members.size(); ++v) {
-    std::int32_t c = scc.comp()[v];
-    ++comp_size[static_cast<std::size_t>(c)];
-    const State& s = ex.state(members[v]);
-    bool enabled = true;
-    for (const SyncOp& op : node.ops) {
-      if (!ex.op_enabled(s, op)) enabled = false;
-    }
-    if (enabled) comp_enabled[static_cast<std::size_t>(c)] = true;
-    for (std::int32_t succ : ex.succs(members[v])) {
-      if (succ == members[v]) comp_self_loop[static_cast<std::size_t>(c)] = true;
-    }
-  }
-  // Longest path over the condensation DAG. Tarjan emits components in
-  // reverse topological order, so a single pass in emission order sees
-  // every successor's value first.
-  std::vector<std::uint64_t> longest(static_cast<std::size_t>(scc.num_comps()),
+  //
+  // Longest path over the condensation DAG. Components come in reverse
+  // topological order, so a single pass in that order sees every
+  // successor's value first.
+  std::vector<std::uint64_t> longest(static_cast<std::size_t>(scc.count()),
                                      0);
-  std::vector<std::vector<std::int32_t>> comp_succs(
-      static_cast<std::size_t>(scc.num_comps()));
-  for (std::size_t v = 0; v < members.size(); ++v) {
-    std::int32_t c = scc.comp()[v];
-    for (std::int32_t succ : ex.succs(members[v])) {
-      std::int32_t w = scc.local(succ);
-      if (w < 0) continue;
-      std::int32_t cw = scc.comp()[static_cast<std::size_t>(w)];
-      if (cw != c) comp_succs[static_cast<std::size_t>(c)].push_back(cw);
-    }
-  }
   b.bounded = true;
   std::uint64_t best = 0;
-  for (std::int32_t c = 0; c < scc.num_comps(); ++c) {
-    std::size_t ci = static_cast<std::size_t>(c);
-    bool nontrivial = comp_size[ci] > 1 || comp_self_loop[ci];
-    if (nontrivial && !comp_enabled[ci]) {
+  for (int c = 0; c < scc.count(); ++c) {
+    const std::span<const int> comp = scc.members(c);
+    bool enabled_somewhere = false;
+    std::uint64_t through = 0;
+    for (const int v : comp) {
+      const State& s = ex.state(members[static_cast<std::size_t>(v)]);
+      bool enabled = true;
+      for (const SyncOp& op : node.ops) {
+        if (!ex.op_enabled(s, op)) enabled = false;
+      }
+      if (enabled) enabled_somewhere = true;
+      for (const int w : graph.row(v)) {
+        const int cw = scc.comp[static_cast<std::size_t>(w)];
+        if (cw != c) {
+          through = std::max(through, longest[static_cast<std::size_t>(cw)]);
+        }
+      }
+    }
+    const bool nontrivial = scc.cyclic(graph, c);
+    if (nontrivial && !enabled_somewhere) {
       b.bounded = false;
       b.note = support::format(
           "other threads can loop forever while '%s' waits at its read of "
@@ -225,13 +110,8 @@ BlockingBound endpoint_bound(const ProgramModel& model, const Explorer& ex,
     // Weight: each state of the component is one abstract step another
     // thread can take while the consumer stays blocked; a fairness-exited
     // cycle contributes its state count once.
-    std::uint64_t w = static_cast<std::uint64_t>(comp_size[ci]);
-    std::uint64_t through = 0;
-    for (std::int32_t cw : comp_succs[ci]) {
-      through = std::max(through,
-                         longest[static_cast<std::size_t>(cw)]);
-    }
-    longest[ci] = w + through;
+    const auto ci = static_cast<std::size_t>(c);
+    longest[ci] = static_cast<std::uint64_t>(comp.size()) + through;
     if (nontrivial) b.fairness_cycle = true;
     best = std::max(best, longest[ci]);
   }

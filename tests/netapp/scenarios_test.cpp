@@ -50,9 +50,6 @@ TEST(Scenarios, IpForwardingCompilesDeadlockFree) {
   auto g = analysis::ThreadDepGraph::build(c->program,
                                            c->sema->dependencies());
   EXPECT_FALSE(g.has_deadlock_risk());
-  // rx* before fwd before tx* in the topological order.
-  auto order = g.topological_order();
-  ASSERT_EQ(order.size(), 5u);
 }
 
 TEST(Scenarios, IpForwardingEndToEndSimulation) {
