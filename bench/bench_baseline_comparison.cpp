@@ -72,7 +72,7 @@ int main() {
       cfg.data_width = geometry.data_width;
       cfg.num_clients = consumers + 1;
       rtl::Design d;
-      rtl::Module& m = baseline::generate_bare(d, cfg, "bare");
+      baseline::ClientModule m = baseline::generate_bare(d, cfg, "bare");
       add_row("polling", "manual polling (bare)", "no", consumers,
               mapper.map(m),
               baseline::run_polling_handoff(m, consumers, rounds));
@@ -84,7 +84,8 @@ int main() {
       cfg.num_clients = consumers + 1;
       cfg.lock_addrs = {4, 6};
       rtl::Design d;
-      rtl::Module& m = baseline::generate_lockmem(d, cfg, "lockmem");
+      baseline::ClientModule m =
+          baseline::generate_lockmem(d, cfg, "lockmem");
       add_row("lockmem", "locks (lockmem)", "no", consumers, mapper.map(m),
               baseline::run_lock_handoff(m, consumers, rounds));
     }

@@ -11,11 +11,16 @@
 // publish→all-consumed latency (min/mean/max), plus the two ablations
 // DESIGN.md calls out:
 //   * round-robin vs fixed-priority arbitration on port C,
-//   * the event-driven static consumer order (first vs reversed).
+//   * the event-driven static consumer order: fanout_source(n) compiled as
+//     written and with its #consumer pragma reversed, each consumer's
+//     publish→c_valid wait measured on both.
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "baseline/protocols.h"
@@ -39,6 +44,60 @@ void add_row(support::TextTable& table, const char* name, int consumers,
                  std::to_string(m.max_latency()),
                  m.latencies_identical() ? "deterministic" : "varies",
                  m.ok ? "ok" : "FAILED"});
+}
+
+/// fanout_source(consumers) with its #consumer pragma listing the
+/// consumers last to first.
+std::string reversed_pragma_source(int consumers) {
+  std::string src = netapp::fanout_source(consumers);
+  std::string forward;
+  std::string reversed;
+  for (int i = 0; i < consumers; ++i) {
+    const std::string n = std::to_string(i);
+    const std::string m = std::to_string(consumers - 1 - i);
+    forward += ", [c" + n + ",v" + n + "]";
+    reversed += ", [c" + m + ",v" + m + "]";
+  }
+  const std::string pragma = "#consumer{pkt";
+  const std::size_t at = src.find(pragma + forward + "}");
+  if (at == std::string::npos) {
+    std::fprintf(stderr, "fanout_source has no #consumer{pkt, ...} list\n");
+    std::exit(1);
+  }
+  src.replace(at + pragma.size(), forward.size(), reversed);
+  return src;
+}
+
+/// Each consumer thread's publish→c_valid wait on the event-driven
+/// controller of `source`, by thread index (thread c<k> at k).
+std::vector<std::uint64_t> consumer_waits(const std::string& source,
+                                          int consumers, int rounds,
+                                          bool* ok) {
+  auto ev = bench::compile_design(source, sim::OrgKind::EventDriven);
+  const memorg::GeneratedController& ctrl = ev->controllers().front();
+  const auto metrics = baseline::run_eventdriven_handoff(ctrl, rounds);
+  *ok &= metrics.ok;
+  std::vector<std::uint64_t> waits(static_cast<std::size_t>(consumers), 0);
+  const std::vector<int>& ports = ctrl.entries.front().consumer_ports;
+  for (std::size_t i = 0; i < ports.size(); ++i) {
+    for (const memalloc::PortClient& client : ctrl.plan.clients) {
+      if (client.port != memalloc::LogicalPort::C ||
+          client.pseudo_port != ports[i]) {
+        continue;
+      }
+      const int k = std::atoi(client.thread.c_str() + 1);  // "c<k>"
+      waits[static_cast<std::size_t>(k)] = metrics.consumer_latencies[i];
+    }
+  }
+  return waits;
+}
+
+std::string join_waits(const std::vector<std::uint64_t>& waits) {
+  std::string out;
+  for (std::uint64_t w : waits) {
+    out += (out.empty() ? "" : " ") + std::to_string(w);
+  }
+  return out;
 }
 
 }  // namespace
@@ -67,8 +126,11 @@ int main() {
           memorg::arbitrated_config_from(ctrl.bram, ctrl.plan);
       cfg.round_robin = false;
       rtl::Design d;
+      memorg::ControllerModule regenerated =
+          memorg::generate_arbitrated(d, cfg, "arb_fp");
       memorg::GeneratedController fixed = ctrl;
-      fixed.module = &memorg::generate_arbitrated(d, cfg, "arb_fp");
+      fixed.module = &regenerated.module;
+      fixed.ports = std::move(regenerated.ports);
       auto metrics = baseline::run_arbitrated_handoff(fixed, rounds);
       add_row(table, "arbitrated (fixed priority)", consumers, metrics);
       ok &= metrics.ok;
@@ -158,10 +220,35 @@ int main() {
   }
   std::printf("%s\n", jitter_table.str().c_str());
 
-  std::printf("event-driven static order ablation: consumer k reads "
-              "exactly k+1 schedule\nslots after the write; reversing the "
-              "#consumer pragma order exactly reverses\nwho waits longest "
-              "- the compile-time knob of §3.2.\n\n");
+  // ---- §3.2 static order ablation: the #consumer pragma order is the
+  // consumers' slot order, so reversing it should reverse who waits
+  // longest after the write.
+  std::printf("=== event-driven static order ablation: publish -> c_valid "
+              "per consumer (%d rounds, longest wait) ===\n\n", rounds);
+  support::TextTable order_table(
+      {"consumers", "#consumer order", "wait of c0 .. c(n-1)", "longest"});
+  bool order_reverses = true;
+  for (int consumers : {2, 4, 8}) {
+    const auto forward = consumer_waits(netapp::fanout_source(consumers),
+                                        consumers, rounds, &ok);
+    const auto reversed = consumer_waits(reversed_pragma_source(consumers),
+                                         consumers, rounds, &ok);
+    for (const auto* waits : {&forward, &reversed}) {
+      const auto longest = std::max_element(waits->begin(), waits->end());
+      order_table.add_row(
+          {std::to_string(consumers),
+           waits == &forward ? "pragma (c0 first)" : "reversed (c0 last)",
+           join_waits(*waits),
+           "c" + std::to_string(longest - waits->begin())});
+    }
+    const std::vector<std::uint64_t> mirrored(reversed.rbegin(),
+                                              reversed.rend());
+    order_reverses &= forward == mirrored && forward.front() != forward.back();
+  }
+  std::printf("%s\n", order_table.str().c_str());
+  std::printf("reversing the #consumer pragma order %s the consumers' "
+              "waits\n\n",
+              order_reverses ? "exactly reverses" : "does NOT reverse");
 
   std::printf("§3.1/§3.2 conclusion check: arbitrated latency varies under "
               "probabilistic\ntraffic (bus-style arbitration), event-driven "
@@ -172,6 +259,7 @@ int main() {
   report.set("handoff_correct", ok);
   report.set("arbitrated_latency_varies", varies["arbitrated"]);
   report.set("eventdriven_latency_varies", varies["event-driven"]);
+  report.set("eventdriven_order_reverses", order_reverses);
   report.write();
   return ok ? 0 : 1;
 }

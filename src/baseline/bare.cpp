@@ -1,5 +1,6 @@
 #include "baseline/bare.h"
 
+#include "memorg/ports.h"
 #include "rtl/builder.h"
 #include "support/bits.h"
 
@@ -12,9 +13,11 @@ using rtl::eref;
 using rtl::RtlExprPtr;
 using rtl::RtlOp;
 
-rtl::Module& generate_bare(rtl::Design& design, const BareConfig& cfg,
+ClientModule generate_bare(rtl::Design& design, const BareConfig& cfg,
                            const std::string& name) {
-  rtl::Module& m = design.add_module(name);
+  ClientModule out{design.add_module(name), {}, -1};
+  rtl::Module& m = out.module;
+  out.clients.resize(static_cast<std::size_t>(cfg.num_clients));
   const int aw = cfg.addr_width;
   const int dw = cfg.data_width;
   const int n = cfg.num_clients;
@@ -23,28 +26,25 @@ rtl::Module& generate_bare(rtl::Design& design, const BareConfig& cfg,
   (void)m.clk();
   (void)m.rst();
 
-  int a_en = m.add_input("a_en", 1);
-  int a_we = m.add_input("a_we", 1);
-  int a_addr = m.add_input("a_addr", aw);
-  int a_wdata = m.add_input("a_wdata", dw);
-  int a_rdata = m.add_output_reg("a_rdata", dw);
+  const memorg::PortA a = memorg::add_port_a(m, aw, dw);
 
+  auto client = [&](int i) -> ClientPort& {
+    return out.clients[static_cast<std::size_t>(i)];
+  };
   std::vector<int> req(static_cast<std::size_t>(n));
-  std::vector<int> we(static_cast<std::size_t>(n));
-  std::vector<int> addr(static_cast<std::size_t>(n));
-  std::vector<int> wdata(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     std::string s = std::to_string(i);
-    req[static_cast<std::size_t>(i)] = m.add_input("req" + s, 1);
-    we[static_cast<std::size_t>(i)] = m.add_input("we" + s, 1);
-    addr[static_cast<std::size_t>(i)] = m.add_input("addr" + s, aw);
-    wdata[static_cast<std::size_t>(i)] = m.add_input("wdata" + s, dw);
+    ClientPort& c = client(i);
+    c.req = req[static_cast<std::size_t>(i)] = m.add_input("req" + s, 1);
+    c.we = m.add_input("we" + s, 1);
+    c.addr = m.add_input("addr" + s, aw);
+    c.wdata = m.add_input("wdata" + s, dw);
   }
-  int bus_rdata = m.add_output_reg("bus_rdata", dw);
+  out.bus_rdata = m.add_output_reg("bus_rdata", dw);
 
   rtl::ArbiterNets arb = rtl::build_round_robin_arbiter(m, req, "arb");
   for (int i = 0; i < n; ++i) {
-    int g = m.add_output("grant" + std::to_string(i), 1);
+    int g = client(i).grant = m.add_output("grant" + std::to_string(i), 1);
     m.assign(g, eref(arb.grant[static_cast<std::size_t>(i)], 1));
   }
 
@@ -54,14 +54,15 @@ rtl::Module& generate_bare(rtl::Design& design, const BareConfig& cfg,
   std::vector<RtlExprPtr> rd_terms;
   std::vector<RtlExprPtr> ids;
   for (int i = 0; i < n; ++i) {
-    addr_vals.push_back(eref(addr[static_cast<std::size_t>(i)], aw));
-    data_vals.push_back(eref(wdata[static_cast<std::size_t>(i)], dw));
+    const ClientPort& c = client(i);
+    addr_vals.push_back(eref(c.addr, aw));
+    data_vals.push_back(eref(c.wdata, dw));
     we_terms.push_back(
         ebin(RtlOp::And, eref(arb.grant[static_cast<std::size_t>(i)], 1),
-             eref(we[static_cast<std::size_t>(i)], 1)));
+             eref(c.we, 1)));
     rd_terms.push_back(
         ebin(RtlOp::And, eref(arb.grant[static_cast<std::size_t>(i)], 1),
-             enot(eref(we[static_cast<std::size_t>(i)], 1))));
+             enot(eref(c.we, 1))));
     ids.push_back(econst(static_cast<std::uint64_t>(i), ow));
   }
   int port1_addr = m.add_reg("port1_addr", aw);
@@ -82,31 +83,16 @@ rtl::Module& generate_bare(rtl::Design& design, const BareConfig& cfg,
   int id2 = m.add_reg("grant_id_q2", ow);
   m.seq(id2, eref(id1, ow));
   for (int i = 0; i < n; ++i) {
-    int v = m.add_output("valid" + std::to_string(i), 1);
+    int v = client(i).valid = m.add_output("valid" + std::to_string(i), 1);
     m.assign(v, ebin(RtlOp::And, eref(v2, 1),
                      ebin(RtlOp::Eq, eref(id2, ow),
                           econst(static_cast<std::uint64_t>(i), ow))));
   }
 
-  rtl::Memory& mem = m.add_memory("mem", dw, 1 << aw);
-  {
-    rtl::MemoryPort p0;
-    p0.addr = eref(a_addr, aw);
-    p0.write_enable = ebin(RtlOp::And, eref(a_en, 1), eref(a_we, 1));
-    p0.write_data = eref(a_wdata, dw);
-    p0.read_data = a_rdata;
-    mem.ports.push_back(std::move(p0));
-  }
-  {
-    rtl::MemoryPort p1;
-    p1.addr = eref(port1_addr, aw);
-    p1.write_enable = eref(port1_we, 1);
-    p1.write_data = eref(port1_wdata, dw);
-    p1.read_data = bus_rdata;
-    mem.ports.push_back(std::move(p1));
-  }
+  memorg::add_dual_port_bram(m, a, port1_addr, port1_we, port1_wdata,
+                             out.bus_rdata);
 
-  return m;
+  return out;
 }
 
 }  // namespace hicsync::baseline

@@ -9,10 +9,30 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "rtl/netlist.h"
 
 namespace hicsync::baseline {
+
+/// One client of a baseline wrapper: req<i>, we<i>, addr<i>, wdata<i> ->
+/// grant<i>, valid<i>; on the lock controller also lock_req<i>,
+/// lock_addr<i>, unlock_req<i> -> lock_grant<i> (else -1).
+struct ClientPort {
+  int req = -1, we = -1, addr = -1, wdata = -1, grant = -1, valid = -1;
+  int lock_req = -1, lock_addr = -1, unlock_req = -1, lock_grant = -1;
+};
+
+/// What generate_bare / generate_lockmem return: the module, its clients'
+/// ports and the shared read bus. Converts to the module for callers that
+/// want only the netlist.
+struct ClientModule {
+  rtl::Module& module;
+  std::vector<ClientPort> clients;
+  int bus_rdata = -1;
+
+  operator rtl::Module&() const { return module; }
+};
 
 struct BareConfig {
   int addr_width = 9;
@@ -22,7 +42,7 @@ struct BareConfig {
 
 /// Port names: clk, rst; a_en/a_we/a_addr/a_wdata -> a_rdata;
 /// req<i>/we<i>/addr<i>/wdata<i> -> grant<i>, valid<i>, bus_rdata.
-rtl::Module& generate_bare(rtl::Design& design, const BareConfig& cfg,
+ClientModule generate_bare(rtl::Design& design, const BareConfig& cfg,
                            const std::string& name);
 
 }  // namespace hicsync::baseline

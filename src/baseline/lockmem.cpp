@@ -1,5 +1,6 @@
 #include "baseline/lockmem.h"
 
+#include "memorg/ports.h"
 #include "rtl/builder.h"
 #include "support/bits.h"
 
@@ -14,9 +15,11 @@ using rtl::ereduce_or;
 using rtl::RtlExprPtr;
 using rtl::RtlOp;
 
-rtl::Module& generate_lockmem(rtl::Design& design, const LockMemConfig& cfg,
+ClientModule generate_lockmem(rtl::Design& design, const LockMemConfig& cfg,
                               const std::string& name) {
-  rtl::Module& m = design.add_module(name);
+  ClientModule out{design.add_module(name), {}, -1};
+  rtl::Module& m = out.module;
+  out.clients.resize(static_cast<std::size_t>(cfg.num_clients));
   const int aw = cfg.addr_width;
   const int dw = cfg.data_width;
   const int n = cfg.num_clients;
@@ -27,40 +30,27 @@ rtl::Module& generate_lockmem(rtl::Design& design, const LockMemConfig& cfg,
   (void)m.rst();
 
   // Direct port 0.
-  int a_en = m.add_input("a_en", 1);
-  int a_we = m.add_input("a_we", 1);
-  int a_addr = m.add_input("a_addr", aw);
-  int a_wdata = m.add_input("a_wdata", dw);
-  int a_rdata = m.add_output_reg("a_rdata", dw);
+  const memorg::PortA a = memorg::add_port_a(m, aw, dw);
 
   // Clients.
-  std::vector<int> req(static_cast<std::size_t>(n));
-  std::vector<int> we(static_cast<std::size_t>(n));
-  std::vector<int> addr(static_cast<std::size_t>(n));
-  std::vector<int> wdata(static_cast<std::size_t>(n));
-  std::vector<int> grant(static_cast<std::size_t>(n));
-  std::vector<int> valid(static_cast<std::size_t>(n));
-  std::vector<int> lock_req(static_cast<std::size_t>(n));
-  std::vector<int> lock_addr(static_cast<std::size_t>(n));
-  std::vector<int> unlock_req(static_cast<std::size_t>(n));
-  std::vector<int> lock_grant(static_cast<std::size_t>(n));
+  auto client = [&](int i) -> ClientPort& {
+    return out.clients[static_cast<std::size_t>(i)];
+  };
   for (int i = 0; i < n; ++i) {
     std::string s = std::to_string(i);
-    req[static_cast<std::size_t>(i)] = m.add_input("req" + s, 1);
-    we[static_cast<std::size_t>(i)] = m.add_input("we" + s, 1);
-    addr[static_cast<std::size_t>(i)] = m.add_input("addr" + s, aw);
-    wdata[static_cast<std::size_t>(i)] = m.add_input("wdata" + s, dw);
-    grant[static_cast<std::size_t>(i)] = m.add_output("grant" + s, 1);
-    valid[static_cast<std::size_t>(i)] = m.add_output("valid" + s, 1);
-    lock_req[static_cast<std::size_t>(i)] = m.add_input("lock_req" + s, 1);
-    lock_addr[static_cast<std::size_t>(i)] =
-        m.add_input("lock_addr" + s, aw);
-    unlock_req[static_cast<std::size_t>(i)] =
-        m.add_input("unlock_req" + s, 1);
-    lock_grant[static_cast<std::size_t>(i)] =
-        m.add_output("lock_grant" + s, 1);
+    ClientPort& c = client(i);
+    c.req = m.add_input("req" + s, 1);
+    c.we = m.add_input("we" + s, 1);
+    c.addr = m.add_input("addr" + s, aw);
+    c.wdata = m.add_input("wdata" + s, dw);
+    c.grant = m.add_output("grant" + s, 1);
+    c.valid = m.add_output("valid" + s, 1);
+    c.lock_req = m.add_input("lock_req" + s, 1);
+    c.lock_addr = m.add_input("lock_addr" + s, aw);
+    c.unlock_req = m.add_input("unlock_req" + s, 1);
+    c.lock_grant = m.add_output("lock_grant" + s, 1);
   }
-  int bus_rdata = m.add_output_reg("bus_rdata", dw);
+  out.bus_rdata = m.add_output_reg("bus_rdata", dw);
 
   // ---- Lock registers: held bit + owner per lockable entry. ----
   std::vector<int> held(static_cast<std::size_t>(nl));
@@ -88,9 +78,9 @@ rtl::Module& generate_lockmem(rtl::Design& design, const LockMemConfig& cfg,
           "want_l" + std::to_string(l) + "_c" + std::to_string(i), 1);
       m.assign(w,
                ebin(RtlOp::And,
-                    eref(lock_req[static_cast<std::size_t>(i)], 1),
+                    eref(client(i).lock_req, 1),
                     ebin(RtlOp::And,
-                         lock_match(lock_addr[static_cast<std::size_t>(i)],
+                         lock_match(client(i).lock_addr,
                                     l),
                          enot(eref(held[static_cast<std::size_t>(l)], 1)))));
       want[static_cast<std::size_t>(i)] = w;
@@ -103,7 +93,7 @@ rtl::Module& generate_lockmem(rtl::Design& design, const LockMemConfig& cfg,
     std::vector<RtlExprPtr> rel_terms;
     for (int i = 0; i < n; ++i) {
       rel_terms.push_back(ebin(
-          RtlOp::And, eref(unlock_req[static_cast<std::size_t>(i)], 1),
+          RtlOp::And, eref(client(i).unlock_req, 1),
           ebin(RtlOp::And, eref(held[static_cast<std::size_t>(l)], 1),
                ebin(RtlOp::Eq, eref(owner[static_cast<std::size_t>(l)], ow),
                     econst(static_cast<std::uint64_t>(i), ow)))));
@@ -146,7 +136,7 @@ rtl::Module& generate_lockmem(rtl::Design& design, const LockMemConfig& cfg,
                econst(static_cast<std::uint64_t>(i), ow)));
       holds.push_back(std::move(now));
     }
-    m.assign(lock_grant[static_cast<std::size_t>(i)],
+    m.assign(client(i).lock_grant,
              rtl::eor_tree(std::move(holds), 1));
   }
 
@@ -159,19 +149,19 @@ rtl::Module& generate_lockmem(rtl::Design& design, const LockMemConfig& cfg,
     for (int l = 0; l < nl; ++l) {
       // Conflict: address matches a lock held by someone else.
       conflicts.push_back(ebin(
-          RtlOp::And, lock_match(addr[static_cast<std::size_t>(i)], l),
+          RtlOp::And, lock_match(client(i).addr, l),
           ebin(RtlOp::And, eref(held[static_cast<std::size_t>(l)], 1),
                ebin(RtlOp::Ne, eref(owner[static_cast<std::size_t>(l)], ow),
                     econst(static_cast<std::uint64_t>(i), ow)))));
     }
     int w = m.add_wire("allowed" + std::to_string(i), 1);
-    m.assign(w, ebin(RtlOp::And, eref(req[static_cast<std::size_t>(i)], 1),
+    m.assign(w, ebin(RtlOp::And, eref(client(i).req, 1),
                      enot(rtl::eor_tree(std::move(conflicts), 1))));
     allowed[static_cast<std::size_t>(i)] = w;
   }
   rtl::ArbiterNets arb = rtl::build_round_robin_arbiter(m, allowed, "arb");
   for (int i = 0; i < n; ++i) {
-    m.assign(grant[static_cast<std::size_t>(i)],
+    m.assign(client(i).grant,
              eref(arb.grant[static_cast<std::size_t>(i)], 1));
   }
 
@@ -180,11 +170,11 @@ rtl::Module& generate_lockmem(rtl::Design& design, const LockMemConfig& cfg,
   std::vector<RtlExprPtr> data_vals;
   std::vector<RtlExprPtr> we_terms;
   for (int i = 0; i < n; ++i) {
-    addr_vals.push_back(eref(addr[static_cast<std::size_t>(i)], aw));
-    data_vals.push_back(eref(wdata[static_cast<std::size_t>(i)], dw));
+    addr_vals.push_back(eref(client(i).addr, aw));
+    data_vals.push_back(eref(client(i).wdata, dw));
     we_terms.push_back(
         ebin(RtlOp::And, eref(arb.grant[static_cast<std::size_t>(i)], 1),
-             eref(we[static_cast<std::size_t>(i)], 1)));
+             eref(client(i).we, 1)));
   }
   int port1_addr = m.add_reg("port1_addr", aw);
   m.seq(port1_addr,
@@ -201,7 +191,7 @@ rtl::Module& generate_lockmem(rtl::Design& design, const LockMemConfig& cfg,
   for (int i = 0; i < n; ++i) {
     read_grants.push_back(
         ebin(RtlOp::And, eref(arb.grant[static_cast<std::size_t>(i)], 1),
-             enot(eref(we[static_cast<std::size_t>(i)], 1))));
+             enot(eref(client(i).we, 1))));
   }
   m.seq(v1, rtl::eor_tree(std::move(read_grants), 1));
   int v2 = m.add_reg("valid_q2", 1);
@@ -215,32 +205,17 @@ rtl::Module& generate_lockmem(rtl::Design& design, const LockMemConfig& cfg,
   int id2 = m.add_reg("grant_id_q2", ow);
   m.seq(id2, eref(id1, ow));
   for (int i = 0; i < n; ++i) {
-    m.assign(valid[static_cast<std::size_t>(i)],
+    m.assign(client(i).valid,
              ebin(RtlOp::And, eref(v2, 1),
                   ebin(RtlOp::Eq, eref(id2, ow),
                        econst(static_cast<std::uint64_t>(i), ow))));
   }
 
   // ---- BRAM. ----
-  rtl::Memory& mem = m.add_memory("mem", dw, 1 << aw);
-  {
-    rtl::MemoryPort p0;
-    p0.addr = eref(a_addr, aw);
-    p0.write_enable = ebin(RtlOp::And, eref(a_en, 1), eref(a_we, 1));
-    p0.write_data = eref(a_wdata, dw);
-    p0.read_data = a_rdata;
-    mem.ports.push_back(std::move(p0));
-  }
-  {
-    rtl::MemoryPort p1;
-    p1.addr = eref(port1_addr, aw);
-    p1.write_enable = eref(port1_we, 1);
-    p1.write_data = eref(port1_wdata, dw);
-    p1.read_data = bus_rdata;
-    mem.ports.push_back(std::move(p1));
-  }
+  memorg::add_dual_port_bram(m, a, port1_addr, port1_we, port1_wdata,
+                             out.bus_rdata);
 
-  return m;
+  return out;
 }
 
 }  // namespace hicsync::baseline

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline/bare.h"
 #include "rtl/netlist.h"
 
 namespace hicsync::baseline {
@@ -36,7 +37,8 @@ struct LockMemConfig {
   std::vector<std::uint32_t> lock_addrs;
 };
 
-rtl::Module& generate_lockmem(rtl::Design& design, const LockMemConfig& cfg,
+/// Returns the module with its clients' ports (lock ports included).
+ClientModule generate_lockmem(rtl::Design& design, const LockMemConfig& cfg,
                               const std::string& name);
 
 }  // namespace hicsync::baseline

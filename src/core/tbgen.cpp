@@ -10,27 +10,25 @@ namespace hicsync::core {
 
 namespace {
 
-std::string idx(const char* base, int i) {
-  return std::string(base) + std::to_string(i);
-}
-
-/// Steps until `signal` is 1 (pre-edge); throws after `max` cycles.
-void wait_for(rtl::TestbenchRecorder& rec, const std::string& signal,
-              int max) {
+/// Steps until `net` is 1 (pre-edge); throws after `max` cycles.
+void wait_for(rtl::TestbenchRecorder& rec, const rtl::Module& module,
+              int net, int max) {
   for (int i = 0; i < max; ++i) {
     rec.sim().settle();
-    if (rec.sim().get(signal) != 0) return;
+    if (rec.sim().get(net) != 0) return;
     rec.step();
   }
-  throw std::runtime_error("testbench generation: '" + signal +
-                           "' never asserted");
+  throw std::runtime_error("testbench generation: '" +
+                           module.net(net).name + "' never asserted");
 }
 
-/// Steps until the event-driven selection logic sits in `slot`; throws
-/// after `max` cycles (the slot only moves when its owner fires).
-void wait_for_slot(rtl::TestbenchRecorder& rec, int slot, int max) {
+/// Steps until the event-driven selection logic (register `slot_net`)
+/// sits in `slot`; throws after `max` cycles (the slot only moves when its
+/// owner fires).
+void wait_for_slot(rtl::TestbenchRecorder& rec, int slot_net, int slot,
+                   int max) {
   for (int i = 0; i < max; ++i) {
-    if (static_cast<int>(rec.sim().get("slot")) == slot) return;
+    if (static_cast<int>(rec.sim().get(slot_net)) == slot) return;
     rec.step();
   }
   throw std::runtime_error("testbench generation: slot " +
@@ -49,12 +47,13 @@ std::string generate_controller_testbench(const CompileResult& result,
     throw std::runtime_error("testbench generation: unknown bram id " +
                              std::to_string(bram_id));
   }
-  const rtl::Module* module = ctrl->module;
+  const rtl::Module& module = *ctrl->module;
+  const memorg::ControllerPorts& ports = ctrl->ports;
   const std::vector<memorg::DepEntry>& entries = ctrl->entries;
   const bool event_driven =
       ctrl->organization == memorg::OrgKind::EventDriven;
 
-  rtl::TestbenchRecorder rec(*module);
+  rtl::TestbenchRecorder rec(module);
   rec.reset();
 
   // One exchange per entry, walked in the §3.2 slot order (each entry's
@@ -66,35 +65,32 @@ std::string generate_controller_testbench(const CompileResult& result,
     const memorg::DepEntry& e = entries[static_cast<std::size_t>(slot.entry)];
     const std::uint64_t value =
         0xC0DE + static_cast<std::uint64_t>(slot.entry);
-    if (slot.is_producer && event_driven) {
-      // Wait for the producer's slot, then fire.
-      wait_for_slot(rec, static_cast<int>(s), 8);
-      rec.set_input(idx("p_req", e.producer_port), 1);
-      rec.set_input(idx("p_addr", e.producer_port), e.base_address);
-      rec.set_input(idx("p_wdata", e.producer_port), value);
-      wait_for(rec, idx("p_grant", e.producer_port), 8);
+    if (slot.is_producer) {
+      const memorg::ProducerPort& p =
+          ports.producers[static_cast<std::size_t>(e.producer_port)];
+      // An event-driven producer waits for its slot, then fires.
+      if (event_driven) wait_for_slot(rec, ports.slot, static_cast<int>(s), 8);
+      rec.set_input(p.req, 1);
+      rec.set_input(p.addr, e.base_address);
+      rec.set_input(p.wdata, value);
+      wait_for(rec, module, p.grant, 8);
       rec.step();
-      rec.set_input(idx("p_req", e.producer_port), 0);
-    } else if (slot.is_producer) {
-      rec.set_input(idx("d_req", e.producer_port), 1);
-      rec.set_input(idx("d_addr", e.producer_port), e.base_address);
-      rec.set_input(idx("d_wdata", e.producer_port), value);
-      wait_for(rec, idx("d_grant", e.producer_port), 8);
-      rec.step();
-      rec.set_input(idx("d_req", e.producer_port), 0);
+      rec.set_input(p.req, 0);
     } else {
-      rec.set_input(idx("c_req", slot.port), 1);
-      rec.set_input(idx("c_addr", slot.port), e.base_address);
+      const memorg::ConsumerPort& c =
+          ports.consumers[static_cast<std::size_t>(slot.port)];
+      rec.set_input(c.req, 1);
+      rec.set_input(c.addr, e.base_address);
       if (event_driven) {
         // The slot fires on the request; data valid two cycles later.
         rec.step();
-        rec.set_input(idx("c_req", slot.port), 0);
-        wait_for(rec, idx("c_valid", slot.port), 8);
+        rec.set_input(c.req, 0);
+        wait_for(rec, module, c.valid, 8);
       } else {
-        wait_for(rec, idx("c_grant", slot.port), 8);
+        wait_for(rec, module, c.grant, 8);
         rec.step();
-        rec.set_input(idx("c_req", slot.port), 0);
-        wait_for(rec, idx("c_valid", slot.port), 8);
+        rec.set_input(c.req, 0);
+        wait_for(rec, module, c.valid, 8);
       }
       rec.step();
     }
@@ -103,9 +99,9 @@ std::string generate_controller_testbench(const CompileResult& result,
   rec.step();
   rec.step();
 
-  std::string out = rtl::emit_module(*module);
+  std::string out = rtl::emit_module(module);
   out += "\n";
-  out += rec.emit("tb_" + module->name());
+  out += rec.emit("tb_" + module.name());
   return out;
 }
 

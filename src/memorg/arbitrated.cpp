@@ -16,10 +16,20 @@ using rtl::ereduce_or;
 using rtl::RtlExprPtr;
 using rtl::RtlOp;
 
-rtl::Module& generate_arbitrated(rtl::Design& design,
-                                 const ArbitratedConfig& cfg,
-                                 const std::string& name) {
-  rtl::Module& m = design.add_module(name);
+ControllerModule generate_arbitrated(rtl::Design& design,
+                                     const ArbitratedConfig& cfg,
+                                     const std::string& name) {
+  ControllerModule out{design.add_module(name), {}};
+  rtl::Module& m = out.module;
+  ControllerPorts& ports = out.ports;
+  ports.consumers.resize(static_cast<std::size_t>(cfg.num_consumers));
+  ports.producers.resize(static_cast<std::size_t>(cfg.num_producers));
+  auto cp = [&](int i) -> ConsumerPort& {
+    return ports.consumers[static_cast<std::size_t>(i)];
+  };
+  auto pp = [&](int j) -> ProducerPort& {
+    return ports.producers[static_cast<std::size_t>(j)];
+  };
   const int aw = cfg.addr_width;
   const int dw = cfg.data_width;
   const int nc = cfg.num_consumers;
@@ -40,11 +50,7 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   (void)m.rst();
 
   // ---- Port A: direct access to physical port 0. ----
-  int a_en = m.add_input("a_en", 1);
-  int a_we = m.add_input("a_we", 1);
-  int a_addr = m.add_input("a_addr", aw);
-  int a_wdata = m.add_input("a_wdata", dw);
-  int a_rdata = m.add_output_reg("a_rdata", dw);
+  ports.a = add_port_a(m, aw, dw);
 
   // ---- Port B. ----
   int b_en = m.add_input("b_en", 1);
@@ -55,36 +61,22 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   int b_valid = m.add_output_reg("b_valid", 1);
 
   // ---- Port C pseudo-ports. ----
-  std::vector<int> c_req(static_cast<std::size_t>(nc));
-  std::vector<int> c_addr(static_cast<std::size_t>(nc));
-  std::vector<int> c_grant(static_cast<std::size_t>(nc));
-  std::vector<int> c_valid(static_cast<std::size_t>(nc));
   for (int i = 0; i < nc; ++i) {
-    c_req[static_cast<std::size_t>(i)] =
-        m.add_input("c_req" + std::to_string(i), 1);
-    c_addr[static_cast<std::size_t>(i)] =
-        m.add_input("c_addr" + std::to_string(i), aw);
-    c_grant[static_cast<std::size_t>(i)] =
-        m.add_output("c_grant" + std::to_string(i), 1);
-    c_valid[static_cast<std::size_t>(i)] =
-        m.add_output("c_valid" + std::to_string(i), 1);
+    const std::string n = std::to_string(i);
+    cp(i).req = m.add_input("c_req" + n, 1);
+    cp(i).addr = m.add_input("c_addr" + n, aw);
+    cp(i).grant = m.add_output("c_grant" + n, 1);
+    cp(i).valid = m.add_output("c_valid" + n, 1);
   }
-  int bus_rdata = m.add_output_reg("bus_rdata", dw);
+  ports.bus_rdata = m.add_output_reg("bus_rdata", dw);
 
   // ---- Port D pseudo-ports. ----
-  std::vector<int> d_req(static_cast<std::size_t>(np));
-  std::vector<int> d_addr(static_cast<std::size_t>(np));
-  std::vector<int> d_wdata(static_cast<std::size_t>(np));
-  std::vector<int> d_grant(static_cast<std::size_t>(np));
   for (int j = 0; j < np; ++j) {
-    d_req[static_cast<std::size_t>(j)] =
-        m.add_input("d_req" + std::to_string(j), 1);
-    d_addr[static_cast<std::size_t>(j)] =
-        m.add_input("d_addr" + std::to_string(j), aw);
-    d_wdata[static_cast<std::size_t>(j)] =
-        m.add_input("d_wdata" + std::to_string(j), dw);
-    d_grant[static_cast<std::size_t>(j)] =
-        m.add_output("d_grant" + std::to_string(j), 1);
+    const std::string n = std::to_string(j);
+    pp(j).req = m.add_input("d_req" + n, 1);
+    pp(j).addr = m.add_input("d_addr" + n, aw);
+    pp(j).wdata = m.add_input("d_wdata" + n, dw);
+    pp(j).grant = m.add_output("d_grant" + n, 1);
   }
 
   // ---- Dependency list: per-entry countdown registers. ----
@@ -196,9 +188,9 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
       m.seq(elig, econst(0, 1));
       continue;
     }
-    RtlExprPtr cond = consumer_cond(c_addr[static_cast<std::size_t>(i)]);
+    RtlExprPtr cond = consumer_cond(cp(i).addr);
     RtlExprPtr next = ebin(
-        RtlOp::And, eref(c_req[static_cast<std::size_t>(i)], 1),
+        RtlOp::And, eref(cp(i).req, 1),
         ebin(RtlOp::And, std::move(cond),
              enot(eref(c_granted[static_cast<std::size_t>(i)], 1))));
     m.seq(elig, std::move(next));
@@ -211,11 +203,11 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   for (int j = 0; j < np; ++j) {
     int elig = m.add_reg("d_elig_q" + std::to_string(j), 1);
     d_elig[static_cast<std::size_t>(j)] = elig;
-    RtlExprPtr cond = producer_cond(d_addr[static_cast<std::size_t>(j)]);
+    RtlExprPtr cond = producer_cond(pp(j).addr);
     RtlExprPtr next = ebin(
-        RtlOp::And, eref(d_req[static_cast<std::size_t>(j)], 1),
+        RtlOp::And, eref(pp(j).req, 1),
         ebin(RtlOp::And, std::move(cond),
-             enot(eref(d_grant[static_cast<std::size_t>(j)], 1))));
+             enot(eref(pp(j).grant, 1))));
     m.seq(elig, std::move(next));
   }
 
@@ -249,7 +241,7 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
                        enot(eref(any_d, 1))));
 
   for (int j = 0; j < np; ++j) {
-    m.assign(d_grant[static_cast<std::size_t>(j)],
+    m.assign(pp(j).grant,
              eref(d_arb.grant[static_cast<std::size_t>(j)], 1));
   }
   // A consumer grant is suppressed the cycle a producer write wins port 1.
@@ -260,21 +252,21 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
              ebin(RtlOp::And,
                   eref(c_arb.grant[static_cast<std::size_t>(i)], 1),
                   enot(eref(any_d, 1))));
-    m.assign(c_grant[static_cast<std::size_t>(i)],
+    m.assign(cp(i).grant,
              eref(c_granted[static_cast<std::size_t>(i)], 1));
   }
 
   // Port B goes last: only when C and D are silent (raw requests, per §3.1).
   RtlExprPtr any_c_req;
   for (int i = 0; i < nc; ++i) {
-    RtlExprPtr r = eref(c_req[static_cast<std::size_t>(i)], 1);
+    RtlExprPtr r = eref(cp(i).req, 1);
     any_c_req = any_c_req == nullptr
                     ? std::move(r)
                     : ebin(RtlOp::Or, std::move(any_c_req), std::move(r));
   }
   RtlExprPtr any_d_req;
   for (int j = 0; j < np; ++j) {
-    RtlExprPtr r = eref(d_req[static_cast<std::size_t>(j)], 1);
+    RtlExprPtr r = eref(pp(j).req, 1);
     any_d_req = any_d_req == nullptr
                     ? std::move(r)
                     : ebin(RtlOp::Or, std::move(any_d_req), std::move(r));
@@ -301,13 +293,13 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   std::vector<RtlExprPtr> addr_values;
   std::vector<RtlExprPtr> wdata_values;
   for (int j = 0; j < np; ++j) {
-    all_grants.push_back(d_grant[static_cast<std::size_t>(j)]);
-    addr_values.push_back(eref(d_addr[static_cast<std::size_t>(j)], aw));
-    wdata_values.push_back(eref(d_wdata[static_cast<std::size_t>(j)], dw));
+    all_grants.push_back(pp(j).grant);
+    addr_values.push_back(eref(pp(j).addr, aw));
+    wdata_values.push_back(eref(pp(j).wdata, dw));
   }
   for (int i = 0; i < nc; ++i) {
     all_grants.push_back(c_granted[static_cast<std::size_t>(i)]);
-    addr_values.push_back(eref(c_addr[static_cast<std::size_t>(i)], aw));
+    addr_values.push_back(eref(cp(i).addr, aw));
     wdata_values.push_back(econst(0, dw));
   }
   all_grants.push_back(b_grant);
@@ -325,23 +317,8 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
              ebin(RtlOp::And, eref(b_grant, 1), eref(b_we, 1))));
 
   // ---- The BRAM itself. ----
-  rtl::Memory& mem = m.add_memory("mem", dw, 1 << aw);
-  {
-    rtl::MemoryPort p0;  // port A
-    p0.addr = eref(a_addr, aw);
-    p0.write_enable = ebin(RtlOp::And, eref(a_en, 1), eref(a_we, 1));
-    p0.write_data = eref(a_wdata, dw);
-    p0.read_data = a_rdata;
-    mem.ports.push_back(std::move(p0));
-  }
-  {
-    rtl::MemoryPort p1;  // shared B/C/D port
-    p1.addr = eref(port1_addr, aw);
-    p1.write_enable = eref(port1_we, 1);
-    p1.write_data = eref(port1_wdata, dw);
-    p1.read_data = bus_rdata;
-    mem.ports.push_back(std::move(p1));
-  }
+  add_dual_port_bram(m, ports.a, port1_addr, port1_we, port1_wdata,
+                     ports.bus_rdata);
 
   // ---- Dependency-list countdown updates. ----
   for (int e = 0; e < ne; ++e) {
@@ -349,8 +326,8 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
     RtlExprPtr load;
     for (int j = 0; j < np; ++j) {
       RtlExprPtr term =
-          ebin(RtlOp::And, eref(d_grant[static_cast<std::size_t>(j)], 1),
-               pure_match(d_addr[static_cast<std::size_t>(j)], e));
+          ebin(RtlOp::And, eref(pp(j).grant, 1),
+               pure_match(pp(j).addr, e));
       load = load == nullptr
                  ? std::move(term)
                  : ebin(RtlOp::Or, std::move(load), std::move(term));
@@ -361,7 +338,7 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
     for (int i = 0; i < nc; ++i) {
       RtlExprPtr term =
           ebin(RtlOp::And, eref(c_granted[static_cast<std::size_t>(i)], 1),
-               pure_match(c_addr[static_cast<std::size_t>(i)], e));
+               pure_match(cp(i).addr, e));
       dec = dec == nullptr ? std::move(term)
                            : ebin(RtlOp::Or, std::move(dec), std::move(term));
     }
@@ -401,7 +378,7 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   int id2 = m.add_reg("c_grant_id_q2", idw);
   m.seq(id2, eref(id1, idw));
   for (int i = 0; i < nc; ++i) {
-    m.assign(c_valid[static_cast<std::size_t>(i)],
+    m.assign(cp(i).valid,
              ebin(RtlOp::And, eref(valid2, 1),
                   ebin(RtlOp::Eq, eref(id2, idw),
                        econst(static_cast<std::uint64_t>(i), idw))));
@@ -410,7 +387,7 @@ rtl::Module& generate_arbitrated(rtl::Design& design,
   m.seq(b_valid1, ebin(RtlOp::And, eref(b_grant, 1), enot(eref(b_we, 1))));
   m.seq(b_valid, eref(b_valid1, 1));
 
-  return m;
+  return out;
 }
 
 ArbitratedConfig arbitrated_config_from(const memalloc::BramInstance& bram,

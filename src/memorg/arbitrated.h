@@ -20,7 +20,8 @@
 // non-deterministic: the round-robin arbiter decides the delay after the
 // producer's write.
 //
-// Generated port names (i = pseudo-port index):
+// Generated port names (i = pseudo-port index); every port but B is also
+// in the returned ControllerPorts (memorg/ports.h):
 //   clk, rst
 //   a_en, a_we, a_addr, a_wdata  ->  a_rdata (registered)
 //   b_en, b_we, b_addr, b_wdata  ->  b_grant, b_valid, bus_rdata
@@ -31,6 +32,7 @@
 #include <string>
 
 #include "memorg/deplist.h"
+#include "memorg/ports.h"
 #include "rtl/netlist.h"
 
 namespace hicsync::memorg {
@@ -61,11 +63,12 @@ struct ArbitratedConfig {
   bool round_robin = true;
 };
 
-/// Generates the wrapper module into `design` and returns it. The module is
-/// flat (no instances) so it can run under rtl::ModuleSim.
-rtl::Module& generate_arbitrated(rtl::Design& design,
-                                 const ArbitratedConfig& config,
-                                 const std::string& name);
+/// Generates the wrapper module into `design` and returns it with its port
+/// map. The module is flat (no instances) so it can run under
+/// rtl::ModuleSim.
+ControllerModule generate_arbitrated(rtl::Design& design,
+                                     const ArbitratedConfig& config,
+                                     const std::string& name);
 
 /// Derives a config from an allocated BRAM and its port plan.
 [[nodiscard]] ArbitratedConfig arbitrated_config_from(

@@ -48,11 +48,15 @@ GeneratedController build_controller(rtl::Design& design,
   if (options.organization == OrgKind::Arbitrated) {
     ArbitratedConfig cfg = arbitrated_config_from(c.bram, c.plan);
     cfg.use_cam = options.use_cam;
-    c.module = &generate_arbitrated(design, cfg, name);
+    ControllerModule generated = generate_arbitrated(design, cfg, name);
+    c.module = &generated.module;
+    c.ports = std::move(generated.ports);
     c.entries = std::move(cfg.deps);
   } else {
     EventDrivenConfig cfg = eventdriven_config_from(c.bram, c.plan);
-    c.module = &generate_eventdriven(design, cfg, name);
+    ControllerModule generated = generate_eventdriven(design, cfg, name);
+    c.module = &generated.module;
+    c.ports = std::move(generated.ports);
     c.entries = std::move(cfg.deps);
   }
   return c;

@@ -6,7 +6,10 @@
 // Verilog backend) reads the same GeneratedController records. The record
 // carries the BRAM, port plan and dependency-list entries the module was
 // built from, so a hic-bound sizing hint that pruned a dead entry is seen
-// by everything that drives the module, not only by the generator.
+// by everything that drives the module, not only by the generator. It also
+// carries the module's port map (memorg/ports.h), filled by the generator
+// as it created each net: whatever drives the module binds its ports
+// through that map, never by rebuilding a net name.
 #pragma once
 
 #include <string>
@@ -17,6 +20,7 @@
 #include "memalloc/portplan.h"
 #include "memalloc/sizing.h"
 #include "memorg/deplist.h"
+#include "memorg/ports.h"
 #include "rtl/netlist.h"
 
 namespace hicsync::memorg {
@@ -44,6 +48,9 @@ struct GeneratedController {
   OrgKind organization = OrgKind::Arbitrated;
   /// Owned by the rtl::Design passed to build_controller.
   const rtl::Module* module = nullptr;
+  /// `module`'s ports: C and D pseudo-ports, port A, the read bus, and the
+  /// event-driven slot register.
+  ControllerPorts ports;
   /// The BRAM and port plan after any sizing hint: dead dependencies are
   /// gone and the surviving C/D pseudo-ports are renumbered densely.
   memalloc::BramInstance bram;

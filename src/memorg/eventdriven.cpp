@@ -17,10 +17,20 @@ using rtl::RtlOp;
 
 int total_slots(const EventDrivenConfig& cfg) { return total_slots(cfg.deps); }
 
-rtl::Module& generate_eventdriven(rtl::Design& design,
-                                  const EventDrivenConfig& cfg,
-                                  const std::string& name) {
-  rtl::Module& m = design.add_module(name);
+ControllerModule generate_eventdriven(rtl::Design& design,
+                                      const EventDrivenConfig& cfg,
+                                      const std::string& name) {
+  ControllerModule out{design.add_module(name), {}};
+  rtl::Module& m = out.module;
+  ControllerPorts& ports = out.ports;
+  ports.consumers.resize(static_cast<std::size_t>(cfg.num_consumers));
+  ports.producers.resize(static_cast<std::size_t>(cfg.num_producers));
+  auto cp = [&](int i) -> ConsumerPort& {
+    return ports.consumers[static_cast<std::size_t>(i)];
+  };
+  auto pp = [&](int j) -> ProducerPort& {
+    return ports.producers[static_cast<std::size_t>(j)];
+  };
   const int aw = cfg.addr_width;
   const int dw = cfg.data_width;
   const int nc = cfg.num_consumers;
@@ -33,50 +43,31 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
   (void)m.rst();
 
   // ---- Port A: direct. ----
-  int a_en = m.add_input("a_en", 1);
-  int a_we = m.add_input("a_we", 1);
-  int a_addr = m.add_input("a_addr", aw);
-  int a_wdata = m.add_input("a_wdata", dw);
-  int a_rdata = m.add_output_reg("a_rdata", dw);
+  ports.a = add_port_a(m, aw, dw);
 
   // ---- Producer ports. ----
-  std::vector<int> p_req(static_cast<std::size_t>(np));
-  std::vector<int> p_addr(static_cast<std::size_t>(np));
-  std::vector<int> p_wdata(static_cast<std::size_t>(np));
-  std::vector<int> p_grant(static_cast<std::size_t>(np));
   std::vector<int> ev_p(static_cast<std::size_t>(np));
   for (int j = 0; j < np; ++j) {
-    p_req[static_cast<std::size_t>(j)] =
-        m.add_input("p_req" + std::to_string(j), 1);
-    p_addr[static_cast<std::size_t>(j)] =
-        m.add_input("p_addr" + std::to_string(j), aw);
-    p_wdata[static_cast<std::size_t>(j)] =
-        m.add_input("p_wdata" + std::to_string(j), dw);
-    p_grant[static_cast<std::size_t>(j)] =
-        m.add_output("p_grant" + std::to_string(j), 1);
-    ev_p[static_cast<std::size_t>(j)] =
-        m.add_output("ev_p" + std::to_string(j), 1);
+    const std::string n = std::to_string(j);
+    pp(j).req = m.add_input("p_req" + n, 1);
+    pp(j).addr = m.add_input("p_addr" + n, aw);
+    pp(j).wdata = m.add_input("p_wdata" + n, dw);
+    pp(j).grant = m.add_output("p_grant" + n, 1);
+    ev_p[static_cast<std::size_t>(j)] = m.add_output("ev_p" + n, 1);
   }
 
   // ---- Consumer ports. ----
-  std::vector<int> c_req(static_cast<std::size_t>(nc));
-  std::vector<int> c_addr(static_cast<std::size_t>(nc));
-  std::vector<int> ev_c(static_cast<std::size_t>(nc));
-  std::vector<int> c_valid(static_cast<std::size_t>(nc));
   for (int i = 0; i < nc; ++i) {
-    c_req[static_cast<std::size_t>(i)] =
-        m.add_input("c_req" + std::to_string(i), 1);
-    c_addr[static_cast<std::size_t>(i)] =
-        m.add_input("c_addr" + std::to_string(i), aw);
-    ev_c[static_cast<std::size_t>(i)] =
-        m.add_output("ev_c" + std::to_string(i), 1);
-    c_valid[static_cast<std::size_t>(i)] =
-        m.add_output("c_valid" + std::to_string(i), 1);
+    const std::string n = std::to_string(i);
+    cp(i).req = m.add_input("c_req" + n, 1);
+    cp(i).addr = m.add_input("c_addr" + n, aw);
+    cp(i).ev = m.add_output("ev_c" + n, 1);
+    cp(i).valid = m.add_output("c_valid" + n, 1);
   }
-  int bus_rdata = m.add_output_reg("bus_rdata", dw);
+  ports.bus_rdata = m.add_output_reg("bus_rdata", dw);
 
   // ---- Selection logic state. ----
-  int slot = m.add_output_reg("slot", sw);
+  const int slot = ports.slot = m.add_output_reg("slot", sw);
   int prev_slot = m.add_reg("prev_slot", sw);
   int advance_valid = m.add_reg("advance_valid", 1);
 
@@ -101,9 +92,8 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
   std::vector<int> fire(slots.size());
   for (std::size_t s = 0; s < slots.size(); ++s) {
     int w = m.add_wire("fire_s" + std::to_string(s), 1);
-    int owner_req = slots[s].is_producer
-                        ? p_req[static_cast<std::size_t>(slots[s].port)]
-                        : c_req[static_cast<std::size_t>(slots[s].port)];
+    int owner_req = slots[s].is_producer ? pp(slots[s].port).req
+                                         : cp(slots[s].port).req;
     m.assign(w, ebin(RtlOp::And, slot_is(static_cast<int>(s)),
                      eref(owner_req, 1)));
     fire[s] = w;
@@ -121,18 +111,16 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
     }
     if (any == nullptr) any = econst(0, 1);
     m.assign(ev_p[static_cast<std::size_t>(j)], std::move(any));
-    m.assign(p_grant[static_cast<std::size_t>(j)],
-             [&]() -> RtlExprPtr {
-               RtlExprPtr g;
-               for (std::size_t s = 0; s < slots.size(); ++s) {
-                 if (!slots[s].is_producer || slots[s].port != j) continue;
-                 RtlExprPtr term = eref(fire[s], 1);
-                 g = g == nullptr
-                         ? std::move(term)
+    m.assign(pp(j).grant, [&]() -> RtlExprPtr {
+      RtlExprPtr g;
+      for (std::size_t s = 0; s < slots.size(); ++s) {
+        if (!slots[s].is_producer || slots[s].port != j) continue;
+        RtlExprPtr term = eref(fire[s], 1);
+        g = g == nullptr ? std::move(term)
                          : ebin(RtlOp::Or, std::move(g), std::move(term));
-               }
-               return g != nullptr ? std::move(g) : econst(0, 1);
-             }());
+      }
+      return g != nullptr ? std::move(g) : econst(0, 1);
+    }());
   }
   for (int i = 0; i < nc; ++i) {
     RtlExprPtr any;
@@ -144,7 +132,7 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
                 : ebin(RtlOp::Or, std::move(any), std::move(term));
     }
     if (any == nullptr) any = econst(0, 1);
-    m.assign(ev_c[static_cast<std::size_t>(i)], std::move(any));
+    m.assign(cp(i).ev, std::move(any));
   }
 
   // Slot advance: when the current slot's owner fires, move to the next
@@ -189,7 +177,7 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
       mine.push_back(ebin(RtlOp::Eq, eref(ps2, sw),
                           econst(static_cast<std::uint64_t>(s), sw)));
     }
-    m.assign(c_valid[static_cast<std::size_t>(i)],
+    m.assign(cp(i).valid,
              ebin(RtlOp::And, eref(v2, 1),
                   rtl::eor_tree(std::move(mine), 1)));
   }
@@ -206,15 +194,12 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
   for (std::size_t s = 0; s < slots.size(); ++s) {
     addr_sel.push_back(slot_onehot[s]);
     if (slots[s].is_producer) {
-      addr_vals.push_back(
-          eref(p_addr[static_cast<std::size_t>(slots[s].port)], aw));
+      addr_vals.push_back(eref(pp(slots[s].port).addr, aw));
       wdata_sel.push_back(slot_onehot[s]);
-      wdata_vals.push_back(
-          eref(p_wdata[static_cast<std::size_t>(slots[s].port)], dw));
+      wdata_vals.push_back(eref(pp(slots[s].port).wdata, dw));
       we_terms.push_back(eref(fire[s], 1));
     } else {
-      addr_vals.push_back(
-          eref(c_addr[static_cast<std::size_t>(slots[s].port)], aw));
+      addr_vals.push_back(eref(cp(slots[s].port).addr, aw));
     }
   }
   int port1_addr = m.add_reg("port1_addr", aw);
@@ -227,25 +212,10 @@ rtl::Module& generate_eventdriven(rtl::Design& design,
   m.seq(port1_we, rtl::eor_tree(std::move(we_terms), 1));
 
   // ---- BRAM. ----
-  rtl::Memory& mem = m.add_memory("mem", dw, 1 << aw);
-  {
-    rtl::MemoryPort p0;
-    p0.addr = eref(a_addr, aw);
-    p0.write_enable = ebin(RtlOp::And, eref(a_en, 1), eref(a_we, 1));
-    p0.write_data = eref(a_wdata, dw);
-    p0.read_data = a_rdata;
-    mem.ports.push_back(std::move(p0));
-  }
-  {
-    rtl::MemoryPort p1;
-    p1.addr = eref(port1_addr, aw);
-    p1.write_enable = eref(port1_we, 1);
-    p1.write_data = eref(port1_wdata, dw);
-    p1.read_data = bus_rdata;
-    mem.ports.push_back(std::move(p1));
-  }
+  add_dual_port_bram(m, ports.a, port1_addr, port1_we, port1_wdata,
+                     ports.bus_rdata);
 
-  return m;
+  return out;
 }
 
 EventDrivenConfig eventdriven_config_from(

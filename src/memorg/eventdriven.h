@@ -15,7 +15,8 @@
 // read. Post-write latency is deterministic: consumer k of a dependency
 // reads exactly k+1 accepted slots after the write.
 //
-// Generated port names:
+// Generated port names; all but ev_p<j> are also in the returned
+// ControllerPorts (memorg/ports.h):
 //   clk, rst
 //   a_en, a_we, a_addr, a_wdata -> a_rdata
 //   p_req<j>, p_addr<j>, p_wdata<j> -> p_grant<j>, ev_p<j>
@@ -26,6 +27,7 @@
 #include <string>
 
 #include "memorg/deplist.h"
+#include "memorg/ports.h"
 #include "rtl/netlist.h"
 
 namespace hicsync::memorg {
@@ -43,9 +45,11 @@ struct EventDrivenConfig {
   std::vector<DepEntry> deps;
 };
 
-rtl::Module& generate_eventdriven(rtl::Design& design,
-                                  const EventDrivenConfig& config,
-                                  const std::string& name);
+/// Generates the controller into `design` and returns it with its port
+/// map.
+ControllerModule generate_eventdriven(rtl::Design& design,
+                                      const EventDrivenConfig& config,
+                                      const std::string& name);
 
 [[nodiscard]] EventDrivenConfig eventdriven_config_from(
     const memalloc::BramInstance& bram, const memalloc::BramPortPlan& plan);

@@ -7,18 +7,16 @@ namespace hicsync::rtl {
 TestbenchRecorder::TestbenchRecorder(const Module& module)
     : module_(module), sim_(module) {}
 
-void TestbenchRecorder::set_input(const std::string& name,
-                                  std::uint64_t value) {
-  sim_.set_input(name, value);
-  current_.inputs[name] = value;
+void TestbenchRecorder::set_input(int net, std::uint64_t value) {
+  sim_.set_input(net, value);
+  current_.inputs[module_.net(net).name] = value;
 }
 
 void TestbenchRecorder::step() {
   sim_.settle();
   for (const Port& p : module_.ports()) {
     if (p.dir != PortDir::Output) continue;
-    current_.expected[module_.net(p.net).name] =
-        sim_.get(module_.net(p.net).name);
+    current_.expected[module_.net(p.net).name] = sim_.get(p.net);
   }
   sim_.step();
   trace_.push_back(std::move(current_));

@@ -28,8 +28,11 @@ class TestbenchRecorder {
   /// Access the underlying simulator for reads (e.g. wait loops).
   [[nodiscard]] ModuleSim& sim() { return sim_; }
 
-  /// Sets an input and records it for replay.
-  void set_input(const std::string& name, std::uint64_t value);
+  /// Sets an input and records it, under its net's name, for replay.
+  void set_input(int net, std::uint64_t value);
+  void set_input(const std::string& name, std::uint64_t value) {
+    set_input(sim_.find_net(name), value);
+  }
 
   /// Ends the cycle: samples every output port (post-settle values become
   /// the expectations), then clocks the simulator.

@@ -36,7 +36,7 @@ constexpr std::size_t kNoRound = static_cast<std::size_t>(-1);
 // ---------------------------------------------------------------------------
 
 struct SystemSim::Controller {
-  /// Simulates the generated controller and binds its ports once.
+  /// Simulates the generated controller, with its port map copied in.
   /// `generated` is borrowed: its module, plan and entries.
   explicit Controller(const memorg::GeneratedController& generated)
       : bram_id(generated.bram.id),
@@ -44,9 +44,13 @@ struct SystemSim::Controller {
         bram(&generated.bram),
         plan(&generated.plan),
         entries(&generated.entries),
-        sim(std::make_unique<rtl::ModuleSim>(*generated.module)) {
+        sim(std::make_unique<rtl::ModuleSim>(*generated.module)),
+        consumer_nets(generated.ports.consumers),
+        producer_nets(generated.ports.producers),
+        port_a(generated.ports.a),
+        bus_rdata(generated.ports.bus_rdata),
+        slot(generated.ports.slot) {
     if (kind == OrgKind::EventDriven) slots = memorg::slot_order(*entries);
-    bind_nets();
     sim->reset();
   }
 
@@ -86,19 +90,13 @@ struct SystemSim::Controller {
     return -1;
   }
 
-  // Net handles into the generated module, bound by the constructor. The
-  // producer side is d_* (arbitrated) or p_* (event-driven); `grant` of a
-  // consumer is arbitrated-only, and its `ev` (the schedule selecting it)
-  // and `slot` event-driven-only (else -1).
-  struct ConsumerNets {
-    int req = -1, addr = -1, grant = -1, ev = -1, valid = -1;
-  };
-  struct ProducerNets {
-    int req = -1, addr = -1, wdata = -1, grant = -1;
-  };
-  std::vector<ConsumerNets> consumer_nets;
-  std::vector<ProducerNets> producer_nets;
-  int a_en = -1, a_we = -1, a_addr = -1, a_wdata = -1, a_rdata = -1;
+  // Net handles into the generated module, copied from its port map into
+  // contiguous vectors indexed by pseudo-port. A consumer's `grant` is
+  // arbitrated-only, and its `ev` (the schedule selecting it) and `slot`
+  // event-driven-only (else -1).
+  std::vector<memorg::ConsumerPort> consumer_nets;
+  std::vector<memorg::ProducerPort> producer_nets;
+  memorg::PortA port_a;
   int bus_rdata = -1, slot = -1;
   // Event-driven: the schedule's slot this cycle. `slot` is a register, so
   // it is current before the settle and the settle does not change it.
@@ -106,47 +104,11 @@ struct SystemSim::Controller {
   // Event-driven: the slot last reported as a SlotAdvance event.
   std::int64_t traced_slot = -1;
 
-  void bind_nets() {
-    const rtl::ModuleSim& m = *sim;
-    const bool arbitrated = kind == OrgKind::Arbitrated;
-    consumer_nets.resize(
-        static_cast<std::size_t>(plan->consumer_pseudo_ports()));
-    for (std::size_t i = 0; i < consumer_nets.size(); ++i) {
-      const std::string idx = std::to_string(i);
-      ConsumerNets& c = consumer_nets[i];
-      c.req = m.find_net("c_req" + idx);
-      c.addr = m.find_net("c_addr" + idx);
-      if (arbitrated) {
-        c.grant = m.find_net("c_grant" + idx);
-      } else {
-        c.ev = m.find_net("ev_c" + idx);
-      }
-      c.valid = m.find_net("c_valid" + idx);
-    }
-    const std::string p = arbitrated ? "d_" : "p_";
-    producer_nets.resize(
-        static_cast<std::size_t>(plan->producer_pseudo_ports()));
-    for (std::size_t j = 0; j < producer_nets.size(); ++j) {
-      const std::string idx = std::to_string(j);
-      ProducerNets& d = producer_nets[j];
-      d.req = m.find_net(p + "req" + idx);
-      d.addr = m.find_net(p + "addr" + idx);
-      d.wdata = m.find_net(p + "wdata" + idx);
-      d.grant = m.find_net(p + "grant" + idx);
-    }
-    a_en = m.find_net("a_en");
-    a_we = m.find_net("a_we");
-    a_addr = m.find_net("a_addr");
-    a_wdata = m.find_net("a_wdata");
-    a_rdata = m.find_net("a_rdata");
-    bus_rdata = m.find_net("bus_rdata");
-    if (!arbitrated) slot = m.find_net("slot");
-  }
-
-  [[nodiscard]] const ConsumerNets& consumer(int pseudo_port) const {
+  [[nodiscard]] const memorg::ConsumerPort& consumer(int pseudo_port) const {
     return consumer_nets[static_cast<std::size_t>(pseudo_port)];
   }
-  [[nodiscard]] const ProducerNets& producer(int pseudo_port) const {
+  [[nodiscard]] const memorg::ProducerPort& producer(
+      int pseudo_port) const {
     return producer_nets[static_cast<std::size_t>(pseudo_port)];
   }
 
@@ -175,7 +137,7 @@ struct SystemSim::Controller {
     e.kind = trace::EventKind::ArbWin;
     const bool arbitrated = kind == OrgKind::Arbitrated;
     for (std::size_t i = 0; i < consumer_nets.size(); ++i) {
-      const ConsumerNets& c = consumer_nets[i];
+      const memorg::ConsumerPort& c = consumer_nets[i];
       if (arbitrated ? sim->get(c.grant) != 0
                      : sim->get(c.ev) != 0 && sim->get(c.req) != 0) {
         e.port = trace::PortKind::C;
@@ -204,10 +166,14 @@ struct SystemSim::Controller {
 
   void begin_cycle() {
     // Clear all request-style inputs; threads re-assert each cycle.
-    for (const ConsumerNets& c : consumer_nets) sim->set_input(c.req, 0);
-    for (const ProducerNets& d : producer_nets) sim->set_input(d.req, 0);
-    sim->set_input(a_en, 0);
-    sim->set_input(a_we, 0);
+    for (const memorg::ConsumerPort& c : consumer_nets) {
+      sim->set_input(c.req, 0);
+    }
+    for (const memorg::ProducerPort& d : producer_nets) {
+      sim->set_input(d.req, 0);
+    }
+    sim->set_input(port_a.en, 0);
+    sim->set_input(port_a.we, 0);
     if (slot >= 0) slot_now = static_cast<int>(sim->get(slot));
     // Resolve port A ownership among last cycle's waiters.
     if (!a_waiters.empty()) {
@@ -1006,10 +972,10 @@ void start_op(ThreadExec& t, const MemAccess& access, std::uint64_t wdata,
   switch (mo.stage) {
     case Stage::PortA:
       if (c.claim_port_a(t.rank)) {
-        sim.set_input(c.a_en, 1);
-        sim.set_input(c.a_we, a.is_write ? 1 : 0);
-        sim.set_input(c.a_addr, mo.addr);
-        if (a.is_write) sim.set_input(c.a_wdata, mo.wdata);
+        sim.set_input(c.port_a.en, 1);
+        sim.set_input(c.port_a.we, a.is_write ? 1 : 0);
+        sim.set_input(c.port_a.addr, mo.addr);
+        if (a.is_write) sim.set_input(c.port_a.wdata, mo.wdata);
       }
       break;
     case Stage::Request:
@@ -1242,7 +1208,7 @@ trace::PortKind port_kind_of(synth::AccessRole role) {
       break;
     case Stage::PortA_Data:
       // The read issued last cycle; a_rdata now holds the value.
-      mo.result = sim.get(c.a_rdata);
+      mo.result = sim.get(c.port_a.rdata);
       mo.stage = Stage::Done;
       break;
     case Stage::Request: {

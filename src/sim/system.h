@@ -8,7 +8,10 @@
 // emits, not from a separate behavioural model. The simulator builds
 // neither: it borrows the FSMs and controllers its caller built (the
 // compiler, or hic-rt's artifact loader), so scheduling, the CAM choice and
-// hic-bound pruning are simulated exactly as compiled.
+// hic-bound pruning are simulated exactly as compiled. Each controller's
+// ports come from the map its generator returned with it
+// (GeneratedController::ports), copied at construction into per-pseudo-port
+// vectors of net ids; the simulator never looks a net up by name.
 //
 // Construction lowers every thread FSM once. Each state becomes a plan in
 // which every statement's controller, placement, access role, dependency,

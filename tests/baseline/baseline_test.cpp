@@ -26,22 +26,22 @@ std::unique_ptr<core::CompileResult> compile_fanout(int consumers,
   return result;
 }
 
-rtl::Module& make_bare(rtl::Design& d, int clients) {
+ClientModule make_bare(rtl::Design& d, int clients) {
   BareConfig cfg;
   cfg.num_clients = clients;
-  rtl::Module& m = generate_bare(d, cfg, "bare");
+  ClientModule m = generate_bare(d, cfg, "bare");
   std::string err;
-  EXPECT_TRUE(m.validate(&err)) << err;
+  EXPECT_TRUE(m.module.validate(&err)) << err;
   return m;
 }
 
-rtl::Module& make_lockmem(rtl::Design& d, int clients) {
+ClientModule make_lockmem(rtl::Design& d, int clients) {
   LockMemConfig cfg;
   cfg.num_clients = clients;
   cfg.lock_addrs = {4, 6};
-  rtl::Module& m = generate_lockmem(d, cfg, "lockmem");
+  ClientModule m = generate_lockmem(d, cfg, "lockmem");
   std::string err;
-  EXPECT_TRUE(m.validate(&err)) << err;
+  EXPECT_TRUE(m.module.validate(&err)) << err;
   return m;
 }
 
